@@ -101,6 +101,36 @@ def document_from_poset(p, name, basepoint=None):
     return PosetDocument(name, list(p.labels), covers, base)
 
 
+def parse_json_document(data):
+    """A PosetDocument from a decoded JSON mirror.
+
+    Any other shape raises ParseError: the top level must be an object
+    whose ``elements`` is a list of labels (strings) and whose ``covers``
+    is a list of [lower, upper] label pairs; ``name`` is an optional
+    string and ``basepoint`` an optional label or null.
+    """
+    if not isinstance(data, dict):
+        raise ParseError(f"expected a JSON object, got {type(data).__name__}")
+    for key in ("elements", "covers"):
+        if key not in data:
+            raise ParseError(f"missing {key!r}")
+        if not isinstance(data[key], list):
+            raise ParseError(f"{key!r} must be a list, got {type(data[key]).__name__}")
+    name = data.get("name", "unnamed")
+    basepoint = data.get("basepoint")
+    if not isinstance(name, str):
+        raise ParseError("'name' must be a string")
+    if not all(isinstance(lab, str) for lab in data["elements"]):
+        raise ParseError("'elements' must be strings")
+    for c in data["covers"]:
+        if not (isinstance(c, list) and len(c) == 2 and all(isinstance(lab, str) for lab in c)):
+            raise ParseError(f"each cover must be a [lower, upper] pair of labels, got {c!r}")
+    if basepoint is not None and not isinstance(basepoint, str):
+        raise ParseError("'basepoint' must be a label or null")
+    return PosetDocument(name, list(data["elements"]),
+                         [tuple(c) for c in data["covers"]], basepoint)
+
+
 def load_document(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -110,14 +140,12 @@ def load_document(path):
     if str(path).endswith(".json"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ParseError(f"bad JSON in {path}: {e}") from e
-        return PosetDocument(
-            data.get("name", "unnamed"),
-            list(data["elements"]),
-            [tuple(c) for c in data["covers"]],
-            data.get("basepoint"),
-        )
+        try:
+            return parse_json_document(data)
+        except ParseError as e:
+            raise ParseError(f"bad poset document in {path}: {e}") from e
     return parse_poset(text)
 
 

@@ -361,6 +361,7 @@ def classify(p, exact_limit=24):
 
     The longest-simple-path search is exact for |P| <= exact_limit and
     replaced by the trivial bound n-1 (flagged approximate) above it.
+    It stops as soon as it finds a path through all n elements.
     """
     n = p.n
     degree = max((popcount(p.comparability_mask(x)) + 1 for x in range(n)), default=0)
@@ -376,8 +377,12 @@ def classify(p, exact_limit=24):
         if length > best:
             best = length
         for y in bits(adj[x] & ~visited):
+            if best == n - 1:  # a Hamiltonian path: no simple path is longer
+                return
             dfs(y, visited | (1 << y), length + 1)
 
     for s in range(n):
+        if best == n - 1:
+            break
         dfs(s, 1 << s, 0)
     return ClassifyRecord(True, True, True, degree, best, best + 1)

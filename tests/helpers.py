@@ -4,7 +4,8 @@ import itertools
 import random
 
 from finspace.homotopy import are_isomorphic
-from finspace.poset import Poset
+from finspace.poset import Poset, bits
+from finspace.reduction import beat_points, remove_beat_point
 
 
 def all_labeled_posets(n):
@@ -79,3 +80,24 @@ def transitive_closure_oracle(n, pairs):
                     rel.add((a, c))
                     changed = True
     return rel
+
+
+def core_by_rescan(p, basepoint=None):
+    """Dismantling by rescanning every remaining point after each removal.
+
+    The straightforward form of ``reduction.core`` with the same policy
+    (lowest-id beat point first, down-beat retraction preferred), built
+    on the punctured-set beat test instead of cover counts.  Returns the
+    (kind, removed, target) sequence and the surviving elements.
+    """
+    mask = p.full_mask
+    steps = []
+    while True:
+        candidates = beat_points(p, basepoint, mask)
+        if not candidates:
+            break
+        x = min(candidates)
+        step = remove_beat_point(p, x, basepoint, mask)
+        steps.append((step.kind, x, step.targets[x]))
+        mask &= ~(1 << x)
+    return steps, frozenset(bits(mask))

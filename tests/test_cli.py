@@ -138,6 +138,29 @@ class TestRun:
         bad.write_text("el a\n")
         assert run(["core", str(bad)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("text", [
+        '{"name": "x"}',
+        '{"elements": ["a"]}',
+        '[1, 2]',
+        '{"elements": "ab", "covers": []}',
+        '{"elements": ["a", "b"], "covers": {"a": "b"}}',
+        '{"elements": ["a", "b"], "covers": [["a"]]}',
+        '{"elements": [["a"]], "covers": []}',
+        '{"elements": ["a"], "covers": [], "basepoint": 0}',
+    ], ids=["missing-elements", "missing-covers", "top-level-array", "elements-not-list",
+            "covers-not-list", "cover-not-pair", "label-not-string", "basepoint-not-label"])
+    def test_malformed_json_is_input_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run(["core", str(bad)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: bad poset document in ")
+
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100000)
+        assert run(["core", str(bad)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: bad JSON in ")
+
     def test_guard_exit(self, capsys):
         assert run(["--max-enum", "5", "function-space",
                     str(DATA / "fence6.poset"),

@@ -23,6 +23,8 @@ from finspace import (
 from finspace.generators import random_poset
 from finspace.reduction import DismantlingTrace, RetractionStep
 
+from helpers import core_by_rescan
+
 
 class TestBeatPoints:
     def test_chain_middle_is_both(self):
@@ -92,19 +94,14 @@ class TestCore:
 
     def test_policy_independence_up_to_iso(self):
         # alternate policy: highest id first, prefer up-beat
-        from finspace.reduction import (
-            _down_beat_target, _up_beat_target, beat_points as bp,
-        )
-
         for seed in range(12):
             p = random_poset(6, 0.4, seed)
             mask = p.full_mask
             while True:
-                cands = bp(p, None, mask)
+                cands = beat_points(p, None, mask)
                 if not cands:
                     break
                 x = max(cands)
-                u = _up_beat_target(p, x, mask)
                 mask &= ~(1 << x)
             alt_core, _ = p.restrict([i for i in range(p.n) if mask >> i & 1])
             assert are_isomorphic(core(p).core, alt_core) is not None
@@ -123,6 +120,62 @@ class TestCore:
                 assert step.is_comparative(p)
             m = res.trace.composed_self_map()  # raises if not monotone
             assert all(m(x) == x for x in res.core_elements)
+
+
+def _core_steps(res):
+    out = []
+    for step in res.trace.steps:
+        (x,) = step.removed
+        out.append((step.kind, x, step.targets[x]))
+    return out
+
+
+class TestCoreMatchesRescan:
+    """The cover-count ``core`` against the rescan it replaced: same
+    policy, so the same steps in the same order and the same core."""
+
+    def assert_same(self, p, basepoint=None):
+        res = core(p, basepoint)
+        steps, final = core_by_rescan(p, basepoint)
+        assert _core_steps(res) == steps
+        assert res.core_elements == final
+
+    def test_random_posets(self):
+        for seed in range(320):
+            n = 1 + seed % 30
+            p = random_poset(n, (0.1, 0.2, 0.3, 0.5)[seed % 4], seed)
+            self.assert_same(p)
+            self.assert_same(p, basepoint=(seed * 7) % n)
+
+    def test_families(self):
+        for n in range(0, 14):
+            self.assert_same(chain(n))
+        for n in range(1, 16):
+            self.assert_same(fence(n))
+            self.assert_same(fence(n), basepoint=n // 2)
+        for n in range(2, 7):
+            self.assert_same(crown(n))
+        for legs in ([1], [2, 2], [3, 1, 4], [5, 5], [2, 3, 4, 5]):
+            sp = spider(legs)
+            self.assert_same(sp.poset)
+            self.assert_same(sp.poset, sp.basepoint)
+
+    def test_long_chain_steps_are_compact(self):
+        # chain(n) from its closure masks directly; from_covers would spend
+        # seconds on the O(n^2) closure of a 2000-element chain.
+        def direct_chain(n):
+            full = (1 << n) - 1
+            return Poset([f"c{i}" for i in range(n)],
+                         [(2 << i) - 1 for i in range(n)],
+                         [full ^ ((1 << i) - 1) for i in range(n)],
+                         {(i, i + 1) for i in range(n - 1)})
+
+        small = direct_chain(50)
+        assert small.same_order(chain(50)) and small.covers == chain(50).covers
+        res = core(direct_chain(2000))
+        assert len(res.trace.steps) == 1999
+        assert all(len(s.mapping) == 1 for s in res.trace.steps)
+        assert res.core_elements == {1999}
 
 
 class TestBulkRetractions:
@@ -207,8 +260,7 @@ class TestVerifyStrongDeformation:
 
     def test_non_comparative_fake_rejected(self):
         p = fence(3)  # map x2 to x0: not comparative
-        full = frozenset(range(3))
-        fake = RetractionStep("remove-up-beat", full, frozenset({2}),
+        fake = RetractionStep("remove-up-beat", p.full_mask, frozenset({2}),
                               {0: 0, 1: 1, 2: 0}, {2: 0})
         tr = DismantlingTrace(p, [fake], frozenset({0, 1}))
         assert not verify_strong_deformation(tr)
