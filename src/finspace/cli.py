@@ -338,7 +338,8 @@ def cmd_function_space(args):
 def cmd_gamma(args):
     doc = load_document(args.file)
     p = doc.to_poset()
-    verdicts = {p.labels[x]: simplicial.is_gamma_point(p, x) for x in range(p.n)}
+    verdicts = {p.labels[x]: simplicial.is_gamma_point(p, x, guard=args.max_enum)
+                for x in range(p.n)}
     _report(args, {"verdicts": verdicts},
             f"{sum(v == simplicial.CERTIFIED_YES for v in verdicts.values())} "
             f"certified gamma-points of {p.n}")

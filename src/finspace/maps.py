@@ -110,11 +110,11 @@ class FunctionPoset:
         self.codomain = codomain
         self.assignments = assignments
         self._index = {a: i for i, a in enumerate(assignments)}
-        self._strict_up = self._build_reach()
-        self._strict_down = self._transpose(self._strict_up)
+        self._strict_up, self._strict_down = self._build_reach()
         self._order = None
 
     def _build_reach(self):
+        """Strict up- and down-masks of every map in the pointwise order."""
         m = len(self.assignments)
         y = self.codomain
         nx = self.domain.n
@@ -124,29 +124,25 @@ class FunctionPoset:
             bj = 1 << j
             for x, v in enumerate(a):
                 eq[x][v] |= bj
-        geq = [[0] * y.n for _ in range(nx)]
-        for x in range(nx):
-            for v in range(y.n):
-                acc = 0
-                for w in bits(y.up[v]):
-                    acc |= eq[x][w]
-                geq[x][v] = acc
         full = (1 << m) - 1
-        reach = []
-        for i, a in enumerate(self.assignments):
-            mask = full
-            for x, v in enumerate(a):
-                mask &= geq[x][v]
-            reach.append(mask & ~(1 << i))
-        return reach
-
-    @staticmethod
-    def _transpose(reach):
-        down = [0] * len(reach)
-        for i, m in enumerate(reach):
-            for j in bits(m):
-                down[j] |= 1 << i
-        return down
+        reaches = []
+        for cone in (y.up, y.down):
+            # within[x][v] = mask of maps sending x into cone[v]
+            within = [[0] * y.n for _ in range(nx)]
+            for x in range(nx):
+                for v in range(y.n):
+                    acc = 0
+                    for w in bits(cone[v]):
+                        acc |= eq[x][w]
+                    within[x][v] = acc
+            reach = []
+            for i, a in enumerate(self.assignments):
+                mask = full
+                for x, v in enumerate(a):
+                    mask &= within[x][v]
+                reach.append(mask & ~(1 << i))
+            reaches.append(reach)
+        return reaches
 
     @property
     def order(self):

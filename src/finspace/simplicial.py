@@ -1,14 +1,30 @@
 """Order complexes, integer simplicial homology, links and gamma-points.
 
-Homology is computed over the integers with Smith normal form so torsion
-is visible; "acyclic" always means integrally acyclic.  Matrices stay
-tiny at the scales the guards allow, and Python integers make overflow a
-non-issue.
+Homology is computed over the integers from the invariant factors of the
+boundary maps, so torsion is visible; "acyclic" always means integrally
+acyclic.  Each boundary map is held as sparse columns, one
+``{face index: +-1}`` dict per simplex, and its invariant factors are
+found in two stages:
+
+1. Unit-pivot elimination.  While some column has a +-1 entry, take the
+   shortest such column and in it the unit entry on the shortest row,
+   clear that row with integer column operations and drop the pivot's row
+   and column.  Dividing by +-1 is exact, so every step is unimodular:
+   the Smith form of the matrix is a 1 for the pivot followed by the
+   Smith form of the Schur complement that remains.
+2. The residual block, whose entries are all 0 or of absolute value at
+   least 2, goes to a dense Smith normal form.  On order complexes it is
+   usually empty; torsion such as the Z/2 of the projective plane comes
+   from here.
+
+Python integers cannot overflow.  The guards bound the number
+of simplices, not the fill-in of the elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .errors import GuardExceeded
 from .poset import Poset, bits
@@ -45,7 +61,10 @@ class SimplicialComplex:
 
 
 def order_complex(p, guard=COMPLEX_GUARD):
-    """The complex of nonempty chains of P."""
+    """The complex of nonempty chains of P.
+
+    The guard bounds the number of simplices (chains) produced.
+    """
     by_dim = {}
     count = 0
     up = p.up
@@ -157,20 +176,83 @@ class HomologyProfile:
         return 0, ()
 
 
-def _boundary_rows(k, lower, upper):
-    """Rows (indexed by (d-1)-simplices) of the boundary matrix of the
-    d-simplices ``upper`` over faces ``lower``."""
+def _boundary_columns(lower, upper):
+    """The boundary map of the d-simplices ``upper`` over their faces
+    ``lower``, as one ``{face index: +-1}`` column per simplex."""
     index = {s: i for i, s in enumerate(lower)}
-    rows = [[0] * len(upper) for _ in lower]
-    for j, s in enumerate(upper):
-        for pos in range(len(s)):
-            face = s[:pos] + s[pos + 1:]
-            rows[index[face]][j] = (-1) ** pos
-    return rows
+    return [{index[s[:pos] + s[pos + 1:]]: -1 if pos & 1 else 1 for pos in range(len(s))}
+            for s in upper]
+
+
+def _eliminate_unit_pivots(columns):
+    """Remove every +-1 pivot from a sparse integer matrix.
+
+    ``columns`` is a list of ``{row: nonzero int}`` dicts and is consumed.
+    Repeatedly takes the shortest column holding a unit entry and, in it,
+    the unit entry whose row has the fewest entries; the other columns
+    through that row are cleared by adding an integer multiple of the
+    pivot column, and the pivot's row and column are dropped.  Returns
+    the number of pivots and the nonzero residual columns, none of which
+    holds a unit entry; the invariant factors of the matrix are that many
+    1s followed by the invariant factors of the residual.
+    """
+    cols = {j: col for j, col in enumerate(columns) if col}
+    rows = {}
+    for j, col in cols.items():
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapify(heap)
+    pivots = 0
+    while heap:
+        size, j = heappop(heap)
+        col = cols.get(j)
+        if col is None or len(col) != size:
+            continue  # stale entry: the column was eliminated or changed since
+        units = [i for i, v in col.items() if v == 1 or v == -1]
+        if not units:
+            continue  # pushed again if a later pivot changes it
+        r = min(units, key=lambda i: len(rows[i]))
+        del cols[j]
+        for i in col:
+            rows[i].discard(j)
+        sign = col.pop(r)
+        for k in rows.pop(r):
+            other = cols[k]
+            f = other.pop(r) * sign  # other -= f * pivot column, exact as sign = +-1
+            for i, v in col.items():
+                w = other.get(i, 0) - f * v
+                if w:
+                    if i not in other:
+                        rows[i].add(k)
+                    other[i] = w
+                elif i in other:
+                    del other[i]
+                    rows[i].discard(k)
+            if other:
+                heappush(heap, (len(other), k))
+            else:
+                del cols[k]
+        pivots += 1
+    return pivots, list(cols.values())
+
+
+def _invariant_factors(columns):
+    """Invariant factors of a sparse integer matrix (see the module
+    docstring): unit pivots first, then a dense Smith normal form of the
+    residual block only."""
+    pivots, residual = _eliminate_unit_pivots(columns)
+    row_ids = sorted({i for col in residual for i in col})
+    rows = [[col.get(i, 0) for col in residual] for i in row_ids]
+    return [1] * pivots + _smith_invariant_factors(rows, len(residual))
 
 
 def homology(k, reduced=False, guard=COMPLEX_GUARD):
-    """Integer simplicial homology of a complex via Smith normal form."""
+    """Integer simplicial homology of a complex.
+
+    The guard bounds the number of simplices of ``k`` (the size of the
+    boundary maps before elimination), not the fill-in of the elimination.
+    """
     if k.total() > guard:
         raise GuardExceeded(f"complex with {k.total()} > {guard} simplices",
                             count=k.total())
@@ -182,10 +264,9 @@ def homology(k, reduced=False, guard=COMPLEX_GUARD):
     # boundary is zero unless reduced, where it maps onto the empty simplex.
     factors = [[] for _ in range(dim + 2)]
     if reduced:
-        factors[0] = _smith_invariant_factors([[1] * counts[0]], counts[0])
+        factors[0] = _invariant_factors([{0: 1} for _ in range(counts[0])])
     for d in range(1, dim + 1):
-        rows = _boundary_rows(d, k.simplices[d - 1], k.simplices[d])
-        factors[d] = _smith_invariant_factors(rows, counts[d])
+        factors[d] = _invariant_factors(_boundary_columns(k.simplices[d - 1], k.simplices[d]))
     betti = []
     torsion = []
     for d in range(dim + 1):
@@ -197,7 +278,7 @@ def homology(k, reduced=False, guard=COMPLEX_GUARD):
 
 
 def poset_homology(p, reduced=True, guard=COMPLEX_GUARD):
-    """Homology of the order complex of P."""
+    """Homology of the order complex of P; the guard bounds its simplices."""
     return homology(order_complex(p, guard=guard), reduced=reduced, guard=guard)
 
 
@@ -208,7 +289,7 @@ def link(p, x):
     return sub
 
 
-def is_gamma_point(p, x):
+def is_gamma_point(p, x, guard=COMPLEX_GUARD):
     """Three-valued check that removing x preserves the weak homotopy type.
 
     certified_yes: the link dismantles to a point, hence is homotopically
@@ -217,13 +298,15 @@ def is_gamma_point(p, x):
     homology preservation only.  unknown is reserved for acyclic links
     whose deeper homotopical triviality could not be certified (the
     homology_yes verdict doubles as it; never returned otherwise).
+    The guard bounds the number of simplices of the order complex of the
+    link, which is built only when the link does not dismantle to a point.
     """
     lk = link(p, x)
     if lk.n == 0:
         return NO  # empty link: reduced H_{-1} nontrivial (isolated point)
     if core(lk).is_point:
         return CERTIFIED_YES
-    prof = poset_homology(lk, reduced=True)
+    prof = poset_homology(lk, reduced=True, guard=guard)
     if not prof.is_acyclic():
         return NO
     return HOMOLOGY_YES

@@ -6,6 +6,7 @@ import random
 from finspace.homotopy import are_isomorphic
 from finspace.poset import Poset, bits
 from finspace.reduction import beat_points, remove_beat_point
+from finspace.simplicial import HomologyProfile, _smith_invariant_factors
 
 
 def all_labeled_posets(n):
@@ -101,3 +102,37 @@ def core_by_rescan(p, basepoint=None):
         steps.append((step.kind, x, step.targets[x]))
         mask &= ~(1 << x)
     return steps, frozenset(bits(mask))
+
+
+def boundary_rows(lower, upper):
+    """Dense rows (indexed by (d-1)-simplices) of the boundary matrix of
+    the d-simplices ``upper`` over faces ``lower``."""
+    index = {s: i for i, s in enumerate(lower)}
+    rows = [[0] * len(upper) for _ in lower]
+    for j, s in enumerate(upper):
+        for pos in range(len(s)):
+            face = s[:pos] + s[pos + 1:]
+            rows[index[face]][j] = (-1) ** pos
+    return rows
+
+
+def homology_dense(k, reduced=False):
+    """Integer homology by a dense Smith normal form of every boundary
+    matrix: the straightforward form of ``simplicial.homology``, without
+    its unit-pivot elimination or guard."""
+    dim = k.dimension()
+    if dim < 0:
+        return HomologyProfile((), (), reduced)
+    counts = [k.count(d) for d in range(dim + 1)]
+    factors = [[] for _ in range(dim + 2)]
+    if reduced:
+        factors[0] = _smith_invariant_factors([[1] * counts[0]], counts[0])
+    for d in range(1, dim + 1):
+        rows = boundary_rows(k.simplices[d - 1], k.simplices[d])
+        factors[d] = _smith_invariant_factors(rows, counts[d])
+    betti = []
+    torsion = []
+    for d in range(dim + 1):
+        betti.append(counts[d] - len(factors[d]) - len(factors[d + 1]))
+        torsion.append(tuple(f for f in factors[d + 1] if f > 1))
+    return HomologyProfile(tuple(betti), tuple(torsion), reduced)

@@ -166,6 +166,13 @@ class TestRun:
                     str(DATA / "fence6.poset"),
                     str(DATA / "fence6.poset")]) == EXIT_GUARD
 
+    def test_gamma_guard_exit(self, capsys):
+        # every link in a crown is a two-point antichain, so each verdict
+        # needs the homology of the link's order complex (two simplices)
+        assert run(["--max-enum", "1", "gamma", str(DATA / "crown2.poset")]) == EXIT_GUARD
+        assert capsys.readouterr().err.startswith("guard exceeded: ")
+        assert run(["--max-enum", "2", "gamma", str(DATA / "crown2.poset")]) == EXIT_OK
+
     def test_cycle_rejected(self, tmp_path, capsys):
         bad = tmp_path / "cyc.poset"
         bad.write_text("poset cyc\nel a\nel b\ncov a b\ncov b a\n")

@@ -17,7 +17,9 @@ from finspace import (
     is_retraction,
     min_contraction_chain,
 )
+from finspace.generators import random_poset
 from finspace.maps import count_monotone
+from finspace.poset import bits
 from finspace.reduction import remove_beat_point
 
 from helpers import brute_force_monotone
@@ -53,6 +55,18 @@ class TestEnumeration:
     def test_lexicographic_order(self):
         c = enumerate_monotone(fence(3), fence(3))
         assert c.assignments == sorted(c.assignments)
+
+
+    def test_strict_down_is_transpose_of_strict_up(self):
+        for seed in range(40):
+            x = random_poset(2 + seed % 4, 0.4, seed)
+            y = random_poset(2 + seed % 5, 0.4, 1000 + seed)
+            c = enumerate_monotone(x, y)
+            transpose = [0] * len(c)
+            for i, up in enumerate(c._strict_up):
+                for j in bits(up):
+                    transpose[j] |= 1 << i
+            assert c._strict_down == transpose
 
 
 class TestAlgebra:

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -22,9 +23,18 @@ from finspace.simplicial import (
     CERTIFIED_YES,
     HOMOLOGY_YES,
     NO,
-    _boundary_rows,
+    _boundary_columns,
+    _eliminate_unit_pivots,
+    _invariant_factors,
     _smith_invariant_factors,
 )
+
+from helpers import homology_dense
+
+RP2_FACETS = [
+    (1, 2, 3), (1, 3, 4), (1, 2, 6), (1, 4, 5), (1, 5, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+]
 
 
 def complex_from_facets(nverts, facets):
@@ -35,6 +45,48 @@ def complex_from_facets(nverts, facets):
                 by_dim.setdefault(r - 1, set()).add(s)
     sims = tuple(tuple(sorted(by_dim[d])) for d in sorted(by_dim))
     return SimplicialComplex(nverts, sims)
+
+
+def layered(width, depth):
+    """Every element of level i below every element of level i + 1."""
+    levels = [[f"l{i}_{j}" for j in range(width)] for i in range(depth)]
+    covers = [(a, b) for lo, hi in zip(levels, levels[1:]) for a in lo for b in hi]
+    return Poset.from_covers([x for level in levels for x in level], covers)
+
+
+def face_poset(k):
+    """Simplices of k ordered by inclusion."""
+    faces = [s for dim in k.simplices for s in dim]
+    labels = ["f" + "_".join(map(str, s)) for s in faces]
+    covers = [(labels[i], labels[j]) for i, f in enumerate(faces)
+              for j, g in enumerate(faces) if len(g) == len(f) + 1 and set(f) <= set(g)]
+    return Poset.from_covers(labels, covers)
+
+
+def maxima_and_covers(p):
+    """Labels of the maximal elements of P and its covers by label."""
+    maxima = [p.labels[x] for x in range(p.n) if p.up[x] == 1 << x]
+    return maxima, [(p.labels[a], p.labels[b]) for a, b in p.covers]
+
+
+def suspension(p):
+    """Two incomparable points above everything."""
+    maxima, covers = maxima_and_covers(p)
+    covers += [(m, t) for m in maxima for t in ("top0", "top1")]
+    return Poset.from_covers(list(p.labels) + ["top0", "top1"], covers)
+
+
+def with_tails(p, length):
+    """A chain of ``length`` points hung above each maximal element."""
+    maxima, covers = maxima_and_covers(p)
+    labels = list(p.labels)
+    for m in maxima:
+        prev = m
+        for i in range(length):
+            labels.append(f"{m}_t{i}")
+            covers.append((prev, labels[-1]))
+            prev = labels[-1]
+    return Poset.from_covers(labels, covers)
 
 
 class TestOrderComplex:
@@ -95,13 +147,14 @@ class TestHomology:
         for p in [crown(3), fence(5), chain(4)]:
             k = order_complex(p)
             for d in range(2, k.dimension() + 1):
-                rows1 = _boundary_rows(d - 1, k.simplices[d - 2], k.simplices[d - 1])
-                rows2 = _boundary_rows(d, k.simplices[d - 1], k.simplices[d])
-                for i in range(len(rows1)):
-                    for j in range(k.count(d)):
-                        assert sum(
-                            rows1[i][t] * rows2[t][j] for t in range(k.count(d - 1))
-                        ) == 0
+                cols1 = _boundary_columns(k.simplices[d - 2], k.simplices[d - 1])
+                cols2 = _boundary_columns(k.simplices[d - 1], k.simplices[d])
+                for col in cols2:
+                    image = {}
+                    for t, v in col.items():
+                        for i, w in cols1[t].items():
+                            image[i] = image.get(i, 0) + v * w
+                    assert not any(image.values())
 
     def test_circle(self):
         prof = poset_homology(crown(2), reduced=True)
@@ -146,6 +199,62 @@ class TestHomology:
     def test_crown3_circle_too(self):
         prof = poset_homology(crown(3), reduced=True)
         assert prof.betti == (0, 1)
+
+
+class TestSparseElimination:
+    """The unit-pivot elimination against dense Smith normal form."""
+
+    def test_families_match_dense(self):
+        rp2 = face_poset(complex_from_facets(7, RP2_FACETS))
+        cases = [layered(2, d + 1) for d in range(1, 5)]
+        cases += [layered(3, 3), layered(3, 4), layered(4, 3), layered(5, 2)]
+        cases += [crown(k) for k in range(2, 6)] + [fence(6), chain(5)]
+        cases += [rp2, suspension(rp2)]
+        cases += [with_tails(layered(2, 3), 2), with_tails(layered(2, 4), 1),
+                  with_tails(crown(3), 2)]
+        for p in cases:
+            k = order_complex(p)
+            for reduced in (False, True):
+                assert homology(k, reduced=reduced) == homology_dense(k, reduced=reduced)
+        assert poset_homology(rp2).torsion == ((), (2,), ())
+        assert poset_homology(suspension(rp2)).torsion == ((), (), (2,), ())
+
+    def test_random_posets_match_dense(self):
+        for seed in range(300):
+            p = random_poset(4 + seed % 6, (0.2, 0.35, 0.5)[seed % 3], seed)
+            k = order_complex(p)
+            reduced = bool(seed & 1)
+            assert homology(k, reduced=reduced) == homology_dense(k, reduced=reduced)
+
+    def test_residual_keeps_torsion(self):
+        # eliminating RP2's boundary from triangles to edges leaves one
+        # column of +-2 entries, whose Smith form gives the Z/2
+        k = complex_from_facets(7, RP2_FACETS)
+        pivots, residual = _eliminate_unit_pivots(
+            _boundary_columns(k.simplices[1], k.simplices[2]))
+        assert pivots == 9
+        assert len(residual) == 1 and {abs(v) for v in residual[0].values()} == {2}
+        assert _invariant_factors(_boundary_columns(k.simplices[1], k.simplices[2])) \
+            == [1] * 9 + [2]
+
+    def test_unit_free_matrix_goes_to_residual(self):
+        pivots, residual = _eliminate_unit_pivots([{0: 2, 1: 4}, {0: 6}])
+        assert pivots == 0 and residual == [{0: 2, 1: 4}, {0: 6}]
+        assert _invariant_factors([{0: 2, 1: 4}, {0: 6}]) == [2, 12]
+
+    def test_invariant_factors_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(7)
+        for _ in range(200):
+            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3, 4, -6)) for _ in range(nc)]
+                    for _ in range(nr)]
+            want = [abs(int(f)) for f in invariant_factors(sympy.Matrix(rows)) if f]
+            columns = [{i: rows[i][j] for i in range(nr) if rows[i][j]} for j in range(nc)]
+            assert _smith_invariant_factors(rows, nc) == want
+            assert _invariant_factors(columns) == want
 
 
 class TestLink:
