@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import GuardExceeded, HeightExceeded
 from .maps import enumerate_monotone, homotopy_classes
-from .poset import Poset, bits, popcount
+from .poset import Poset, bits, popcount, shortest_path
 from .reduction import core
 
 
@@ -197,8 +197,16 @@ def _cover_graph_adjacency(p):
     return adj
 
 
-def _cover_graph_is_forest(p):
-    return len(p.covers) == p.n - len(p.components())
+def _is_tree(p):
+    """True iff the cover graph is connected and acyclic."""
+    return len(p.covers) == p.n - 1 and len(p.components()) == 1
+
+
+def _check_height1(p):
+    if p.n == 0:
+        raise HeightExceeded("empty poset has no height")
+    if p.height() > 1:
+        raise HeightExceeded(f"height {p.height()} > 1")
 
 
 def contractible_height1(p):
@@ -207,62 +215,27 @@ def contractible_height1(p):
     For height <= 1, crown-freeness is the same as the cover graph being
     acyclic, so the check is: connected with a tree cover graph.
     """
-    if p.n == 0:
-        raise HeightExceeded("empty poset has no height")
-    if p.height() > 1:
-        raise HeightExceeded(f"height {p.height()} > 1")
-    return len(p.components()) == 1 and _cover_graph_is_forest(p)
+    _check_height1(p)
+    return _is_tree(p)
 
 
 def contains_crown(p):
     """A minimal cycle in the cover graph, as a crown witness, or None.
 
     Only defined for height <= 1, where cycles in the cover graph are
-    exactly the crowns (as retracts).
+    exactly the crowns (as retracts).  The shortest a-b path avoiding a
+    cover a < b closes a shortest cycle through it; the shortest of these
+    has the length of the girth.
     """
-    if p.n == 0:
-        raise HeightExceeded("empty poset has no height")
-    if p.height() > 1:
-        raise HeightExceeded(f"height {p.height()} > 1")
+    _check_height1(p)
     adj = _cover_graph_adjacency(p)
     best = None
-    for s in range(p.n):
-        # BFS from s; the first cross/back edge closes a shortest cycle via s
-        dist = {s: 0}
-        parent = {s: -1}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in bits(adj[u]):
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
-                        nxt.append(v)
-                    elif v != parent[u] and dist[v] >= dist[u]:
-                        cycle = _recover_cycle(u, v, parent)
-                        if cycle and (best is None or len(cycle) < len(best)):
-                            best = cycle
-            frontier = nxt
+    for a, b in sorted(p.covers):
+        cut = {a: 1 << b, b: 1 << a}
+        path = shortest_path(lambda v: adj[v] & ~cut.get(v, 0), a, 1 << b)
+        if path is not None and (best is None or len(path) < len(best)):
+            best = path
     return best
-
-
-def _recover_cycle(u, v, parent):
-    path_u, path_v = [u], [v]
-    while parent[path_u[-1]] != -1:
-        path_u.append(parent[path_u[-1]])
-    while parent[path_v[-1]] != -1:
-        path_v.append(parent[path_v[-1]])
-    set_u = {x: i for i, x in enumerate(path_u)}
-    meet = next((x for x in path_v if x in set_u), None)
-    if meet is None:
-        return None
-    iu = set_u[meet]
-    iv = path_v.index(meet)
-    cycle = path_u[:iu] + [meet] + list(reversed(path_v[:iv]))
-    if len(cycle) < 3 or len(set(cycle)) != len(cycle):
-        return None
-    return cycle
 
 
 def unique_spath_condition(p, x):
@@ -271,4 +244,4 @@ def unique_spath_condition(p, x):
     retract of P (so P is contractible)."""
     if not 0 <= x < p.n:
         raise ValueError("x out of range")
-    return len(p.components()) == 1 and _cover_graph_is_forest(p)
+    return _is_tree(p)

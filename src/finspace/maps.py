@@ -10,11 +10,10 @@ incomplete; nothing here is correct beyond finite inputs.)
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import GuardExceeded
-from .poset import Poset, bits
+from .poset import Poset, bits, components, shortest_path
 
 DEFAULT_MAP_GUARD = 10**6
 
@@ -67,7 +66,12 @@ def compose(f, g):
 
 
 def _iter_assignments(x, y):
-    """Yield all monotone assignment tuples X -> Y in lexicographic order."""
+    """Yield all monotone assignment tuples X -> Y in lexicographic order.
+
+    A depth-first search with an explicit stack: untried[i] holds the
+    values of Y not yet tried at position i that are consistent with the
+    earlier positions, and the lowest one is taken first.
+    """
     n = x.n
     if n == 0:
         yield ()
@@ -79,21 +83,31 @@ def _iter_assignments(x, y):
     pred_ge = [x.up[i] & ((1 << i) - 1) for i in range(n)]
     full = y.full_mask
     assign = [0] * n
-
-    def backtrack(i):
-        if i == n:
-            yield tuple(assign)
-            return
+    untried = [full] + [0] * (n - 1)
+    last = n - 1
+    i = 0
+    while i >= 0:
+        rest = untried[i]
+        if not rest:
+            i -= 1
+            continue
+        if i == last:
+            for v in bits(rest):
+                assign[i] = v
+                yield tuple(assign)
+            untried[i] = 0
+            i -= 1
+            continue
+        low = rest & -rest
+        untried[i] = rest ^ low
+        assign[i] = low.bit_length() - 1
+        i += 1
         allowed = full
         for j in bits(pred_le[i]):
             allowed &= y.up[assign[j]]
         for j in bits(pred_ge[i]):
             allowed &= y.down[assign[j]]
-        for v in bits(allowed):
-            assign[i] = v
-            yield from backtrack(i + 1)
-
-    yield from backtrack(0)
+        untried[i] = allowed
 
 
 class FunctionPoset:
@@ -159,23 +173,8 @@ class FunctionPoset:
 
     def components(self):
         """Partition of map indices into comparability-graph components."""
-        m = len(self.assignments)
-        seen = 0
-        parts = []
-        for s in range(m):
-            if seen >> s & 1:
-                continue
-            comp = 1 << s
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for x in bits(frontier):
-                    nxt |= self.comparability_mask(x)
-                frontier = nxt & ~comp
-                comp |= nxt
-            seen |= comp
-            parts.append(frozenset(bits(comp)))
-        return parts
+        return [frozenset(bits(c))
+                for c in components(self.comparability_mask, len(self.assignments))]
 
     def __len__(self):
         return len(self.assignments)
@@ -217,27 +216,6 @@ def count_monotone(x, y, guard=DEFAULT_MAP_GUARD):
     return c
 
 
-def _comparability_bfs(c, start, goals):
-    """Shortest comparability chain in C from start to any goal index."""
-    if start in goals:
-        return [start]
-    prev = {start: None}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in bits(c.comparability_mask(u)):
-            if v not in prev:
-                prev[v] = u
-                if v in goals:
-                    chain = [v]
-                    while chain[-1] != start:
-                        chain.append(prev[chain[-1]])
-                    chain.reverse()
-                    return chain
-                queue.append(v)
-    return None
-
-
 def is_homotopic(c, f, g):
     """Decide homotopy of f, g in C and return a witness chain.
 
@@ -246,7 +224,7 @@ def is_homotopic(c, f, g):
     """
     i = f if isinstance(f, int) else c.index_of(f)
     j = g if isinstance(g, int) else c.index_of(g)
-    chain = _comparability_bfs(c, i, {j})
+    chain = shortest_path(c.comparability_mask, i, 1 << j)
     if chain is None:
         return False, None
     return True, chain
@@ -264,10 +242,10 @@ def min_contraction_chain(x, guard=DEFAULT_MAP_GUARD):
     contractible (no constant map reachable from the identity).
     """
     c = enumerate_monotone(x, x, guard=guard)
-    goals = set(c.constant_indices())
+    goals = sum(1 << k for k in c.constant_indices())
     if not goals:
         return None
-    chain = _comparability_bfs(c, c.identity_index(), goals)
+    chain = shortest_path(c.comparability_mask, c.identity_index(), goals)
     if chain is None:
         return None
     return len(chain) - 1

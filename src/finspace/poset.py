@@ -6,7 +6,9 @@ integer ids 0..n-1 with a label table.  The full reflexive-transitive
 closure is stored as per-element bitmasks (``down[i]`` holds every id
 below-or-equal to i, ``up[i]`` every id above-or-equal), so order queries
 are single mask operations.  The cover relation (Hasse diagram) is kept
-alongside as the transitive reduction.
+alongside as the transitive reduction.  ``bfs_layers``, ``components`` and
+``shortest_path`` are the one BFS kernel behind every graph walk in the
+package; each takes a neighbour function ``nbrs(v) -> mask``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,58 @@ def bits(mask):
 
 def popcount(mask):
     return mask.bit_count()
+
+
+def bfs_layers(nbrs, start, allowed=-1):
+    """Yield the BFS frontiers from ``start`` as masks.
+
+    The first frontier is ``1 << start``; each later one holds the vertices
+    first reached one step further out.  ``nbrs(v)`` is the neighbour mask
+    of v, and only vertices in ``allowed`` are entered after the start.
+    """
+    seen = frontier = 1 << start
+    while frontier:
+        yield frontier
+        nxt = 0
+        for u in bits(frontier):
+            nxt |= nbrs(u)
+        frontier = nxt & allowed & ~seen
+        seen |= frontier
+
+
+def components(nbrs, n):
+    """Connected components of the graph on 0..n-1 as masks, ordered by
+    lowest vertex."""
+    parts = []
+    rest = (1 << n) - 1
+    while rest:
+        comp = 0
+        for layer in bfs_layers(nbrs, (rest & -rest).bit_length() - 1):
+            comp |= layer
+        parts.append(comp)
+        rest &= ~comp
+    return parts
+
+
+def shortest_path(nbrs, start, goals_mask, allowed=-1):
+    """A shortest path from ``start`` to a vertex of ``goals_mask`` through
+    ``allowed`` as a vertex list, or None.  ``nbrs`` must be symmetric: the
+    path is rebuilt backwards from the lowest goal reached, through the
+    stored frontiers, taking the lowest neighbour in each."""
+    layers = []
+    for layer in bfs_layers(nbrs, start, allowed):
+        hit = layer & goals_mask
+        if hit:
+            v = (hit & -hit).bit_length() - 1
+            path = [v]
+            for prev in reversed(layers):
+                found = nbrs(v) & prev
+                v = (found & -found).bit_length() - 1
+                path.append(v)
+            path.reverse()
+            return path
+        layers.append(layer)
+    return None
 
 
 def _transitive_closure(adj):
@@ -176,54 +230,21 @@ class Poset:
 
     def components(self):
         """Partition into connected (= path) components, as frozensets."""
-        seen = 0
-        parts = []
-        for s in range(self.n):
-            if seen >> s & 1:
-                continue
-            comp = 1 << s
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for x in bits(frontier):
-                    nxt |= self.down[x] | self.up[x]
-                frontier = nxt & ~comp
-                comp |= nxt
-            seen |= comp
-            parts.append(frozenset(bits(comp)))
-        return parts
+        return [frozenset(bits(c)) for c in components(self.comparability_mask, self.n)]
 
     def spath_distance(self, x, y):
         """Shortest comparability-path length from x to y (inf if separated)."""
-        if x == y:
-            return 0
-        dist = {x: 0}
-        frontier = [x]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in bits(self.comparability_mask(u)):
-                    if v not in dist:
-                        dist[v] = d
-                        if v == y:
-                            return d
-                        nxt.append(v)
-            frontier = nxt
+        for d, layer in enumerate(bfs_layers(self.comparability_mask, x)):
+            if layer >> y & 1:
+                return d
         return math.inf
 
     def ball(self, x, radius):
         """{y : spath_distance(x, y) <= radius}."""
-        reached = 1 << x
-        frontier = reached
-        for _ in range(radius):
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= self.comparability_mask(u)
-            frontier = nxt & ~reached
-            reached |= nxt
-            if not frontier:
+        reached = 0
+        for d, layer in enumerate(bfs_layers(self.comparability_mask, x)):
+            reached |= layer
+            if d >= radius:
                 break
         return frozenset(bits(reached))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotABeatPoint
 from .maps import MonotoneMap
-from .poset import Poset, bits
+from .poset import Poset, bits, shortest_path
 
 REMOVE_DOWN = "remove-down-beat"
 REMOVE_UP = "remove-up-beat"
@@ -332,22 +332,12 @@ def verify_strong_deformation(trace, guard=4096):
     except GuardExceeded:
         return DeformationVerdict(True, False)
     c = enumerate_monotone(start, start, guard=guard)
-    allowed = [i for i, a in enumerate(c.assignments)
-               if all(a[x] == x for x in trace.final)]
-    allowed_set = set(allowed)
+    allowed = sum(1 << i for i, a in enumerate(c.assignments)
+                  if all(a[x] == x for x in trace.final))
     target = c.index_of(tuple(comp[i] for i in range(start.n)))
     ident = c.identity_index()
-    if ident not in allowed_set or target not in allowed_set:
+    if not (allowed >> ident & 1 and allowed >> target & 1):
         return DeformationVerdict(False, True)
-    # BFS restricted to maps fixing the final subspace
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in bits(c.comparability_mask(u)):
-                if v in allowed_set and v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return DeformationVerdict(target in seen, True)
+    # a chain through maps fixing the final subspace
+    chain = shortest_path(c.comparability_mask, ident, 1 << target, allowed)
+    return DeformationVerdict(chain is not None, True)

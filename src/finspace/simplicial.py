@@ -63,27 +63,32 @@ class SimplicialComplex:
 def order_complex(p, guard=COMPLEX_GUARD):
     """The complex of nonempty chains of P.
 
-    The guard bounds the number of simplices (chains) produced.
+    The guard bounds the number of simplices (chains) produced.  Chains
+    are grown on an explicit stack, so the height of P is not limited by
+    the recursion limit.
     """
-    by_dim = {}
+    by_len = [[] for _ in range(p.n + 1)]
     count = 0
     up = p.up
-
-    def extend(chain, allowed):
-        # chain is ascending in the order of P; allowed holds the elements
-        # strictly above every member, so each chain is produced once
-        nonlocal count
-        count += 1
-        if count > guard:
-            raise GuardExceeded(f"more than {guard} chains", count=count)
-        by_dim.setdefault(len(chain) - 1, []).append(tuple(sorted(chain)))
-        for y in bits(allowed):
-            extend(chain + [y], allowed & up[y] & ~(1 << y))
-
-    for x in range(p.n):
-        extend([x], up[x] & ~(1 << x))
-    dims = sorted(by_dim)
-    simplices = tuple(tuple(sorted(by_dim[d])) for d in dims)
+    # each entry is a chain ascending in the order of P and the mask of the
+    # elements strictly above every member, so each chain is produced once
+    stack = [((), p.full_mask)]
+    while stack:
+        chain, allowed = stack.pop()
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            y = low.bit_length() - 1
+            longer = chain + (y,)
+            count += 1
+            if count > guard:
+                raise GuardExceeded(f"more than {guard} chains", count=count)
+            by_len[len(longer)].append(tuple(sorted(longer)))
+            above = allowed & up[y] & ~low
+            if above:
+                stack.append((longer, above))
+    simplices = tuple(tuple(sorted(faces)) for faces in by_len if faces)
     return SimplicialComplex(p.n, simplices)
 
 

@@ -179,6 +179,31 @@ class TestRun:
         assert run(["core", str(bad)]) == EXIT_INPUT
 
 
+@pytest.fixture(scope="module")
+def chain1100(tmp_path_factory):
+    """A chain just taller than the default recursion limit, written once."""
+    n = 1100
+    lines = ["poset chain1100"] + [f"el c{i}" for i in range(n)]
+    lines += [f"cov c{i} c{i + 1}" for i in range(n - 1)]
+    path = tmp_path_factory.mktemp("deep") / "chain1100.poset"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_deep_chain_homology_hits_guard(chain1100, capsys):
+    assert run(["--max-enum", "1000", "homology", str(chain1100)]) == EXIT_GUARD
+    err = capsys.readouterr().err
+    assert err.startswith("guard exceeded: ") and "Traceback" not in err
+
+
+def test_deep_chain_function_space_to_point(chain1100, tmp_path, capsys):
+    point = tmp_path / "point.poset"
+    point.write_text("poset point\nel p\n")
+    assert run(["function-space", str(chain1100), str(point)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "map_count: 1" in captured.out and "Traceback" not in captured.err
+
+
 def test_specialization_round_trip_on_corpus():
     from finspace import alexandroff_topology, specialization_order
 

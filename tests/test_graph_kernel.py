@@ -1,0 +1,145 @@
+"""Differential tests of the BFS kernel in ``finspace.poset`` and of every
+component, distance and witness-chain search built on it, against
+networkx on the same graphs."""
+
+import math
+import random
+
+import pytest
+
+from finspace import enumerate_monotone, is_homotopic, min_contraction_chain
+from finspace.generators import random_poset
+from finspace.homotopy import contains_crown
+from finspace.maps import count_monotone
+from finspace.poset import bits, components, shortest_path
+from finspace.reduction import core, standard_sequence, verify_strong_deformation
+
+from helpers import random_height1_poset
+
+nx = pytest.importorskip("networkx")
+
+
+def _graph(n, nbrs):
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from((v, u) for v in range(n) for u in bits(nbrs(v)))
+    return g
+
+
+def _cover_graph(p):
+    g = nx.Graph()
+    g.add_nodes_from(range(p.n))
+    g.add_edges_from(p.covers)
+    return g
+
+
+@pytest.fixture(scope="module")
+def random_posets():
+    return [random_poset(1 + seed % 11, 0.1 + 0.1 * (seed % 5), seed) for seed in range(200)]
+
+
+@pytest.fixture(scope="module")
+def height1_posets():
+    return [random_height1_poset(random.Random(seed), 12) for seed in range(200)]
+
+
+def _nx_components(g):
+    return sorted((frozenset(c) for c in nx.connected_components(g)), key=min)
+
+
+def test_components_match_networkx(random_posets, height1_posets):
+    for p in random_posets + height1_posets:
+        expected = _nx_components(_graph(p.n, p.comparability_mask))
+        assert p.components() == expected
+        masks = components(p.comparability_mask, p.n)
+        assert [frozenset(bits(m)) for m in masks] == expected
+
+
+def test_function_poset_components_match_networkx(random_posets):
+    for k, p in enumerate(random_posets):
+        if p.n > 5:
+            continue
+        c = enumerate_monotone(p, random_poset(1 + k % 3, 0.5, k))
+        assert c.components() == _nx_components(_graph(len(c), c.comparability_mask))
+
+
+def test_spath_distance_and_ball_match_networkx(random_posets, height1_posets):
+    for p in random_posets + height1_posets:
+        lengths = dict(nx.all_pairs_shortest_path_length(_graph(p.n, p.comparability_mask)))
+        for x in range(p.n):
+            for y in range(p.n):
+                assert p.spath_distance(x, y) == lengths[x].get(y, math.inf)
+            for radius in range(4):
+                assert p.ball(x, radius) == {y for y, d in lengths[x].items() if d <= radius}
+
+
+def test_homotopy_chains_are_shortest_comparability_chains(random_posets):
+    for k, p in enumerate(random_posets):
+        if p.n > 4:
+            continue
+        c = enumerate_monotone(p, random_poset(1 + k % 3, 0.5, k))
+        lengths = dict(nx.all_pairs_shortest_path_length(_graph(len(c), c.comparability_mask)))
+        for f in range(0, len(c), 3):
+            for g in range(len(c)):
+                ok, chn = is_homotopic(c, f, g)
+                if g not in lengths[f]:
+                    assert (ok, chn) == (False, None)
+                    continue
+                assert ok and chn[0] == f and chn[-1] == g
+                assert len(chn) - 1 == lengths[f][g]
+                for h, h2 in zip(chn, chn[1:]):
+                    assert h != h2 and (c.leq(h, h2) or c.leq(h2, h))
+
+
+def test_min_contraction_chain_matches_networkx(random_posets):
+    for p in random_posets:
+        if p.n > 5:
+            continue
+        c = enumerate_monotone(p, p)
+        g = _graph(len(c), c.comparability_mask)
+        lengths = nx.single_source_shortest_path_length(g, c.identity_index())
+        reached = [lengths[k] for k in c.constant_indices() if k in lengths]
+        assert min_contraction_chain(p) == min(reached, default=None)
+
+
+def test_contains_crown_is_a_girth_cycle(height1_posets):
+    for p in height1_posets:
+        girth = nx.girth(_cover_graph(p))
+        cyc = contains_crown(p)
+        if girth == math.inf:
+            assert cyc is None
+            continue
+        assert len(cyc) == girth and len(set(cyc)) == len(cyc)
+        edges = {frozenset(e) for e in p.covers}
+        for i, v in enumerate(cyc):
+            assert frozenset((v, cyc[(i + 1) % len(cyc)])) in edges
+
+
+def test_shortest_path_respects_allowed():
+    # a 6-cycle 0-1-2-3-4-5-0: blocking 1 forces the long way round
+    nbrs = lambda v: (1 << (v + 1) % 6) | (1 << (v - 1) % 6)
+    assert shortest_path(nbrs, 0, 1 << 2) == [0, 1, 2]
+    assert shortest_path(nbrs, 0, 1 << 2, allowed=~(1 << 1)) == [0, 5, 4, 3, 2]
+    assert shortest_path(nbrs, 0, 1 << 2, allowed=~((1 << 1) | (1 << 4))) is None
+    assert shortest_path(nbrs, 3, 1 << 3) == [3]
+
+
+def _deformation_oracle(trace):
+    start = trace.start
+    c = enumerate_monotone(start, start)
+    comp = trace.composed
+    allowed = [i for i, a in enumerate(c.assignments) if all(a[x] == x for x in trace.final)]
+    g = _graph(len(c), c.comparability_mask).subgraph(allowed)
+    target = c.index_of(tuple(comp[i] for i in range(start.n)))
+    return g.has_node(target) and nx.has_path(g, c.identity_index(), target)
+
+
+def test_verify_strong_deformation_matches_networkx(random_posets, height1_posets):
+    for p in random_posets + height1_posets:
+        if p.n > 5:
+            continue
+        for trace in (core(p).trace, standard_sequence(p), core(p, p.n - 1).trace):
+            verdict = verify_strong_deformation(trace)
+            assert verdict.full == (count_monotone(p, p) <= 4096)
+            if verdict.full:
+                assert verdict.ok == _deformation_oracle(trace)
