@@ -1,19 +1,34 @@
 """Homotopy-type decisions for finite spaces.
 
 Two finite spaces are homotopy equivalent exactly when their cores are
-order-isomorphic, so the decision procedure is: dismantle both, then
-search for an isomorphism of the cores.  A brute-force oracle that
-searches directly for maps f, g with g o f and f o g chain-connected to
-the identities is provided for cross-validation in tests.
+order-isomorphic (Stong), so the decision procedure is: dismantle both,
+then search for an isomorphism of the cores.
+
+The isomorphism search is individualisation-refinement (McKay and
+Piperno, Practical graph isomorphism II, 2014) on the cover graphs of
+the two posets taken together.  Refinement splits one shared partition
+of both element sets by the numbers of lower and upper covers that each
+element has in each cell, re-refining only from cells that have just
+split; a cell with unequal numbers of elements from the two posets ends
+the branch.  The search individualises one element of the smallest
+undecided cell against each candidate in turn, depth first on an
+explicit stack, undoing splits through a trail.  At a discrete
+partition the cells give a bijection, which is accepted only after every
+up-set image is compared with the matching up-set mask.
+
+A brute-force oracle that searches directly for maps f, g with g o f
+and f o g chain-connected to the identities is provided for
+cross-validation in tests.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import GuardExceeded, HeightExceeded
 from .maps import enumerate_monotone, homotopy_classes
-from .poset import Poset, bits, popcount, shortest_path
+from .poset import shortest_path
 from .reduction import core
 
 
@@ -31,31 +46,202 @@ class IsoWitness:
         return IsoWitness(tuple(inv))
 
 
-def _joint_refine(p, q):
-    """Stable colorings of two posets by iterated neighbourhood profiles.
+class _JointPartition:
+    """An ordered partition of the disjoint union of two equal-sized posets,
+    refined on their cover graphs, with an undo trail.
 
-    A single color table is shared so that ids are comparable between
-    the two posets.
+    Elements of p keep their ids 0..n-1 and those of q become n..2n-1.
+    A cell is a range of ``elems`` named by its start index: ``cell[v]``
+    is the start of v's cell and ``end[s]`` the end of the cell starting
+    at s.  Every split is logged on ``trail`` as (parent start, new
+    start, parent end before the split), so ``undo`` restores the cell
+    of every element; the order of elements inside a cell is not
+    restored and nothing depends on it.  ``open`` holds the start of
+    every cell with more than one element of each poset.
+
+    Refinement never reads element ids, only cells and cover counts, so
+    an isomorphism p -> q that respects the cells keeps respecting them:
+    a cell with unequal numbers of p and q elements rules out every
+    isomorphism that extends the individualised pairs.
     """
-    posets = (p, q)
-    colors = [
-        [(popcount(x.down[i]), popcount(x.up[i])) for i in range(x.n)]
-        for x in posets
-    ]
-    while True:
-        table = {}
-        new = [[], []]
-        for k, x in enumerate(posets):
-            for i in range(x.n):
-                below = tuple(sorted(colors[k][j] for j in bits(x.down[i] & ~(1 << i))))
-                above = tuple(sorted(colors[k][j] for j in bits(x.up[i] & ~(1 << i))))
-                key = (colors[k][i], below, above)
-                new[k].append(table.setdefault(key, len(table)))
-        if all(
-            len(set(new[k])) == len(set(colors[k])) for k in range(2)
-        ) and len(set(new[0]) | set(new[1])) == len(set(colors[0]) | set(colors[1])):
-            return new[0], new[1]
-        colors = new
+
+    def __init__(self, p, q):
+        n = self.n = p.n
+        self.upper = [[] for _ in range(2 * n)]
+        self.lower = [[] for _ in range(2 * n)]
+        for shift, x in ((0, p), (n, q)):
+            for a, b in x.covers:
+                self.upper[a + shift].append(b + shift)
+                self.lower[b + shift].append(a + shift)
+        self.elems = list(range(2 * n))
+        self.pos = list(range(2 * n))
+        self.cell = [0] * (2 * n)
+        self.end = [2 * n] * (2 * n)
+        self.open = {0} if n > 1 else set()
+        self.trail = []
+
+    def start(self, p, q):
+        """Split the one initial cell by down-set and up-set size and
+        refine; False if the two posets' profiles differ."""
+        n = self.n
+        size = {i + shift: (x.down[i].bit_count(), x.up[i].bit_count())
+                for shift, x in ((0, p), (n, q)) for i in range(n)}
+        parts = self._split(0, list(range(2 * n)), size)
+        return parts is not None and self.refine(parts)
+
+    def refine(self, splitters):
+        """Split cells by their numbers of lower and upper covers in each
+        splitter cell until the partition is equitable.
+
+        A split cell queues all its parts when it was itself still queued,
+        and all but its largest part otherwise: the counts into that part
+        follow from the counts into the whole cell.  Returns False as soon
+        as a part holds unequal numbers of p and q elements.
+        """
+        elems, cell = self.elems, self.cell
+        # a vertex has fewer than 2n lower covers, so this weight keeps the
+        # numbers of lower and upper covers in a splitter apart in one count
+        weight = 2 * self.n
+        work = deque(splitters)
+        queued = set(splitters)
+        while work:
+            s = work.popleft()
+            queued.discard(s)
+            count = {}
+            for u in elems[s:self.end[s]]:
+                for v in self.upper[u]:
+                    count[v] = count.get(v, 0) + 1
+                for v in self.lower[u]:
+                    count[v] = count.get(v, 0) + weight
+            touched = {}
+            for v in count:
+                touched.setdefault(cell[v], []).append(v)
+            for c in sorted(touched):
+                parts = self._split(c, touched[c], count)
+                if parts is None:
+                    return False
+                if len(parts) == 1:
+                    continue
+                if c in queued:
+                    new = parts[1:]
+                else:
+                    sizes = [self.end[f] - f for f in parts]
+                    new = parts[:]
+                    del new[sizes.index(max(sizes))]
+                work.extend(new)
+                queued.update(new)
+        return True
+
+    def _split(self, c, vs, count):
+        """Split cell c into its untouched elements (kept first, at c) and
+        the elements of ``vs`` grouped by ascending count; the list of
+        part starts, or None if a part is unbalanced."""
+        elems, pos, n = self.elems, self.pos, self.n
+        e = self.end[c]
+        vs.sort(key=count.__getitem__)
+        if len(vs) == e - c and count[vs[0]] == count[vs[-1]]:
+            return [c]
+        bounds = [i for i in range(1, len(vs)) if count[vs[i]] != count[vs[i - 1]]]
+        for a, b in zip([0] + bounds, bounds + [len(vs)]):
+            if sum(v < n for v in vs[a:b]) * 2 != b - a:
+                return None
+        tail = e - len(vs)
+        holes = [pos[v] for v in vs if pos[v] < tail]
+        movers = [w for w in elems[tail:e] if w not in count]
+        for i, w in zip(holes, movers):
+            elems[i] = w
+            pos[w] = i
+        for i, v in enumerate(vs, tail):
+            elems[i] = v
+            pos[v] = i
+        parts = ([c] if tail > c else []) + [tail + b for b in [0] + bounds]
+        ends = parts[1:] + [e]
+        for f, fe in zip(parts[1:], ends[1:]):
+            for v in elems[f:fe]:
+                self.cell[v] = f
+            self.end[f] = fe
+            self.trail.append((c, f, e))
+            if fe - f > 2:
+                self.open.add(f)
+        self.end[c] = ends[0]
+        if ends[0] - c <= 2:
+            self.open.discard(c)
+        return parts
+
+    def individualise(self, v, w):
+        """Split the pair (v, w) off their common cell and refine from it;
+        False if the refinement rules the pair out."""
+        elems, pos = self.elems, self.pos
+        c = self.cell[v]
+        e = self.end[c]
+        if e - c == 2:
+            return True
+        for x, i in ((v, e - 1), (w, e - 2)):
+            y = elems[i]
+            elems[pos[x]], elems[i] = y, x
+            pos[y], pos[x] = pos[x], i
+        self.cell[v] = self.cell[w] = e - 2
+        self.end[e - 2] = e
+        self.end[c] = e - 2
+        self.trail.append((c, e - 2, e))
+        if e - 2 - c <= 2:
+            self.open.discard(c)
+        return self.refine([e - 2])
+
+    def undo(self, mark):
+        """Merge back every split logged after ``mark``."""
+        trail, cell, end = self.trail, self.cell, self.end
+        while len(trail) > mark:
+            c, f, e = trail.pop()
+            for v in self.elems[f:end[f]]:
+                cell[v] = c
+            self.open.discard(f)
+            end[c] = e
+            if e - c > 2:
+                self.open.add(c)
+
+    def branches(self):
+        """The smallest open cell's first p element and the q elements it
+        may be matched with."""
+        c = min(self.open, key=lambda s: (self.end[s] - s, s))
+        members = self.elems[c:self.end[c]]
+        n = self.n
+        return next(v for v in members if v < n), [w for w in members if w >= n]
+
+    def bijection(self):
+        """At a discrete partition (every cell one p and one q element),
+        the map p -> q that the cells define."""
+        n = self.n
+        m = [0] * n
+        for s in range(0, 2 * n, 2):
+            a, b = sorted(self.elems[s:s + 2])
+            m[a] = b - n
+        return tuple(m)
+
+
+def _is_isomorphism(p, q, m, fix):
+    """m is a bijection p -> q that sends every up-set of p onto the
+    up-set of the image (so it preserves and reflects the order) and
+    respects ``fix``.
+
+    The image of up(a) is assembled from a and the images of the up-sets
+    of a's upper covers, which are smaller and so come first; each image
+    is one mask comparison against q.
+    """
+    if len(set(m)) != q.n or (fix is not None and m[fix[0]] != fix[1]):
+        return False
+    upper = [[] for _ in range(p.n)]
+    for a, b in p.covers:
+        upper[a].append(b)
+    image = [0] * p.n
+    for a in sorted(range(p.n), key=lambda a: p.up[a].bit_count()):
+        mask = 1 << m[a]
+        for b in upper[a]:
+            mask |= image[b]
+        if mask != q.up[m[a]]:
+            return False
+        image[a] = mask
+    return True
 
 
 def are_isomorphic(p, q, fix=None):
@@ -63,54 +249,53 @@ def are_isomorphic(p, q, fix=None):
 
     fix, when given, is a pair (x, y) the isomorphism must respect
     (used for basepoints).
+
+    After cheap invariants (sizes, cover counts, the multiset of component
+    sizes), the elements of both posets are coloured together by
+    down-set and up-set size and refined on the cover graphs until
+    every cell has the same numbers of lower and upper covers in every
+    other cell; ``fix`` is individualised first.  The search then walks
+    depth first on an explicit stack: at each node the first p element
+    of the smallest undecided cell is individualised against each q
+    element of that cell in turn, the partition is re-refined from the
+    new pair alone, and the branch is pruned as soon as a cell holds
+    unequal numbers of p and q elements.  At a discrete partition the
+    cells define a bijection, returned once its up-set images and the
+    basepoint check out; a failed check moves on to the next branch.
     """
     if p.n != q.n or len(p.covers) != len(q.covers):
         return None
-    cp, cq = _joint_refine(p, q)
-    if sorted(cp) != sorted(cq):
+    if p.n == 0:
+        return IsoWitness(())
+    if sorted(map(len, p.components())) != sorted(map(len, q.components())):
         return None
-    candidates = [
-        [j for j in range(q.n) if cq[j] == cp[i]] for i in range(p.n)
-    ]
+    part = _JointPartition(p, q)
+    if not part.start(p, q):
+        return None
     if fix is not None:
-        x0, y0 = fix
-        if cq[y0] != cp[x0]:
+        x, y = fix[0], fix[1] + p.n
+        if part.cell[x] != part.cell[y] or not part.individualise(x, y):
             return None
-        candidates[x0] = [y0]
-    order = sorted(range(p.n), key=lambda i: len(candidates[i]))
-    assigned = [-1] * p.n
-    used = [False] * q.n
-
-    def backtrack(k):
-        if k == p.n:
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for i2 in order[:k]:
-                j2 = assigned[i2]
-                if p.leq(i, i2) != q.leq(j, j2) or p.leq(i2, i) != q.leq(j2, j):
-                    ok = False
-                    break
-            if ok:
-                assigned[i] = j
-                used[j] = True
-                if backtrack(k + 1):
-                    return True
-                used[j] = False
-                assigned[i] = -1
-        return False
-
-    if not backtrack(0):
-        return None
-    w = IsoWitness(tuple(assigned))
-    # sanity: order-preserving both ways
-    for a in range(p.n):
-        for b in range(p.n):
-            assert p.leq(a, b) == q.leq(w.mapping[a], w.mapping[b])
-    return w
+    frames = []
+    ok = True
+    while True:
+        if ok and not part.open:
+            m = part.bijection()
+            if _is_isomorphism(p, q, m, fix):
+                return IsoWitness(m)
+        elif ok:
+            v, targets = part.branches()
+            frames.append((len(part.trail), v, iter(targets)))
+        while frames:
+            mark, v, targets = frames[-1]
+            part.undo(mark)
+            w = next(targets, None)
+            if w is not None:
+                break
+            frames.pop()
+        else:
+            return None
+        ok = part.individualise(v, w)
 
 
 @dataclass
@@ -128,13 +313,13 @@ class EquivalenceEvidence:
 
 def are_homotopy_equivalent(p, q, basepoint_p=None, basepoint_q=None):
     """Homotopy equivalence via cores: dismantle, then match cores."""
+    if (basepoint_p is None) != (basepoint_q is None):
+        raise ValueError("both or neither basepoint must be given")
     rp = core(p, basepoint_p)
     rq = core(q, basepoint_q)
     fix = None
-    if basepoint_p is not None and basepoint_q is not None:
+    if basepoint_p is not None:
         fix = (rp.relabel[basepoint_p], rq.relabel[basepoint_q])
-    elif (basepoint_p is None) != (basepoint_q is None):
-        raise ValueError("both or neither basepoint must be given")
     iso = are_isomorphic(rp.core, rq.core, fix=fix)
     return EquivalenceEvidence(iso is not None, rp, rq, iso)
 

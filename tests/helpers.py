@@ -3,7 +3,7 @@
 import itertools
 import random
 
-from finspace.homotopy import are_isomorphic
+from finspace.homotopy import IsoWitness, are_isomorphic
 from finspace.poset import Poset, bits
 from finspace.reduction import beat_points, remove_beat_point
 from finspace.simplicial import HomologyProfile, _smith_invariant_factors
@@ -47,6 +47,22 @@ def random_height1_poset(rng, max_size):
         for j in range(n_min):
             if rng.random() < 0.4:
                 covers.append((f"v{j}", f"v{i}"))
+    return Poset.from_covers(labels, covers)
+
+
+def layered(width, depth):
+    """Every element of level i below every element of level i + 1."""
+    levels = [[f"l{i}_{j}" for j in range(width)] for i in range(depth)]
+    covers = [(a, b) for lo, hi in zip(levels, levels[1:]) for a in lo for b in hi]
+    return Poset.from_covers([x for level in levels for x in level], covers)
+
+
+def crown_union(*ks):
+    """Disjoint union of crowns with k_0, k_1, ... minimal elements."""
+    labels, covers = [], []
+    for c, k in enumerate(ks):
+        labels += [f"u{c}a{i}" for i in range(k)] + [f"u{c}b{i}" for i in range(k)]
+        covers += [(f"u{c}a{i}", f"u{c}b{j}") for i in range(k) for j in (i, (i + 1) % k)]
     return Poset.from_covers(labels, covers)
 
 
@@ -136,3 +152,67 @@ def homology_dense(k, reduced=False):
         betti.append(counts[d] - len(factors[d]) - len(factors[d + 1]))
         torsion.append(tuple(f for f in factors[d + 1] if f > 1))
     return HomologyProfile(tuple(betti), tuple(torsion), reduced)
+
+
+def _joint_refine(p, q):
+    """Stable colorings of two posets by iterated neighbourhood profiles,
+    with one color table shared so that ids are comparable."""
+    posets = (p, q)
+    colors = [
+        [(x.down[i].bit_count(), x.up[i].bit_count()) for i in range(x.n)]
+        for x in posets
+    ]
+    while True:
+        table = {}
+        new = [[], []]
+        for k, x in enumerate(posets):
+            for i in range(x.n):
+                below = tuple(sorted(colors[k][j] for j in bits(x.down[i] & ~(1 << i))))
+                above = tuple(sorted(colors[k][j] for j in bits(x.up[i] & ~(1 << i))))
+                key = (colors[k][i], below, above)
+                new[k].append(table.setdefault(key, len(table)))
+        if all(
+            len(set(new[k])) == len(set(colors[k])) for k in range(2)
+        ) and len(set(new[0]) | set(new[1])) == len(set(colors[0]) | set(colors[1])):
+            return new[0], new[1]
+        colors = new
+
+
+def iso_by_backtrack(p, q, fix=None):
+    """Order isomorphism by colour refinement and a plain backtrack that
+    checks every assigned pair with ``leq``: the straightforward form of
+    ``homotopy.are_isomorphic``.  Recurses once per element, so keep
+    inputs small."""
+    if p.n != q.n or len(p.covers) != len(q.covers):
+        return None
+    cp, cq = _joint_refine(p, q)
+    if sorted(cp) != sorted(cq):
+        return None
+    candidates = [[j for j in range(q.n) if cq[j] == cp[i]] for i in range(p.n)]
+    if fix is not None:
+        x0, y0 = fix
+        if cq[y0] != cp[x0]:
+            return None
+        candidates[x0] = [y0]
+    order = sorted(range(p.n), key=lambda i: len(candidates[i]))
+    assigned = [-1] * p.n
+    used = [False] * q.n
+
+    def backtrack(k):
+        if k == p.n:
+            return True
+        i = order[k]
+        for j in candidates[i]:
+            if used[j]:
+                continue
+            if all(p.leq(i, i2) == q.leq(j, assigned[i2])
+                   and p.leq(i2, i) == q.leq(assigned[i2], j) for i2 in order[:k]):
+                assigned[i] = j
+                used[j] = True
+                if backtrack(k + 1):
+                    return True
+                used[j] = False
+                assigned[i] = -1
+        return False
+
+    return IsoWitness(tuple(assigned)) if backtrack(0) else None

@@ -211,3 +211,26 @@ def test_specialization_round_trip_on_corpus():
         p = load_document(DATA / f"{name}.poset").to_poset()
         q = specialization_order(alexandroff_topology(p))
         assert q.rel == p.up
+
+
+def test_large_antichains_homotopy_eq(tmp_path, capsys):
+    # each antichain is its own core, so the whole 1200-element search runs
+    paths = []
+    for name in ("left", "right"):
+        path = tmp_path / f"{name}.poset"
+        path.write_text(f"poset {name}\n" + "".join(f"el {name}{i}\n" for i in range(1200)))
+        paths.append(str(path))
+    assert run(["homotopy-eq", *paths]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "homotopy equivalent\n"
+
+
+def test_crown_vs_crown_union_homotopy_eq(tmp_path, capsys):
+    from helpers import crown_union
+
+    whole = tmp_path / "crown30.poset"
+    whole.write_text(emit_poset(document_from_poset(crown(30), "crown30")))
+    split = tmp_path / "crown15u15.poset"
+    split.write_text(emit_poset(document_from_poset(crown_union(15, 15), "crown15u15")))
+    assert run(["homotopy-eq", str(whole), str(split)]) == EXIT_NEGATIVE
+    assert capsys.readouterr().err == "not equivalent (core sizes 60, 60)\n"

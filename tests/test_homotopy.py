@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from finspace import (
@@ -12,13 +14,71 @@ from finspace import (
     contractible_height1,
     crown,
     fence,
+    homotopy,
     is_contractible,
     spider,
     unique_spath_condition,
 )
 from finspace.generators import random_poset
 
-from helpers import random_height1_poset
+from helpers import crown_union, iso_by_backtrack, layered, random_height1_poset
+
+
+def _relabelled(p, rng):
+    """p under shuffled ids, labels and cover order, with the map from p's
+    ids to the copy's ids."""
+    labels = list(p.labels)
+    rng.shuffle(labels)
+    covers = [(p.labels[a], p.labels[b]) for a, b in p.covers]
+    rng.shuffle(covers)
+    q = Poset.from_covers(labels, covers)
+    return q, [q.index(lab) for lab in p.labels]
+
+
+def _cover_moved(p, rng):
+    """p with one cover dropped and one pair i < j added; p's ids must be
+    a linear extension, as random_poset's are."""
+    covers = sorted(p.covers)
+    del covers[rng.randrange(len(covers))]
+    covers.append(tuple(sorted(rng.sample(range(p.n), 2))))
+    return Poset.from_covers(p.labels, [(p.labels[a], p.labels[b]) for a, b in covers])
+
+
+def _random_pairs(count):
+    """Seeded (p, q, fix, known) cases: shuffled relabellings with and
+    without a matching basepoint pair, near misses with one cover moved,
+    and random basepoint pairs.  ``known`` is True where q is a relabelled
+    copy respecting fix, else None."""
+    rng = random.Random(2014)
+    for seed in range(count):
+        p = random_poset(rng.randint(2, 10), rng.choice((0.15, 0.3, 0.5)), seed)
+        q, perm = _relabelled(p, rng)
+        x = rng.randrange(p.n)
+        yield p, q, None, True
+        yield p, q, (x, perm[x]), True
+        yield p, q, (x, rng.randrange(p.n)), None
+        if p.covers:
+            yield p, _relabelled(_cover_moved(p, rng), rng)[0], None, None
+
+
+def _assert_witness(p, q, w, fix=None):
+    """An independent check: w is a bijection with a <= b iff w(a) <= w(b)."""
+    m = w.mapping
+    assert sorted(m) == list(range(q.n))
+    assert fix is None or m[fix[0]] == fix[1]
+    for a in range(p.n):
+        for b in range(p.n):
+            assert p.leq(a, b) == q.leq(m[a], m[b])
+
+
+def _decide(p, q, fix=None):
+    """are_isomorphic's verdict, checked against the backtracking oracle,
+    with its witness verified."""
+    w = are_isomorphic(p, q, fix=fix)
+    assert (w is None) == (iso_by_backtrack(p, q, fix=fix) is None)
+    if w is not None:
+        _assert_witness(p, q, w, fix)
+    return w is not None
 
 
 class TestIsomorphism:
@@ -56,6 +116,125 @@ class TestIsomorphism:
             assert all(inv.mapping[w.mapping[i]] == i for i in range(p.n))
 
 
+class TestIsomorphismDifferential:
+    def test_random_relabellings_and_near_misses(self):
+        verdicts = [0, 0]
+        for p, q, fix, known in _random_pairs(320):
+            found = _decide(p, q, fix)
+            assert known is None or found
+            verdicts[found] += 1
+        assert min(verdicts) > 100  # both verdicts are well represented
+
+    def test_against_networkx_cover_digraphs(self):
+        nx = pytest.importorskip("networkx")
+
+        def digraph(x, base):
+            g = nx.DiGraph()
+            g.add_nodes_from(range(x.n), base=False)
+            g.add_edges_from(x.covers)
+            if base is not None:
+                g.nodes[base]["base"] = True
+            return g
+
+        for p, q, fix, _ in _random_pairs(320):
+            bp, bq = fix if fix else (None, None)
+            expected = nx.is_isomorphic(digraph(p, bp), digraph(q, bq),
+                                        node_match=lambda a, b: a["base"] == b["base"])
+            assert (are_isomorphic(p, q, fix=fix) is not None) == expected
+
+    def test_families(self):
+        rng = random.Random(5)
+        family = ([crown(k) for k in range(2, 6)]
+                  + [crown_union(2, 2), crown_union(2, 3), crown_union(4), crown_union(3, 2)]
+                  + [fence(n) for n in range(1, 9)]
+                  + [layered(w, d) for w, d in ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2))])
+        for i, p in enumerate(family):
+            q, perm = _relabelled(p, rng)
+            assert _decide(p, q)
+            assert _decide(p.dual(), q.dual())
+            assert _decide(p, q, fix=(0, perm[0]))
+            assert _decide(p, q, fix=(p.n - 1, perm[p.n - 1]))
+            for x in range(p.n):
+                _decide(p, q, fix=(0, perm[x]))
+            for other in family[i + 1:]:
+                if other.n == p.n:
+                    _decide(p, other)
+
+    def test_refinement_blind_components(self):
+        # K(5,5) minus a 10-cycle and K(5,5) minus a 4-cycle and a 6-cycle
+        # are connected, cubic and not isomorphic: colour refinement cannot
+        # split them, so matching their union to a copy needs a search that
+        # backs out of branches pairing elements of different components
+        def k55_minus(removed, tag):
+            mins = [f"{tag}a{i}" for i in range(5)]
+            maxs = [f"{tag}b{j}" for j in range(5)]
+            return mins + maxs, [(mins[i], maxs[j]) for i in range(5) for j in range(5)
+                                 if (i, j) not in removed]
+
+        ten = {(i, j) for i in range(5) for j in (i, (i + 1) % 5)}
+        four_six = {(0, 0), (0, 1), (1, 0), (1, 1),
+                    (2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 2)}
+        la, ca = k55_minus(ten, "x")
+        lb, cb = k55_minus(four_six, "y")
+        assert not _decide(Poset.from_covers(la, ca), Poset.from_covers(lb, cb))
+        both = Poset.from_covers(la + lb, ca + cb)
+        rng = random.Random(10)
+        for k in range(24):
+            copy, _ = _relabelled(both, rng)
+            if k < 3:
+                assert _decide(both, copy)
+            w = are_isomorphic(both, copy)
+            assert w is not None
+            _assert_witness(both, copy, w)
+
+    def test_random_regular_height1_copies(self):
+        # unions of random 3-regular bipartite cover graphs: refinement
+        # alone splits little, and some wrong first choices only fail a few
+        # levels down, so the search must back out of more than one level
+        rng = random.Random(3)
+        for _ in range(60):
+            labels, covers = [], []
+            for c in range(rng.randint(1, 3)):
+                m = rng.randint(4, 7)
+                edges = set()
+                while len(edges) != 3 * m:
+                    edges = {(i, j) for _ in range(3)
+                             for i, j in enumerate(rng.sample(range(m), m))}
+                labels += [f"{c}a{i}" for i in range(m)] + [f"{c}b{j}" for j in range(m)]
+                covers += [(f"{c}a{i}", f"{c}b{j}") for i, j in sorted(edges)]
+            p = Poset.from_covers(labels, covers)
+            copy, _ = _relabelled(p, rng)
+            w = are_isomorphic(p, copy)
+            assert w is not None
+            _assert_witness(p, copy, w)
+
+    def test_crown_family_to_sixty_elements(self):
+        rng = random.Random(60)
+        for k in range(2, 16):
+            whole = crown(2 * k)
+            assert are_isomorphic(whole, crown_union(k, k)) is None
+            copy, _ = _relabelled(whole, rng)
+            w = are_isomorphic(whole, copy)
+            assert w is not None
+            _assert_witness(whole, copy, w)
+
+    def test_large_antichains(self):
+        w = are_isomorphic(antichain(1200), antichain(1200))
+        assert w is not None and sorted(w.mapping) == list(range(1200))
+        assert are_isomorphic(antichain(1200), antichain(1200), fix=(5, 700)).mapping[5] == 700
+
+    def test_basepoint_orbits_of_a_fence(self):
+        # the ends of fence(5) are swapped by its one symmetry; its middle
+        # point is fixed, and an end cannot go to the middle
+        p = fence(5)
+        assert are_isomorphic(p, p, fix=(0, 4)).mapping == (4, 3, 2, 1, 0)
+        assert are_isomorphic(p, p, fix=(2, 2)) is not None
+        assert are_isomorphic(p, p, fix=(0, 2)) is None
+
+    def test_empty(self):
+        assert are_isomorphic(chain(0), chain(0)).mapping == ()
+
+
 class TestHomotopyEquivalence:
     def test_fence_vs_point(self):
         ev = are_homotopy_equivalent(fence(5), chain(1))
@@ -79,6 +258,14 @@ class TestHomotopyEquivalence:
     def test_mixed_basepoints_rejected(self):
         with pytest.raises(ValueError):
             are_homotopy_equivalent(chain(2), chain(2), basepoint_p=0)
+
+    def test_mixed_basepoints_rejected_before_dismantling(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(homotopy, "core", lambda *args: calls.append(args))
+        for kwargs in ({"basepoint_p": 0}, {"basepoint_q": 1}):
+            with pytest.raises(ValueError):
+                are_homotopy_equivalent(chain(2), chain(2), **kwargs)
+        assert calls == []
 
 
 class TestBruteForce:

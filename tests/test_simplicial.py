@@ -29,7 +29,7 @@ from finspace.simplicial import (
     _smith_invariant_factors,
 )
 
-from helpers import homology_dense
+from helpers import homology_dense, layered
 
 RP2_FACETS = [
     (1, 2, 3), (1, 3, 4), (1, 2, 6), (1, 4, 5), (1, 5, 6),
@@ -45,13 +45,6 @@ def complex_from_facets(nverts, facets):
                 by_dim.setdefault(r - 1, set()).add(s)
     sims = tuple(tuple(sorted(by_dim[d])) for d in sorted(by_dim))
     return SimplicialComplex(nverts, sims)
-
-
-def layered(width, depth):
-    """Every element of level i below every element of level i + 1."""
-    levels = [[f"l{i}_{j}" for j in range(width)] for i in range(depth)]
-    covers = [(a, b) for lo, hi in zip(levels, levels[1:]) for a in lo for b in hi]
-    return Poset.from_covers([x for level in levels for x in level], covers)
 
 
 def face_poset(k):
