@@ -162,7 +162,10 @@ class FunctionPoset:
     def order(self):
         if self._order is None:
             labels = [f"f{i}" for i in range(len(self.assignments))]
-            self._order = Poset._from_strict_reach(labels, self._strict_up)
+            # the strict up-sets are closed, so larger ones come first in
+            # a topological order
+            order = sorted(range(len(labels)), key=lambda i: -self._strict_up[i].bit_count())
+            self._order = Poset._from_successors(labels, self._strict_up, order)
         return self._order
 
     def leq(self, i, j):

@@ -6,9 +6,21 @@ integer ids 0..n-1 with a label table.  The full reflexive-transitive
 closure is stored as per-element bitmasks (``down[i]`` holds every id
 below-or-equal to i, ``up[i]`` every id above-or-equal), so order queries
 are single mask operations.  The cover relation (Hasse diagram) is kept
-alongside as the transitive reduction.  ``bfs_layers``, ``components`` and
-``shortest_path`` are the one BFS kernel behind every graph walk in the
-package; each takes a neighbour function ``nbrs(v) -> mask``.
+alongside as the transitive reduction.
+
+Posets built from pairs, restricted, quotiented, dismantled or taken as
+a function-space order all come from ``Poset._from_successors``, given a
+successor mask per element.  It walks a topological order (Kahn's, which
+is also the cycle check, unless the caller knows one) and fills the
+up-masks and covers in one reverse pass and the down-masks in one
+forward pass over the covers.  When the ids follow a linear extension
+(as in every generator) the cost is O(n + pairs given) bit tests plus
+O(covers) mask unions of n bits each: building ``chain(n)`` is linear in
+the number of mask words, not quadratic in n.
+
+``bfs_layers``, ``components`` and ``shortest_path`` are the one BFS
+kernel behind every graph walk in the package; each takes a neighbour
+function ``nbrs(v) -> mask``.
 """
 
 from __future__ import annotations
@@ -84,7 +96,10 @@ def shortest_path(nbrs, start, goals_mask, allowed=-1):
 
 
 def _transitive_closure(adj):
-    """Warshall closure of an adjacency list of bitmasks (strict relation)."""
+    """Warshall closure of an adjacency list of bitmasks, O(n^2) mask tests.
+
+    Only for preorders, where cycles are legal; posets use the
+    topological-order builder ``Poset._from_successors``."""
     reach = list(adj)
     n = len(reach)
     for k in range(n):
@@ -93,6 +108,46 @@ def _transitive_closure(adj):
             if reach[i] >> k & 1:
                 reach[i] |= rk
     return reach
+
+
+def _on_cycle(succ, left):
+    """An element on a directed cycle among ``left``, the elements that
+    Kahn's algorithm could not order.  Each of them has a predecessor
+    among them, so walking predecessors must repeat an element, and the
+    first repeated one lies on a cycle."""
+    inside = 0
+    for v in left:
+        inside |= 1 << v
+    pred = dict.fromkeys(left, 0)
+    for v in left:
+        for w in bits(succ[v] & inside):
+            pred[w] |= 1 << v
+    x, walked = left[0], 0
+    while not walked >> x & 1:
+        walked |= 1 << x
+        x = (pred[x] & -pred[x]).bit_length() - 1
+    return x
+
+
+def _topological_order(labels, succ):
+    """Kahn's topological order of the relation ``succ``.  Elements it
+    cannot order lie on or above a cycle; CycleError names one on it."""
+    n = len(succ)
+    outs = [list(bits(s)) for s in succ]
+    indeg = [0] * n
+    for ws in outs:
+        for w in ws:
+            indeg[w] += 1
+    order = [v for v in range(n) if not indeg[v]]
+    for v in order:  # grows while it is walked
+        for w in outs[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                order.append(w)
+    if len(order) < n:
+        x = _on_cycle(succ, [v for v in range(n) if indeg[v]])
+        raise CycleError(f"cycle through element {labels[x]!r}")
+    return order
 
 
 class Poset:
@@ -104,16 +159,23 @@ class Poset:
         down: down[i] = bitmask of {j : j <= i} (includes i).
         up:   up[i]   = bitmask of {j : i <= j} (includes i).
         covers: set of pairs (a, b) with b covering a.
+        upper_covers: upper_covers[i] = bitmask of the elements covering i;
+            taken from ``covers`` unless given.
     """
 
-    __slots__ = ("n", "labels", "down", "up", "covers", "full_mask", "_index")
+    __slots__ = ("n", "labels", "down", "up", "covers", "upper_covers", "full_mask", "_index")
 
-    def __init__(self, labels, down, up, covers):
+    def __init__(self, labels, down, up, covers, upper_covers=None):
         self.n = len(labels)
         self.labels = list(labels)
         self.down = list(down)
         self.up = list(up)
         self.covers = frozenset(covers)
+        if upper_covers is None:
+            upper_covers = [0] * self.n
+            for a, b in self.covers:
+                upper_covers[a] |= 1 << b
+        self.upper_covers = list(upper_covers)
         self.full_mask = (1 << self.n) - 1
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
@@ -123,10 +185,12 @@ class Poset:
     def from_covers(cls, labels, cover_pairs):
         """Build a poset from element names and (lower, upper) pairs.
 
-        The pairs need not be actual covers: the reflexive-transitive
-        closure is taken and the cover set recomputed as the transitive
-        reduction.  Reflexive pairs are ignored; a directed cycle raises
-        CycleError.
+        The pairs need not be actual covers: the order is the
+        reflexive-transitive closure of the pairs and the cover set is
+        its transitive reduction.  Duplicate and reflexive pairs are
+        ignored; a directed cycle raises CycleError naming an element on
+        it.  The cost is that of ``_from_successors``: O(n + pairs) plus
+        O(covers) mask unions when the ids follow a linear extension.
         """
         labels = list(labels)
         seen = set()
@@ -135,8 +199,7 @@ class Poset:
                 raise DuplicateLabel(f"duplicate label {lab!r}")
             seen.add(lab)
         index = {lab: i for i, lab in enumerate(labels)}
-        n = len(labels)
-        adj = [0] * n
+        succ = [0] * len(labels)
         for a, b in cover_pairs:
             if a not in index:
                 raise UnknownLabel(f"unknown label {a!r}")
@@ -144,29 +207,49 @@ class Poset:
                 raise UnknownLabel(f"unknown label {b!r}")
             i, j = index[a], index[b]
             if i != j:
-                adj[i] |= 1 << j
-        reach = _transitive_closure(adj)
-        for i in range(n):
-            if reach[i] >> i & 1:
-                raise CycleError(f"cycle through element {labels[i]!r}")
-        return cls._from_strict_reach(labels, reach)
+                succ[i] |= 1 << j
+        return cls._from_successors(labels, succ)
 
     @classmethod
-    def _from_strict_reach(cls, labels, reach):
-        """From a transitively closed, antisymmetric strict relation."""
+    def _from_successors(cls, labels, succ, order=None):
+        """The poset generated by ``succ[v]``, a mask of elements above v.
+
+        ``succ`` may hold any relation whose transitive closure is
+        antisymmetric: covers, comparable pairs or anything between.
+        ``order`` is a topological order of it if the caller has one;
+        otherwise Kahn's algorithm finds one and checks for cycles.
+        Walking the order backwards, the strict up-set of v is the union
+        of ``reach[w] | w`` over its successors w, and the upper covers
+        of v are the successors that no successor's reach contains.
+        Successors are visited lowest id first, skipping any already
+        reached, so when the ids follow a linear extension only the
+        covers are expanded.  A forward pass pushes each down-mask to
+        the upper covers.
+        """
         n = len(labels)
-        inv = [0] * n
-        for i in range(n):
-            for j in bits(reach[i]):
-                inv[j] |= 1 << i
-        covers = set()
-        for a in range(n):
-            for b in bits(reach[a]):
-                if reach[a] & inv[b] == 0:  # nothing strictly between
-                    covers.add((a, b))
-        down = [inv[i] | (1 << i) for i in range(n)]
-        up = [reach[i] | (1 << i) for i in range(n)]
-        return cls(labels, down, up, covers)
+        if order is None:
+            order = _topological_order(labels, succ)
+        reach = [0] * n
+        upper = [0] * n
+        for v in reversed(order):
+            rest = succ[v]
+            strict = beyond = 0
+            while rest:
+                bit = rest & -rest
+                r = reach[bit.bit_length() - 1]
+                beyond |= r
+                strict |= r | bit
+                rest &= ~strict
+            reach[v] = strict
+            upper[v] = succ[v] & ~beyond
+        down = [1 << v for v in range(n)]
+        covers = []
+        for v in order:
+            for w in bits(upper[v]):
+                down[w] |= down[v]
+                covers.append((v, w))
+        up = [reach[v] | (1 << v) for v in range(n)]
+        return cls(labels, down, up, covers, upper)
 
     # -- basic queries --------------------------------------------------
 
@@ -254,23 +337,44 @@ class Poset:
         """Induced subposet on the given elements.
 
         Returns (subposet, mapping) where mapping sends old ids to new ids.
+        One pass over the covers in reverse topological order gives, for
+        every element between two kept ones, the kept elements it first
+        reaches through removed ones; on the kept elements these are
+        successor masks that generate the induced order, and
+        ``_from_successors`` reduces them to covers.  Cost: sorting the
+        elements between kept ones plus a mask union per cover among
+        them, with no n^2 closure scan.
         """
         keep = sorted(set(elements))
         old_to_new = {old: new for new, old in enumerate(keep)}
         labels = [self.labels[i] for i in keep]
-        reach = []
+        upper, up = self.upper_covers, self.up
+        kept = above = below = 0
         for old in keep:
-            m = 0
-            for o in bits(self.up[old] & ~(1 << old)):
-                if o in old_to_new:
-                    m |= 1 << old_to_new[o]
-            reach.append(m)
-        return Poset._from_strict_reach(labels, reach), old_to_new
+            kept |= 1 << old
+            above |= up[old]
+            below |= self.down[old]
+        # filled for the elements between kept ones; any other element looked
+        # up lies above a kept one, so nothing kept lies above it
+        first = {}
+        succ = [0] * len(keep)
+        order = []
+        for v in sorted(bits(above & below), key=lambda i: up[i].bit_count()):
+            m = upper[v] & kept
+            for c in bits(upper[v] ^ m):
+                m |= first.get(c, 0)
+            first[v] = m
+            if kept >> v & 1:
+                new = old_to_new[v]
+                order.append(new)
+                for c in bits(m):
+                    succ[new] |= 1 << old_to_new[c]
+        order.reverse()
+        return Poset._from_successors(labels, succ, order), old_to_new
 
     def dual(self):
         """The opposite poset (order reversed)."""
-        reach = [self.down[i] & ~(1 << i) for i in range(self.n)]
-        return Poset._from_strict_reach(list(self.labels), reach)
+        return Poset(self.labels, self.up, self.down, {(b, a) for a, b in self.covers})
 
     def same_order(self, other):
         """Equality of carrier and relation (same ids and labels)."""
@@ -349,15 +453,14 @@ def kolmogorov_quotient(q):
         for j in range(i, n):
             if q.rel[i] >> j & 1 and q.rel[j] >> i & 1:
                 proj[j] = cls_id
-    reach = []
+    succ = []
     for a, rep in enumerate(reps):
         m = 0
-        for b, other in enumerate(reps):
-            if b != a and q.rel[rep] >> other & 1:
-                m |= 1 << b
-        reach.append(m)
+        for j in bits(q.rel[rep]):
+            m |= 1 << proj[j]
+        succ.append(m & ~(1 << a))
     labels = [q.labels[rep] for rep in reps]
-    return Poset._from_strict_reach(labels, reach), proj
+    return Poset._from_successors(labels, succ), proj
 
 
 @dataclass
@@ -380,9 +483,15 @@ class ClassifyRecord:
 def classify(p, exact_limit=24):
     """Predicate record for a finite poset.
 
-    The longest-simple-path search is exact for |P| <= exact_limit and
+    The bounded-paths number is the length of the longest simple path in
+    the comparability graph.  It is exact for |P| <= exact_limit and
     replaced by the trivial bound n-1 (flagged approximate) above it.
-    It stops as soon as it finds a path through all n elements.
+    The search is depth-first on an explicit stack over states (visited
+    mask, end vertex).  How a path can go on depends only on its state,
+    and its length is popcount(visited) - 1, so each state is expanded
+    once (``seen[visited]`` holds the ends already taken): at most
+    n * 2^n states, against every simple path for a plain DFS.  It stops
+    as soon as it finds a path through all n elements.
     """
     n = p.n
     degree = max((popcount(p.comparability_mask(x)) + 1 for x in range(n)), default=0)
@@ -392,18 +501,15 @@ def classify(p, exact_limit=24):
         return ClassifyRecord(True, True, True, degree, n - 1, n, approximate=True)
     adj = [p.comparability_mask(x) for x in range(n)]
     best = 0
-
-    def dfs(x, visited, length):
-        nonlocal best
-        if length > best:
-            best = length
+    seen = {}
+    stack = [(1 << s, s) for s in reversed(range(n))]
+    while stack and best < n - 1:  # a Hamiltonian path: no simple path is longer
+        visited, x = stack.pop()
+        best = max(best, popcount(visited) - 1)
         for y in bits(adj[x] & ~visited):
-            if best == n - 1:  # a Hamiltonian path: no simple path is longer
-                return
-            dfs(y, visited | (1 << y), length + 1)
-
-    for s in range(n):
-        if best == n - 1:
-            break
-        dfs(s, 1 << s, 0)
+            nxt = visited | (1 << y)
+            ends = seen.get(nxt, 0)
+            if not ends >> y & 1:
+                seen[nxt] = ends | (1 << y)
+                stack.append((nxt, y))
     return ClassifyRecord(True, True, True, degree, best, best + 1)

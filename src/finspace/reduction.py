@@ -11,10 +11,13 @@ unique up to order isomorphism.
 lower- and upper-cover bitmasks.  In a finite poset x is a down (up)
 beat point exactly when it has a single lower (upper) cover, which is
 then d_x (u_x), so the beat test is a one-bit check.  Removing x only
-changes the covers of its neighbours, so only they are tested again:
-a dismantling costs O(n + removals * deg^2) mask operations instead of
-a rescan of the whole subspace after every removal.  Single-point steps
-store their mapping as ``{x: target}`` and their domain as an int mask.
+changes the covers of its neighbours (``_unlink``), so only they are
+tested again: a dismantling costs O(covers + removals * deg^2) mask
+operations instead of a rescan of the whole subspace after every
+removal, and the core is built from the cover masks left at the end.
+``standard_sequence`` keeps the same cover masks and reads each bulk
+step's beat points off them.  Single-point steps store their mapping as
+``{x: target}`` and their domain as an int mask.
 """
 
 from __future__ import annotations
@@ -165,6 +168,34 @@ class CoreResult:
         return self.core.n == 1
 
 
+def _cover_masks(p):
+    """Per-element lower- and upper-cover masks of ``p``, as new lists."""
+    lower = [0] * p.n
+    for a, b in p.covers:
+        lower[b] |= 1 << a
+    return lower, list(p.upper_covers)
+
+
+def _unlink(p, lower, upper, mask, x):
+    """Update the cover masks of a subspace when x leaves it.
+
+    ``mask`` is the subspace without x.  Every old cover stays a cover;
+    the new ones join a lower cover a of x to an upper cover b of x when
+    nothing else of the subspace lies between them.
+    """
+    bit = 1 << x
+    below, above = lower[x], upper[x]
+    for a in bits(below):
+        upper[a] ^= bit
+    for b in bits(above):
+        lower[b] ^= bit
+    for a in bits(below):
+        for b in bits(above):
+            if p.up[a] & p.down[b] & mask == (1 << a) | (1 << b):
+                upper[a] |= 1 << b
+                lower[b] |= 1 << a
+
+
 def core(p, basepoint=None):
     """Dismantle to the core by removing beat points one by one.
 
@@ -175,19 +206,18 @@ def core(p, basepoint=None):
     The beat test counts covers in the current subspace: x is a down
     (up) beat point iff it has exactly one lower (upper) cover, and that
     cover is its target.  Removing x joins each lower cover a of x to
-    each upper cover b that nothing else separates from a, and puts x's
-    neighbours back on the candidate mask; no other element changes
-    status.  Taking the lowest candidate each time is the lowest-id beat
-    point, because every element off the mask is known not to be one.
-    The cost is one pass over ``p.covers`` plus, per removal,
-    (lower covers x upper covers) mask tests.  Each step stores its
-    domain as a mask and its mapping as ``{x: target}``.
+    each upper cover b that nothing else separates from a (``_unlink``),
+    and puts x's neighbours back on the candidate mask; no other element
+    changes status.  Taking the lowest candidate each time is the
+    lowest-id beat point, because every element off the mask is known
+    not to be one.  The cover masks left at the end are the Hasse
+    diagram of the core, which is built from them after relabelling
+    without an induced-order scan.  The cost is O(covers) for the start
+    and the core plus, per removal, (lower covers x upper covers) mask
+    tests.  Each step stores its domain as a mask and its mapping as
+    ``{x: target}``.
     """
-    lower = [0] * p.n
-    upper = [0] * p.n
-    for a, b in p.covers:
-        upper[a] |= 1 << b
-        lower[b] |= 1 << a
+    lower, upper = _cover_masks(p)
     fixed = 0 if basepoint is None else 1 << basepoint
     mask = p.full_mask
     candidates = mask & ~fixed
@@ -205,31 +235,33 @@ def core(p, basepoint=None):
             continue
         steps.append(RetractionStep(kind, mask, frozenset((x,)), {x: target}, {x: target}))
         mask ^= bit
-        for a in bits(below):
-            upper[a] ^= bit
-        for b in bits(above):
-            lower[b] ^= bit
-        for a in bits(below):
-            for b in bits(above):
-                ends = (1 << a) | (1 << b)
-                if p.up[a] & p.down[b] & mask == ends:
-                    upper[a] |= 1 << b
-                    lower[b] |= 1 << a
+        _unlink(p, lower, upper, mask, x)
         candidates |= (below | above) & ~fixed
-    final = frozenset(bits(mask))
-    sub, relabel = p.restrict(final)
+    keep = list(bits(mask))
+    relabel = {old: new for new, old in enumerate(keep)}
+    succ = []
+    for old in keep:
+        m = 0
+        for b in bits(upper[old]):
+            m |= 1 << relabel[b]
+        succ.append(m)
+    sub = Poset._from_successors([p.labels[i] for i in keep], succ)
+    final = frozenset(keep)
     return CoreResult(sub, final, relabel, DismantlingTrace(p, steps, final))
 
 
-def _bulk_step(p, mask, upward, basepoint=None):
+def _bulk_step(covers, mask, upward, basepoint=None):
     """The U_X (upward) or D_X step on the subspace ``mask``; None if identity.
 
-    The basepoint, if given, is never a beat point and so never moves.
+    ``covers`` holds the upper (upward) or lower cover masks of the
+    subspace: x is a beat point exactly when its mask has a single bit,
+    which is then its target.  The basepoint, if given, is never a beat
+    point and so never moves.
     """
     one = {}
     for x in bits(mask):
-        t = None if x == basepoint else _beat_target(p, x, mask, upward)
-        one[x] = x if t is None else t
+        c = covers[x]
+        one[x] = c.bit_length() - 1 if x != basepoint and c and not c & (c - 1) else x
     if all(v == x for x, v in one.items()):
         return None
     mapping = {}
@@ -243,7 +275,8 @@ def _bulk_step(p, mask, upward, basepoint=None):
 
 
 def _bulk(p, upward):
-    step = _bulk_step(p, p.full_mask, upward)
+    lower, upper = _cover_masks(p)
+    step = _bulk_step(upper if upward else lower, p.full_mask, upward)
     if step is None:
         step = RetractionStep(BULK_UP if upward else BULK_DOWN, p.full_mask, frozenset(),
                               {i: i for i in range(p.n)})
@@ -266,19 +299,22 @@ def standard_sequence(p, basepoint=None, max_rounds=None):
     Only non-identity steps are recorded.  When the round limit is hit
     before stabilization the trace is returned with stabilized=False.
     For a basepoint, the basepoint is never a beat point and so is never
-    moved or removed.
+    moved or removed.  The cover masks of the current subspace are kept
+    as in ``core``: each step reads its beat points off them, and its
+    removed points then leave them one at a time.
     """
     if max_rounds is None:
         max_rounds = 2 * max(p.n, 1) + 4
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    lower, upper = _cover_masks(p)
     mask = p.full_mask
     steps = []
     idle = 0
     rounds = 0
     upward = False  # start with D_X
     while rounds < max_rounds and idle < 2:
-        step = _bulk_step(p, mask, upward, basepoint)
+        step = _bulk_step(upper if upward else lower, mask, upward, basepoint)
         rounds += 1
         upward = not upward
         if step is None:
@@ -288,6 +324,7 @@ def standard_sequence(p, basepoint=None, max_rounds=None):
         steps.append(step)
         for x in step.removed:
             mask &= ~(1 << x)
+            _unlink(p, lower, upper, mask, x)
     return DismantlingTrace(p, steps, frozenset(bits(mask)), stabilized=idle >= 2)
 
 

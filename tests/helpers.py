@@ -3,9 +3,12 @@
 import itertools
 import random
 
+from finspace.errors import CycleError, DuplicateLabel, UnknownLabel
 from finspace.homotopy import IsoWitness, are_isomorphic
-from finspace.poset import Poset, bits
-from finspace.reduction import beat_points, remove_beat_point
+from finspace.poset import ClassifyRecord, Poset, _transitive_closure, bits, popcount
+from finspace.reduction import (
+    BULK_DOWN, BULK_UP, _beat_target, beat_points, remove_beat_point,
+)
 from finspace.simplicial import HomologyProfile, _smith_invariant_factors
 
 
@@ -97,6 +100,123 @@ def transitive_closure_oracle(n, pairs):
                     rel.add((a, c))
                     changed = True
     return rel
+
+
+def random_pairs(rng, n, density):
+    """Label pairs of a random order on ``n`` shuffled ids: each pair
+    ascending in a hidden linear extension is kept with ``density``; then
+    some transitive, duplicated and reflexive pairs are added, and the
+    list is shuffled."""
+    rank = list(range(n))
+    rng.shuffle(rank)
+    pairs = [(a, b) for a in range(n) for b in range(n)
+             if rank[a] < rank[b] and rng.random() < density]
+    for (a, b) in list(pairs):
+        for (b2, c) in pairs[:8]:
+            if b2 == b and rng.random() < 0.5:
+                pairs.append((a, c))
+    pairs += rng.sample(pairs, len(pairs) // 4)
+    pairs += [(a, a) for a in range(n) if rng.random() < 0.1]
+    rng.shuffle(pairs)
+    return [(f"e{a}", f"e{b}") for a, b in pairs]
+
+
+def assert_same_poset(p, q):
+    assert p.labels == q.labels
+    assert p.up == q.up and p.down == q.down and p.covers == q.covers
+    assert p.upper_covers == q.upper_covers
+
+
+def poset_by_closure(labels, pairs):
+    """A poset from (lower, upper) label pairs by a Warshall closure and a
+    scan of every comparable pair for covers: the straightforward form of
+    ``Poset.from_covers``, O(n^2) mask operations."""
+    labels = list(labels)
+    if len(set(labels)) != len(labels):
+        raise DuplicateLabel("duplicate label")
+    index = {lab: i for i, lab in enumerate(labels)}
+    n = len(labels)
+    adj = [0] * n
+    for a, b in pairs:
+        if a not in index or b not in index:
+            raise UnknownLabel(f"unknown label in ({a!r}, {b!r})")
+        if a != b:
+            adj[index[a]] |= 1 << index[b]
+    reach = _transitive_closure(adj)
+    for i in range(n):
+        if reach[i] >> i & 1:
+            raise CycleError(f"cycle through element {labels[i]!r}")
+    inv = [0] * n
+    for i in range(n):
+        for j in bits(reach[i]):
+            inv[j] |= 1 << i
+    covers = {(a, b) for a in range(n) for b in bits(reach[a]) if reach[a] & inv[b] == 0}
+    return Poset(labels, [inv[i] | (1 << i) for i in range(n)],
+                 [reach[i] | (1 << i) for i in range(n)], covers)
+
+
+def classify_by_dfs(p, exact_limit=24):
+    """``poset.classify`` by a plain depth-first search over every simple
+    comparability path.  Recurses once per element and is exponential in
+    the number of paths, so keep inputs small."""
+    n = p.n
+    degree = max((popcount(p.comparability_mask(x)) + 1 for x in range(n)), default=0)
+    if n == 0:
+        return ClassifyRecord(True, True, True, 0, 0, 0)
+    if n > exact_limit:
+        return ClassifyRecord(True, True, True, degree, n - 1, n, approximate=True)
+    adj = [p.comparability_mask(x) for x in range(n)]
+    best = 0
+
+    def dfs(x, visited, length):
+        nonlocal best
+        if length > best:
+            best = length
+        for y in bits(adj[x] & ~visited):
+            if best == n - 1:  # a Hamiltonian path: no simple path is longer
+                return
+            dfs(y, visited | (1 << y), length + 1)
+
+    for s in range(n):
+        if best == n - 1:
+            break
+        dfs(s, 1 << s, 0)
+    return ClassifyRecord(True, True, True, degree, best, best + 1)
+
+
+def standard_sequence_by_scan(p, basepoint=None):
+    """The standard sequence with every beat target found by a scan of the
+    punctured up- or down-set in the current subspace: the straightforward
+    form of ``reduction.standard_sequence`` (default round limit).
+    Returns the (kind, domain, removed, mapping) of every step and the
+    surviving elements."""
+    mask = p.full_mask
+    steps = []
+    idle = rounds = 0
+    upward = False
+    while rounds < 2 * max(p.n, 1) + 4 and idle < 2:
+        one = {}
+        for x in bits(mask):
+            t = None if x == basepoint else _beat_target(p, x, mask, upward)
+            one[x] = x if t is None else t
+        rounds += 1
+        kind = BULK_UP if upward else BULK_DOWN
+        upward = not upward
+        if all(v == x for x, v in one.items()):
+            idle += 1
+            continue
+        idle = 0
+        mapping = {}
+        for x in bits(mask):
+            v = x
+            while one[v] != v:
+                v = one[v]
+            mapping[x] = v
+        removed = frozenset(x for x, v in mapping.items() if v != x)
+        steps.append((kind, mask, removed, mapping))
+        for x in removed:
+            mask &= ~(1 << x)
+    return steps, frozenset(bits(mask))
 
 
 def core_by_rescan(p, basepoint=None):

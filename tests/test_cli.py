@@ -234,3 +234,28 @@ def test_crown_vs_crown_union_homotopy_eq(tmp_path, capsys):
     split.write_text(emit_poset(document_from_poset(crown_union(15, 15), "crown15u15")))
     assert run(["homotopy-eq", str(whole), str(split)]) == EXIT_NEGATIVE
     assert capsys.readouterr().err == "not equivalent (core sizes 60, 60)\n"
+
+
+def _chain_file(path, n, extra=()):
+    lines = [f"poset {path.stem}"] + [f"el c{i}" for i in range(n)]
+    lines += [f"cov c{i} c{i + 1}" for i in range(n - 1)]
+    lines += [f"cov {a} {b}" for a, b in extra]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_long_chain_with_back_edge_names_a_cycle_element(tmp_path, capsys):
+    # c2000 -> c1000 closes the cycle c1000 .. c2000; the rest is acyclic
+    path = _chain_file(tmp_path / "loop.poset", 3000, [("c2000", "c1000")])
+    assert run(["core", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "cycle through element 'c" in err and "Traceback" not in err
+    label = err.split("cycle through element '")[1].split("'")[0]
+    assert 1000 <= int(label[1:]) <= 2000
+
+
+@pytest.mark.parametrize("argv", [["core"], ["contractible"], ["dot", "--core-trace"]])
+def test_long_chain_verbs(tmp_path, capsys, argv):
+    path = _chain_file(tmp_path / "chain4000.poset", 4000)
+    assert run([*argv, str(path)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err

@@ -22,7 +22,7 @@ from finspace.maps import count_monotone
 from finspace.poset import bits
 from finspace.reduction import remove_beat_point
 
-from helpers import brute_force_monotone
+from helpers import assert_same_poset, brute_force_monotone, poset_by_closure
 
 
 class TestEnumeration:
@@ -51,6 +51,16 @@ class TestEnumeration:
         with pytest.raises(GuardExceeded):
             enumerate_monotone(antichain(8), antichain(8), guard=1000)
         assert count_monotone(chain(2), chain(2)) == 3
+
+    def test_order_matches_closure(self):
+        posets = [chain(3), fence(4), antichain(2), crown(2)]
+        for x in posets:
+            for y in posets:
+                c = enumerate_monotone(x, y)
+                labels = [f"f{i}" for i in range(len(c))]
+                pairs = [(labels[i], labels[j]) for i in range(len(c)) for j in range(len(c))
+                         if i != j and c.leq(i, j)]
+                assert_same_poset(c.order, poset_by_closure(labels, pairs))
 
     def test_lexicographic_order(self):
         c = enumerate_monotone(fence(3), fence(3))

@@ -18,7 +18,10 @@ from finspace import (
     kolmogorov_quotient,
 )
 
-from helpers import transitive_closure_oracle
+from helpers import (
+    assert_same_poset, classify_by_dfs, poset_by_closure, random_pairs,
+    transitive_closure_oracle,
+)
 
 
 class TestFromCovers:
@@ -203,3 +206,134 @@ def test_invariants_random(n, seed):
     # kolmogorov quotient of a poset is the poset
     pq, proj = kolmogorov_quotient(Preorder.from_poset(p))
     assert pq.up == p.up
+
+
+class TestBuilderAgainstClosure:
+    """The topological-order builder and everything built on it against
+    the Warshall closure and full cover scan."""
+
+    CASES = 300
+
+    def cases(self):
+        import random
+
+        for seed in range(self.CASES):
+            rng = random.Random(seed)
+            n = rng.randint(0, 24)
+            labels = [f"e{i}" for i in range(n)]
+            yield rng, labels, random_pairs(rng, n, rng.choice((0.05, 0.15, 0.3, 0.6)))
+
+    def test_from_covers(self):
+        for _, labels, pairs in self.cases():
+            assert_same_poset(Poset.from_covers(labels, pairs), poset_by_closure(labels, pairs))
+
+    def test_restrict(self):
+        for rng, labels, pairs in self.cases():
+            p = Poset.from_covers(labels, pairs)
+            keep = [i for i in range(p.n) if rng.random() < rng.random()]
+            rng.shuffle(keep)
+            sub, old_to_new = p.restrict(keep)
+            kept = sorted(keep)
+            assert old_to_new == {old: new for new, old in enumerate(kept)}
+            induced = [(p.labels[a], p.labels[b]) for a in kept for b in kept if p.lt(a, b)]
+            assert_same_poset(sub, poset_by_closure([p.labels[i] for i in kept], induced))
+
+    def test_dual(self):
+        for _, labels, pairs in self.cases():
+            p = Poset.from_covers(labels, pairs)
+            assert_same_poset(p.dual(), poset_by_closure(labels, [(b, a) for a, b in pairs]))
+
+    def test_kolmogorov_quotient(self):
+        for rng, labels, pairs in self.cases():
+            # back edges make cycles, which the quotient collapses
+            pairs = pairs + [(b, a) for a, b in pairs if rng.random() < 0.05]
+            q = Preorder.from_pairs(labels, pairs)
+            p, proj = kolmogorov_quotient(q)
+            reps = [proj.index(c) for c in range(p.n)]
+            between = [(q.labels[a], q.labels[b]) for a in reps for b in reps
+                       if a != b and q.leq(a, b)]
+            assert_same_poset(p, poset_by_closure([q.labels[r] for r in reps], between))
+
+    def test_cycles_agree(self):
+        import random
+
+        for seed in range(100):
+            rng = random.Random(seed)
+            n = rng.randint(2, 12)
+            labels = [f"e{i}" for i in range(n)]
+            pairs = random_pairs(rng, n, 0.3) + [(f"e{rng.randrange(n)}", f"e{rng.randrange(n)}")]
+            try:
+                expected = poset_by_closure(labels, pairs)
+            except CycleError:
+                with pytest.raises(CycleError):
+                    Poset.from_covers(labels, pairs)
+            else:
+                assert_same_poset(Poset.from_covers(labels, pairs), expected)
+
+    def test_cycle_error_names_an_element_on_a_cycle(self):
+        # a -> b <-> c, with a tail c -> t whose id is the lowest left unordered
+        labels = ["t", "a", "b", "c", "s"]
+        pairs = [("s", "a"), ("a", "b"), ("b", "c"), ("c", "b"), ("c", "t")]
+        with pytest.raises(CycleError) as err:
+            Poset.from_covers(labels, pairs)
+        assert str(err.value) in ("cycle through element 'b'", "cycle through element 'c'")
+
+
+# (n, seed) -> (comparability degree, longest simple path in steps) of
+# random_poset(n, 0.3, seed), frozen from the exhaustive search
+CLASSIFY_GOLDENS = {
+    (10, 7): (9, 9),
+    (11, 6): (8, 10),
+    (11, 8): (10, 10),
+    (12, 4): (11, 11),
+    (13, 2): (8, 11),
+    (13, 5): (9, 11),
+}
+
+
+class TestClassifyAgainstDFS:
+    def test_random_small(self):
+        import random
+
+        from finspace.generators import random_poset
+
+        rng = random.Random(0)
+        for seed in range(300):
+            n = rng.randint(0, 12)
+            p = random_poset(n, rng.choice((0.1, 0.2, 0.3, 0.5)), seed)
+            assert classify(p) == classify_by_dfs(p)
+
+    def test_families(self):
+        for p in (chain(12), antichain(9), fence(12), crown(6)):
+            assert classify(p) == classify_by_dfs(p)
+
+    def test_goldens(self):
+        from finspace.generators import random_poset
+
+        for (n, seed), (degree, steps) in CLASSIFY_GOLDENS.items():
+            rec = classify(random_poset(n, 0.3, seed))
+            assert (rec.comparability_degree, rec.bp_step_bound) == (degree, steps)
+            assert rec.bp_element_bound == steps + 1 and not rec.approximate
+
+    def test_sixteen_elements_within_a_time_bound(self):
+        # A Hamiltonian path exists, but the plain DFS from element 0 runs
+        # for minutes before it finds one; with each state expanded once
+        # the search takes well under a second.
+        import signal
+
+        from finspace.generators import random_poset
+
+        if not hasattr(signal, "setitimer"):
+            pytest.skip("needs signal.setitimer")
+
+        def expire(signum, frame):
+            raise TimeoutError("classify(random_poset(16, 0.3, 1)) took over 30 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 30)
+        try:
+            rec = classify(random_poset(16, 0.3, 1))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (rec.comparability_degree, rec.bp_step_bound) == (14, 15)

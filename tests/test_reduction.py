@@ -23,7 +23,10 @@ from finspace import (
 from finspace.generators import random_poset
 from finspace.reduction import DismantlingTrace, RetractionStep
 
-from helpers import core_by_rescan
+from helpers import (
+    assert_same_poset, core_by_rescan, poset_by_closure, random_pairs,
+    standard_sequence_by_scan,
+)
 
 
 class TestBeatPoints:
@@ -139,6 +142,10 @@ class TestCoreMatchesRescan:
         steps, final = core_by_rescan(p, basepoint)
         assert _core_steps(res) == steps
         assert res.core_elements == final
+        kept = sorted(final)
+        assert res.relabel == {old: new for new, old in enumerate(kept)}
+        induced = [(p.labels[a], p.labels[b]) for a in kept for b in kept if p.lt(a, b)]
+        assert_same_poset(res.core, poset_by_closure([p.labels[i] for i in kept], induced))
 
     def test_random_posets(self):
         for seed in range(320):
@@ -146,6 +153,17 @@ class TestCoreMatchesRescan:
             p = random_poset(n, (0.1, 0.2, 0.3, 0.5)[seed % 4], seed)
             self.assert_same(p)
             self.assert_same(p, basepoint=(seed * 7) % n)
+
+    def test_shuffled_ids(self):
+        import random
+
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(1, 24)
+            labels = [f"e{i}" for i in range(n)]
+            p = Poset.from_covers(labels, random_pairs(rng, n, rng.choice((0.1, 0.2, 0.4))))
+            self.assert_same(p)
+            self.assert_same(p, basepoint=rng.randrange(n))
 
     def test_families(self):
         for n in range(0, 14):
@@ -161,18 +179,7 @@ class TestCoreMatchesRescan:
             self.assert_same(sp.poset, sp.basepoint)
 
     def test_long_chain_steps_are_compact(self):
-        # chain(n) from its closure masks directly; from_covers would spend
-        # seconds on the O(n^2) closure of a 2000-element chain.
-        def direct_chain(n):
-            full = (1 << n) - 1
-            return Poset([f"c{i}" for i in range(n)],
-                         [(2 << i) - 1 for i in range(n)],
-                         [full ^ ((1 << i) - 1) for i in range(n)],
-                         {(i, i + 1) for i in range(n - 1)})
-
-        small = direct_chain(50)
-        assert small.same_order(chain(50)) and small.covers == chain(50).covers
-        res = core(direct_chain(2000))
+        res = core(chain(2000))
         assert len(res.trace.steps) == 1999
         assert all(len(s.mapping) == 1 for s in res.trace.steps)
         assert res.core_elements == {1999}
@@ -238,6 +245,43 @@ class TestStandardSequence:
             assert tr.stabilized
             final, _ = p.restrict(tr.final)
             assert are_isomorphic(final, core(p).core) is not None
+
+
+class TestStandardSequenceMatchesScan:
+    """The cover-mask standard sequence against the punctured-set scan it
+    replaced: the same (kind, domain, removed, mapping) for every step."""
+
+    def assert_same(self, p, basepoint=None):
+        tr = standard_sequence(p, basepoint)
+        steps, final = standard_sequence_by_scan(p, basepoint)
+        assert [(s.kind, s.domain, s.removed, s.mapping) for s in tr.steps] == steps
+        assert tr.final == final and tr.stabilized
+
+    def test_random_posets(self):
+        import random
+
+        for seed in range(200):
+            n = 1 + seed % 25
+            p = random_poset(n, (0.1, 0.2, 0.3, 0.5)[seed % 4], seed)
+            self.assert_same(p)
+            self.assert_same(p, basepoint=(seed * 7) % n)
+            rng = random.Random(seed)
+            labels = [f"e{i}" for i in range(n)]
+            q = Poset.from_covers(labels, random_pairs(rng, n, rng.choice((0.1, 0.2, 0.4))))
+            self.assert_same(q)
+            self.assert_same(q, basepoint=rng.randrange(n))
+
+    def test_families(self):
+        for n in range(1, 14):
+            self.assert_same(chain(n))
+            self.assert_same(fence(n))
+            self.assert_same(fence(n), basepoint=n // 2)
+        for n in range(2, 7):
+            self.assert_same(crown(n))
+        for legs in ([1], [2, 2], [3, 1, 4], [2, 3, 4, 5]):
+            sp = spider(legs)
+            self.assert_same(sp.poset)
+            self.assert_same(sp.poset, sp.basepoint)
 
 
 class TestIsCore:
