@@ -76,9 +76,12 @@ from .simplicial import (
     poset_homology,
 )
 from .topology import (
+    CompactOpenCheck,
     SetFamily,
     alexandroff_topology,
+    compact_open_check,
     compact_open_subbasis,
+    count_down_sets,
     families_equal,
     generate_topology,
     hom_set_interval,

@@ -364,19 +364,16 @@ def cmd_topology_check(args):
     doc2 = load_document(args.file2)
     x, y = doc1.to_poset(), doc2.to_poset()
     c = maps.enumerate_monotone(x, y, guard=args.max_enum)
-    sub = topology.compact_open_subbasis(x, y, c)
-    generated = topology.generate_topology(sub, guard=args.max_enum)
-    alex = topology.alexandroff_topology(c.order)
-    equal = topology.families_equal(generated, alex)
+    check = topology.compact_open_check(x, y, c)
     data = {
         "map_count": len(c),
-        "compact_open_opens": len(generated),
-        "alexandroff_opens": len(alex),
-        "topologies_equal": equal,
+        "compact_open_opens": check.compact_open_opens,
+        "alexandroff_opens": check.alexandroff_opens,
+        "topologies_equal": check.topologies_equal,
     }
-    _report(args, data, "compact-open = Alexandroff" if equal
+    _report(args, data, "compact-open = Alexandroff" if check.topologies_equal
             else "topologies differ")
-    return EXIT_OK if equal else EXIT_NEGATIVE
+    return EXIT_OK if check.topologies_equal else EXIT_NEGATIVE
 
 
 def cmd_dot(args):

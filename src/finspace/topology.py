@@ -1,11 +1,18 @@
-"""Finite topologies as explicit set families.
+"""Finite topologies as bitmask set families and by their minimal opens.
 
 Open sets of a finite poset, viewed as an Alexandroff space, are exactly
-its down-sets.  This module materializes such topologies (and the
-compact-open subbasis on a function poset) as families of bitmask
-subsets, so equalities claimed for finite function spaces can be checked
-literally.  Guards keep everything at verification scale; nothing here
-is meant to scale.
+its down-sets.  A finite topology is fixed by its minimal open sets, the
+intersection of the opens around each point (Alexandroff 1937), and its
+opens are the sets that contain the minimal open of each of their points.
+``compact_open_check`` uses this to compare the topology generated by the
+compact-open subbasis [x, y-down] on C(X, Y) with the Alexandroff
+topology of the pointwise order: one mask per map, in O(|subbasis| * m)
+mask operations, with no set family closed.  ``count_down_sets`` counts
+the opens of either topology without listing them, and
+``specialization_order`` validates its input with the same two steps.
+
+``alexandroff_topology`` and ``generate_topology`` still materialize whole
+families, so equalities can also be checked literally at test scale.
 """
 
 from __future__ import annotations
@@ -15,7 +22,13 @@ from dataclasses import dataclass
 from .errors import GuardExceeded, NotATopology, NotDownSet
 from .poset import Preorder, bits
 
+# Elements whose down-sets are listed or counted.  It bounds the memory:
+# ``alexandroff_topology`` holds up to 2**20 sets, and ``count_down_sets``
+# memoises at most that many states.
 DOWNSET_GUARD = 20
+# Ground-set size of ``generate_topology``, that is the width of each mask.
+# It does not bound the closure's work, which is quadratic in a family that
+# can reach 2**ground members.
 GENERATE_GUARD = 4096
 
 
@@ -58,12 +71,20 @@ def is_down_set(p, mask):
     return all(p.down[x] & ~mask == 0 for x in bits(mask))
 
 
-def alexandroff_topology(p, guard=DOWNSET_GUARD):
-    """The family of all down-sets of P (its Alexandroff topology)."""
-    if p.n > guard:
+def _check_downset_guard(n, guard):
+    if n > guard:
         raise GuardExceeded(
-            f"down-set enumeration over {p.n} > {guard} elements", count=2**p.n
+            f"down-set enumeration over {n} > {guard} elements", count=2**n
         )
+
+
+def alexandroff_topology(p, guard=DOWNSET_GUARD):
+    """The family of all down-sets of P (its Alexandroff topology).
+
+    ``guard`` bounds the elements of P, so the family held in memory has
+    at most 2**guard sets.
+    """
+    _check_downset_guard(p.n, guard)
     principals = [p.down[x] for x in range(p.n)]
     fam = {0}
     frontier = {0}
@@ -143,7 +164,9 @@ def generate_topology(sub, guard=GENERATE_GUARD):
     """Close a subbasis under pairwise intersection and union.
 
     The empty set and the full ground set are adjoined.  On a finite
-    ground set this yields the generated topology.
+    ground set this yields the generated topology.  Each round is
+    quadratic in the family, which can grow to 2**ground sets; ``guard``
+    bounds only the ground size, so this is a test-scale oracle.
     """
     if sub.ground_size > guard:
         raise GuardExceeded(
@@ -169,20 +192,119 @@ def generate_topology(sub, guard=GENERATE_GUARD):
         fam |= new
 
 
+def minimal_opens(fam):
+    """min_open[i]: the intersection of the members of fam that contain i.
+
+    A point in no member gets the full ground set, as it would in the
+    topology generated by fam.  The result is the down-mask list of the
+    generated topology's specialization preorder.
+    """
+    min_open = [fam.full_mask] * fam.ground_size
+    for m in fam.sets:
+        for i in bits(m):
+            min_open[i] &= m
+    return min_open
+
+
+def count_down_sets(down, limit=None):
+    """Number of sets S with down[x] inside S for every x in S.
+
+    ``down`` must hold the down-masks of a preorder (reflexive and
+    transitive); for a poset these sets are its down-sets.  The count
+    branches on an element x of the undecided mask U: sets without x
+    avoid all of up[x], sets with x contain all of down[x], so
+    count(U) = count(U - up[x]) + count(U - down[x]).  x is taken
+    maximal in U (largest down-set first), so the first branch drops x
+    alone on a poset.  Counts are memoised on U and computed on an
+    explicit stack.  The states are at most 2**len(down) and at most
+    twice the count.
+
+    With ``limit``, the count stops as soon as it is known to exceed
+    ``limit`` and returns a number above it.
+    """
+    m = len(down)
+    order = sorted(range(m), key=lambda i: down[i].bit_count())
+    pos = [0] * m
+    for k, i in enumerate(order):
+        pos[i] = k
+    # relabelled so that the highest element of any mask is maximal in it
+    lo = [0] * m
+    for k, i in enumerate(order):
+        for j in bits(down[i]):
+            lo[k] |= 1 << pos[j]
+    hi = [0] * m
+    for k in range(m):
+        for j in bits(lo[k]):
+            hi[j] |= 1 << k
+    memo = {0: 1}
+    stack = [(1 << m) - 1]
+    while stack:
+        u = stack[-1]
+        if u in memo:
+            stack.pop()
+            continue
+        x = u.bit_length() - 1
+        without, with_x = u & ~hi[x], u & ~lo[x]
+        a, b = memo.get(without), memo.get(with_x)
+        if a is None:
+            stack.append(without)
+        if b is None:
+            stack.append(with_x)
+        if a is not None and b is not None:
+            stack.pop()
+            memo[u] = a + b
+            if limit is not None and a + b > limit:
+                return a + b
+    return memo[(1 << m) - 1]
+
+
+@dataclass(frozen=True)
+class CompactOpenCheck:
+    """The compact-open topology on C(X, Y) against the Alexandroff one."""
+
+    topologies_equal: bool
+    compact_open_opens: int
+    alexandroff_opens: int
+
+
+def compact_open_check(x, y, c, sub=None):
+    """Compare the topology generated by a subbasis on C = C(X, Y) with
+    the Alexandroff topology of the pointwise order.
+
+    ``sub`` defaults to ``compact_open_subbasis(x, y, c)``.  The two
+    topologies are equal exactly when every map has the same minimal
+    open in both: the intersection of the subbasis members around it,
+    and its down-set ``c.order.down``.  Both open counts come from
+    ``count_down_sets``.  DOWNSET_GUARD bounds the maps whose opens are
+    counted, and so the count's memory; it is checked before any set
+    family is built.
+    """
+    _check_downset_guard(len(c), DOWNSET_GUARD)
+    if sub is None:
+        sub = compact_open_subbasis(x, y, c)
+    min_open = minimal_opens(sub)
+    down = c.order.down
+    alexandroff = count_down_sets(down)
+    equal = min_open == down
+    compact_open = alexandroff if equal else count_down_sets(min_open)
+    return CompactOpenCheck(equal, compact_open, alexandroff)
+
+
 def specialization_order(t):
     """The specialization preorder of a topology: x <= y iff every open
-    set containing y contains x (equivalently y lies in cl{x})."""
-    if not families_equal(generate_topology(t, guard=max(t.ground_size, 1)), t):
+    set containing y contains x (equivalently y lies in cl{x}).
+
+    Every member of t contains the minimal open of each of its points,
+    so t is a topology exactly when it has as many members as there are
+    such sets.  The count stops once it passes len(t), so its work is
+    bounded by the size of the input.
+    """
+    min_open = minimal_opens(t)
+    if count_down_sets(min_open, limit=len(t)) != len(t):
         raise NotATopology("family is not closed under union/intersection")
     n = t.ground_size
-    full = t.full_mask
-    min_open = [full] * n
-    for m in t.sets:
-        for y in bits(m):
-            min_open[y] &= m
     rel = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if min_open[y] >> x & 1:
-                rel[x] |= 1 << y
+    for y in range(n):
+        for x in bits(min_open[y]):
+            rel[x] |= 1 << y
     return Preorder([str(i) for i in range(n)], rel)

@@ -259,3 +259,27 @@ def test_long_chain_verbs(tmp_path, capsys, argv):
     path = _chain_file(tmp_path / "chain4000.poset", 4000)
     assert run([*argv, str(path)]) == EXIT_OK
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _point_and_antichain(tmp_path, k):
+    point = tmp_path / "point.poset"
+    point.write_text("poset point\nel p\n")
+    anti = tmp_path / f"antichain{k}.poset"
+    anti.write_text(f"poset antichain{k}\n" + "".join(f"el a{i}\n" for i in range(k)))
+    return str(point), str(anti)
+
+
+def test_topology_check_point_to_antichain14(tmp_path, capsys):
+    # 2**14 opens, counted without listing them
+    assert run(["--json", "topology-check", *_point_and_antichain(tmp_path, 14)]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"map_count": 14, "compact_open_opens": 16384,
+                    "alexandroff_opens": 16384, "topologies_equal": True}
+
+
+def test_topology_check_past_the_count_guard(tmp_path, capsys):
+    # 21 maps: the down-set guard fires before any set family is built
+    assert run(["--json", "topology-check", *_point_and_antichain(tmp_path, 21)]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("guard exceeded: ") and "Traceback" not in captured.err

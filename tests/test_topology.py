@@ -1,6 +1,10 @@
+import itertools
+import random
+
 import pytest
 
 from finspace import (
+    CompactOpenCheck,
     GuardExceeded,
     NotATopology,
     NotDownSet,
@@ -8,7 +12,9 @@ from finspace import (
     alexandroff_topology,
     antichain,
     chain,
+    compact_open_check,
     compact_open_subbasis,
+    count_down_sets,
     crown,
     enumerate_monotone,
     families_equal,
@@ -19,7 +25,9 @@ from finspace import (
     minimal_nbhd,
     specialization_order,
 )
+from finspace import topology
 from finspace.generators import random_poset
+from finspace.topology import minimal_opens
 
 from helpers import brute_force_down_sets
 
@@ -208,3 +216,106 @@ def test_compact_open_weaker_than_alexandroff():
             gen = generate_topology(compact_open_subbasis(x, y, c))
             alex = alexandroff_topology(c.order)
             assert gen.sets <= alex.sets
+
+
+def closure_check(c, sub):
+    """The check by closing set families, the oracle for compact_open_check."""
+    generated = generate_topology(sub)
+    alexandroff = alexandroff_topology(c.order)
+    return CompactOpenCheck(families_equal(generated, alexandroff),
+                            len(generated), len(alexandroff))
+
+
+def oracle_pairs():
+    """The test_03 generator pairs, then seeded random pairs up to 10 maps."""
+    gens = [chain(1), chain(2), chain(3), antichain(2), fence(3), chain(2)]
+    for x, y in itertools.product(gens, gens):
+        yield x, y, enumerate_monotone(x, y)
+    for seed in range(200):
+        x = random_poset(1 + seed % 3, 0.5, seed)
+        y = random_poset(2 + seed % 5, 0.4, 1000 + seed)
+        c = enumerate_monotone(x, y)
+        if len(c) <= 10:
+            yield x, y, c
+
+
+class TestCompactOpenCheck:
+    def test_matches_closure_oracle(self):
+        pairs = 0
+        for x, y, c in oracle_pairs():
+            sub = compact_open_subbasis(x, y, c)
+            got = compact_open_check(x, y, c)
+            assert got == closure_check(c, sub)
+            assert got.topologies_equal
+            pairs += 1
+        assert pairs > 150
+
+    def test_dropped_subbasis_member(self):
+        differ = 0
+        for x, y, c in oracle_pairs():
+            sub = compact_open_subbasis(x, y, c)
+            for m in sorted(sub.sets):
+                smaller = SetFamily.of(sub.ground_size, sub.sets - {m})
+                got = compact_open_check(x, y, c, sub=smaller)
+                assert got == closure_check(c, smaller)
+                differ += not got.topologies_equal
+        assert differ > 0
+
+    def test_empty_domain_and_codomain(self):
+        for x, y, maps in [(chain(0), chain(2), 1), (chain(2), chain(0), 0),
+                           (chain(0), chain(0), 1)]:
+            c = enumerate_monotone(x, y)
+            assert len(c) == maps
+            got = compact_open_check(x, y, c)
+            assert got == closure_check(c, compact_open_subbasis(x, y, c))
+
+    def test_guard_fires_before_subbasis(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("subbasis built past the guard")
+
+        x, y = antichain(1), antichain(21)
+        c = enumerate_monotone(x, y)
+        monkeypatch.setattr(topology, "compact_open_subbasis", unreachable)
+        with pytest.raises(GuardExceeded, match="21 > 20"):
+            compact_open_check(x, y, c)
+        monkeypatch.undo()
+        assert compact_open_check(x, antichain(20), enumerate_monotone(
+            x, antichain(20))) == CompactOpenCheck(True, 2**20, 2**20)
+
+
+class TestCountDownSets:
+    def test_matches_brute_force(self):
+        for seed in range(20):
+            p = random_poset(4 + seed % 6, 0.3, seed)
+            assert count_down_sets(p.down) == len(brute_force_down_sets(p))
+
+    def test_antichains_and_chains(self):
+        for k in range(25):
+            assert count_down_sets(antichain(k).down) == 2**k
+            assert count_down_sets(chain(k).down) == k + 1
+
+    def test_preorder(self):
+        # the indiscrete topology on three points has two opens
+        assert count_down_sets([0b111] * 3) == 2
+        t = SetFamily.of(3, [0, 0b011, 0b111])
+        assert count_down_sets(minimal_opens(t)) == 3
+
+    def test_limit_stops_early(self):
+        assert count_down_sets(antichain(10).down, limit=1024) == 1024
+        assert count_down_sets(antichain(10).down, limit=100) > 100
+        assert count_down_sets(antichain(60).down, limit=5) > 5
+
+
+def test_specialization_order_matches_closure_oracle():
+    # a family is a topology exactly when closing it adds nothing
+    for seed in range(40):
+        p = random_poset(5, 0.35, seed)
+        t = alexandroff_topology(p)
+        rng = random.Random(seed)
+        fam = SetFamily.of(p.n, rng.sample(sorted(t.sets), len(t) - 1 - seed % 3))
+        closed = families_equal(generate_topology(fam), fam)
+        if closed:
+            specialization_order(fam)
+        else:
+            with pytest.raises(NotATopology):
+                specialization_order(fam)
