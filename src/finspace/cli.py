@@ -18,6 +18,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -392,7 +393,7 @@ def build_parser():
         description="Computations with finite topological spaces (finite posets).",
     )
     ap.add_argument("--max-enum", type=int, default=maps.DEFAULT_MAP_GUARD,
-                    help="enumeration guard for function spaces and complexes")
+                    help="guard on maps, simplices and search nodes (non-negative)")
     ap.add_argument("--seed", type=int, default=0, help="PRNG seed for gen random")
     ap.add_argument("--pointed", action="store_true",
                     help="respect basepoints declared in input files")
@@ -429,10 +430,17 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and shared by every later ``run``."""
+    return build_parser()
+
+
 def run(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
+        if args.max_enum < 0:
+            raise ValidationError(f"--max-enum must be non-negative, got {args.max_enum}")
         return args.fn(args)
     except GuardExceeded as e:
         print(f"guard exceeded: {e}", file=sys.stderr)

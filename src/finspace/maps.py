@@ -6,6 +6,18 @@ of the comparability graph of this order, and every homotopy is realized
 by a finite comparability chain; homotopies are therefore represented
 exclusively as such chains.  (For infinite spaces this representation is
 incomplete; nothing here is correct beyond finite inputs.)
+
+Every search for maps goes through one kernel, ``_iter_assignments``: a
+depth-first search over per-position domain masks with forward checking
+and an undo trail, yielding assignment tuples in lexicographic order.
+``enumerate_monotone`` runs it with full domains.  ``has_fpp`` first
+reduces X to its core, since removing beat points preserves the fixed
+point property (Rival 1976), so a dismantlable X answers at once; on a
+larger core it runs the kernel with each point removed from its own
+domain, stops at the first map, and lifts it to X through the core
+retraction.  Its guard counts search nodes, not maps.
+``count_monotone`` counts by a dynamic program over the cover relation
+without listing any map.
 """
 
 from __future__ import annotations
@@ -65,49 +77,102 @@ def compose(f, g):
     return MonotoneMap(g.domain, f.codomain, tuple(f.assignment[v] for v in g.assignment))
 
 
-def _iter_assignments(x, y):
-    """Yield all monotone assignment tuples X -> Y in lexicographic order.
+def _iter_assignments(x, y, domains=None, node_guard=None):
+    """Yield the monotone assignment tuples X -> Y with a[i] in
+    ``domains[i]`` (every value of Y by default), in lexicographic order.
 
-    A depth-first search with an explicit stack: untried[i] holds the
-    values of Y not yet tried at position i that are consistent with the
-    earlier positions, and the lowest one is taken first.
+    The map-search kernel: a depth-first search over positions in id
+    order with an explicit stack, taking the lowest untried value of each
+    domain first.  Each assignment x_i -> v is pushed forward into the
+    domains of the later positions comparable to x_i (intersected with
+    the up- or down-set of v), and the branch dies as soon as one of them
+    becomes empty; the old domains go on an undo trail and come back when
+    x_i takes its next value.  So every domain reached holds exactly the
+    values consistent with the earlier positions, and the last position
+    takes all of its own at once.  A search node is one value tried at
+    one position; past ``node_guard`` nodes GuardExceeded is raised.
     """
     n = x.n
     if n == 0:
         yield ()
         return
-    if y.n == 0:
+    dom = [y.full_mask] * n if domains is None else list(domains)
+    if not all(dom):
         return
-    # constraints from already-assigned elements (ids < current)
-    pred_le = [x.down[i] & ((1 << i) - 1) for i in range(n)]
-    pred_ge = [x.up[i] & ((1 << i) - 1) for i in range(n)]
-    full = y.full_mask
-    assign = [0] * n
-    untried = [full] + [0] * (n - 1)
+    limit = -1 if node_guard is None else node_guard
     last = n - 1
+    if last == 0:
+        if dom[0].bit_count() > limit >= 0:
+            raise GuardExceeded(f"more than {limit} search nodes", count=dom[0].bit_count())
+        for v in bits(dom[0]):
+            yield (v,)
+        return
+    later_up = [list(bits(x.up[i] >> (i + 1) << (i + 1))) for i in range(last)]
+    later_down = [list(bits(x.down[i] >> (i + 1) << (i + 1))) for i in range(last)]
+    penult = last - 1
+    tail_up = x.up[penult] >> last & 1
+    tail_down = x.down[penult] >> last & 1
+    y_up, y_down = y.up, y.down
+    nodes = 0
+    assign = [0] * n
+    untried = [dom[0]] + [0] * last
+    marks = [0] * n  # trail length when each position was entered
+    trail = []
     i = 0
     while i >= 0:
+        mark = marks[i]
+        while len(trail) > mark:
+            j, d = trail.pop()
+            dom[j] = d
         rest = untried[i]
         if not rest:
             i -= 1
             continue
-        if i == last:
-            for v in bits(rest):
-                assign[i] = v
-                yield tuple(assign)
-            untried[i] = 0
-            i -= 1
-            continue
         low = rest & -rest
         untried[i] = rest ^ low
-        assign[i] = low.bit_length() - 1
-        i += 1
-        allowed = full
-        for j in bits(pred_le[i]):
-            allowed &= y.up[assign[j]]
-        for j in bits(pred_ge[i]):
-            allowed &= y.down[assign[j]]
-        untried[i] = allowed
+        v = low.bit_length() - 1
+        assign[i] = v
+        if i == penult:
+            # the last position takes every value its domain leaves
+            tail = dom[last]
+            if tail_up:
+                tail &= y_up[v]
+            if tail_down:
+                tail &= y_down[v]
+            nodes += 1 + tail.bit_count()
+            if nodes > limit >= 0:
+                raise GuardExceeded(f"more than {limit} search nodes", count=nodes)
+            for w in bits(tail):
+                assign[last] = w
+                yield tuple(assign)
+            continue
+        nodes += 1
+        if nodes > limit >= 0:
+            raise GuardExceeded(f"more than {limit} search nodes", count=nodes)
+        # a loop left by ``break`` has emptied a domain: try the next value
+        cone = y_up[v]
+        for j in later_up[i]:
+            d = dom[j]
+            if d & ~cone:
+                trail.append((j, d))
+                d &= cone
+                dom[j] = d
+                if not d:
+                    break
+        else:
+            cone = y_down[v]
+            for j in later_down[i]:
+                d = dom[j]
+                if d & ~cone:
+                    trail.append((j, d))
+                    d &= cone
+                    dom[j] = d
+                    if not d:
+                        break
+            else:
+                i += 1
+                marks[i] = len(trail)
+                untried[i] = dom[i]
 
 
 class FunctionPoset:
@@ -210,13 +275,60 @@ def enumerate_monotone(x, y, guard=DEFAULT_MAP_GUARD):
 
 
 def count_monotone(x, y, guard=DEFAULT_MAP_GUARD):
-    """Number of monotone maps X -> Y, aborting early past ``guard``."""
-    c = 0
-    for _ in _iter_assignments(x, y):
-        c += 1
-        if c > guard:
-            raise GuardExceeded(f"more than {guard} monotone maps", count=c)
-    return c
+    """Number of monotone maps X -> Y, counted without listing them.
+
+    A map is monotone when it is monotone on every cover a < b of X.  A
+    dynamic program runs over the positions in id order and keys its
+    table on the values of the open positions, the assigned ones that
+    still have a cover to a later position; each entry counts the
+    partial maps that agree with it.  Each position takes the values
+    allowed by every open position comparable to it (its covers among
+    them), so no partial map that cannot be monotone is kept.  Raises
+    GuardExceeded when the count passes ``guard``, or when the table
+    would hold more than ``guard`` entries, which bounds its memory and
+    the work of every step.
+    """
+    n = x.n
+    if n == 0:
+        return 1
+    neighbours = [0] * n  # lower and upper covers of each position
+    for a, b in x.covers:
+        neighbours[a] |= 1 << b
+        neighbours[b] |= 1 << a
+    last_use = [max(i, neighbours[i].bit_length() - 1) for i in range(n)]
+    full = y.full_mask
+    table = {(): 1}
+    open_ = []  # positions in the table's keys, in key order
+    for i in range(n):
+        below, above = x.down[i], x.up[i]
+        # (key slot, cone) of every open position comparable to i
+        cones = [(k, y.up if below >> j & 1 else y.down)
+                 for k, j in enumerate(open_) if (below | above) >> j & 1]
+        kept = [k for k, j in enumerate(open_) if last_use[j] > i]
+        stays_open = last_use[i] > i
+        new = {}
+        for key, c in table.items():
+            allowed = full
+            for k, cone in cones:
+                allowed &= cone[key[k]]
+            if not allowed:
+                continue
+            base = tuple(key[k] for k in kept)
+            if stays_open:
+                for v in bits(allowed):
+                    nk = base + (v,)
+                    new[nk] = new.get(nk, 0) + c
+            else:
+                new[base] = new.get(base, 0) + c * allowed.bit_count()
+            if len(new) > guard:
+                raise GuardExceeded(f"more than {guard} partial-map states",
+                                    count=len(new))
+        table = new
+        open_ = [open_[k] for k in kept] + ([i] if stays_open else [])
+    count = sum(table.values())
+    if count > guard:
+        raise GuardExceeded(f"more than {guard} monotone maps", count=count)
+    return count
 
 
 def is_homotopic(c, f, g):
@@ -255,19 +367,33 @@ def min_contraction_chain(x, guard=DEFAULT_MAP_GUARD):
 
 
 def has_fpp(x, guard=DEFAULT_MAP_GUARD):
-    """Fixed point property of X.
+    """Fixed point property of X, decided on its core.
 
     Returns (True, None) if every monotone self-map has a fixed point,
     else (False, witness) with a fixed-point-free MonotoneMap.
+
+    Removing a beat point (an irreducible point) preserves the fixed
+    point property both ways (Rival 1976), so X has it exactly when
+    core(X) does, and a one-point core answers at once.  Otherwise the
+    map-search kernel looks on the core for a self-map g with g(c) != c
+    for every c (domains without c itself) and takes the
+    lexicographically first one.  It lifts to X as g o r, r the core
+    retraction: a fixed point of g o r would lie in the core and be fixed
+    by g, so the witness has none.  ``guard`` bounds the search nodes.
     """
-    c = 0
-    for a in _iter_assignments(x, x):
-        c += 1
-        if c > guard:
-            raise GuardExceeded(f"more than {guard} self-maps", count=c)
-        if all(a[i] != i for i in range(x.n)):
-            return False, MonotoneMap(x, x, a)
-    return True, None
+    from .reduction import core
+
+    res = core(x)
+    if res.is_point:
+        return True, None
+    k = res.core
+    domains = [k.full_mask & ~(1 << c) for c in range(k.n)]
+    g = next(_iter_assignments(k, k, domains, node_guard=guard), None)
+    if g is None:
+        return True, None
+    keep = sorted(res.core_elements)  # core id -> id in X
+    r = res.trace.composed
+    return False, MonotoneMap(x, x, tuple(keep[g[res.relabel[r[i]]]] for i in range(x.n)))
 
 
 @dataclass

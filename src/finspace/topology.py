@@ -27,9 +27,12 @@ from .poset import Preorder, bits
 # memoises at most that many states.
 DOWNSET_GUARD = 20
 # Ground-set size of ``generate_topology``, that is the width of each mask.
-# It does not bound the closure's work, which is quadratic in a family that
-# can reach 2**ground members.
 GENERATE_GUARD = 4096
+# Sets in the family ``generate_topology`` closes.  The closure combines
+# each pair of members once, so this bounds its work by FAMILY_GUARD**2 / 2
+# mask operations as well as its memory; the tests close families of at
+# most 512 sets.
+FAMILY_GUARD = 2048
 
 
 @dataclass(frozen=True)
@@ -164,9 +167,12 @@ def generate_topology(sub, guard=GENERATE_GUARD):
     """Close a subbasis under pairwise intersection and union.
 
     The empty set and the full ground set are adjoined.  On a finite
-    ground set this yields the generated topology.  Each round is
-    quadratic in the family, which can grow to 2**ground sets; ``guard``
-    bounds only the ground size, so this is a test-scale oracle.
+    ground set this yields the generated topology.  Each member is
+    combined with every earlier one once, new members joining the end of
+    the list.  ``guard`` bounds the ground size, and GuardExceeded is
+    raised as soon as the family passes FAMILY_GUARD sets, as the
+    discrete topology on 12 points already does; this is a test-scale
+    oracle.
     """
     if sub.ground_size > guard:
         raise GuardExceeded(
@@ -176,20 +182,17 @@ def generate_topology(sub, guard=GENERATE_GUARD):
     fam = set(sub.sets)
     fam.add(0)
     fam.add(sub.full_mask)
-    while True:
-        new = set()
-        members = list(fam)
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                x = a & b
+    members = list(fam)
+    for done, a in enumerate(members):  # members grows while it is walked
+        for b in members[:done]:
+            for x in (a & b, a | b):
                 if x not in fam:
-                    new.add(x)
-                x = a | b
-                if x not in fam:
-                    new.add(x)
-        if not new:
-            return SetFamily.of(sub.ground_size, fam)
-        fam |= new
+                    fam.add(x)
+                    members.append(x)
+        if len(fam) > FAMILY_GUARD:
+            raise GuardExceeded(f"closure of more than {FAMILY_GUARD} sets",
+                                count=len(fam))
+    return SetFamily.of(sub.ground_size, fam)
 
 
 def minimal_opens(fam):

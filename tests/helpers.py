@@ -3,8 +3,9 @@
 import itertools
 import random
 
-from finspace.errors import CycleError, DuplicateLabel, UnknownLabel
+from finspace.errors import CycleError, DuplicateLabel, GuardExceeded, UnknownLabel
 from finspace.homotopy import IsoWitness, are_isomorphic
+from finspace.maps import MonotoneMap, _iter_assignments
 from finspace.poset import ClassifyRecord, Poset, _transitive_closure, bits, popcount
 from finspace.reduction import (
     BULK_DOWN, BULK_UP, _beat_target, beat_points, remove_beat_point,
@@ -86,6 +87,65 @@ def brute_force_monotone(x, y):
                if x.leq(i, j)):
             out.append(a)
     return out
+
+
+def assignments_by_predecessors(x, y):
+    """Monotone assignment tuples X -> Y in lexicographic order, each
+    position's values worked out from the earlier positions comparable to
+    it: the straightforward form of ``maps._iter_assignments`` with full
+    domains, without forward checking."""
+    n = x.n
+    if n == 0:
+        yield ()
+        return
+    pred_le = [x.down[i] & ((1 << i) - 1) for i in range(n)]
+    pred_ge = [x.up[i] & ((1 << i) - 1) for i in range(n)]
+    assign = [0] * n
+    untried = [y.full_mask] + [0] * (n - 1)
+    i = 0
+    while i >= 0:
+        rest = untried[i]
+        if not rest:
+            i -= 1
+            continue
+        low = rest & -rest
+        untried[i] = rest ^ low
+        assign[i] = low.bit_length() - 1
+        if i == n - 1:
+            yield tuple(assign)
+            continue
+        i += 1
+        allowed = y.full_mask
+        for j in bits(pred_le[i]):
+            allowed &= y.up[assign[j]]
+        for j in bits(pred_ge[i]):
+            allowed &= y.down[assign[j]]
+        untried[i] = allowed
+
+
+def count_by_enumeration(x, y, guard=10**6):
+    """Number of monotone maps X -> Y by listing them: the straightforward
+    form of ``maps.count_monotone``."""
+    c = 0
+    for _ in _iter_assignments(x, y):
+        c += 1
+        if c > guard:
+            raise GuardExceeded(f"more than {guard} monotone maps", count=c)
+    return c
+
+
+def fpp_by_enumeration(x, guard=10**6):
+    """Fixed point property by filtering every monotone self-map of X for
+    the first without a fixed point: the straightforward form of
+    ``maps.has_fpp``, without the reduction to the core."""
+    c = 0
+    for a in _iter_assignments(x, x):
+        c += 1
+        if c > guard:
+            raise GuardExceeded(f"more than {guard} self-maps", count=c)
+        if all(a[i] != i for i in range(x.n)):
+            return False, MonotoneMap(x, x, a)
+    return True, None
 
 
 def transitive_closure_oracle(n, pairs):

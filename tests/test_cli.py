@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from finspace import ParseError, chain, crown, fence
+from finspace import MonotoneMap, ParseError, chain, crown, fence
 from finspace.cli import (
     EXIT_GUARD,
     EXIT_INPUT,
@@ -283,3 +283,54 @@ def test_topology_check_past_the_count_guard(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("guard exceeded: ") and "Traceback" not in captured.err
+
+
+def _poset_file(tmp_path, p, name):
+    path = tmp_path / f"{name}.poset"
+    path.write_text(emit_poset(document_from_poset(p, name)))
+    return str(path)
+
+
+def test_fpp_crown30_witness(tmp_path, capsys):
+    p = crown(30)
+    assert run(["--json", "fpp", _poset_file(tmp_path, p, "crown30")]) == EXIT_NEGATIVE
+    data = json.loads(capsys.readouterr().out)
+    assert data["fixed_point_property"] is False
+    w = data["witness"]
+    assert sorted(w) == sorted(p.labels)
+    assign = tuple(p.index(w[lab]) for lab in p.labels)
+    assert all(v != i for i, v in enumerate(assign))
+    MonotoneMap(p, p, assign)  # raises unless monotone
+
+
+def test_fpp_fence30_dismantles(tmp_path, capsys):
+    # one-point core: decided without a search, so even a guard of 1 passes
+    path = _poset_file(tmp_path, fence(30), "fence30")
+    assert run(["--json", "fpp", path]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"fixed_point_property": True}
+    assert run(["--max-enum", "1", "fpp", path]) == EXIT_OK
+
+
+def test_fpp_node_guard(capsys):
+    assert run(["--max-enum", "1", "fpp", str(DATA / "crown2.poset")]) == EXIT_GUARD
+    assert capsys.readouterr().err == "guard exceeded: more than 1 search nodes\n"
+
+
+def test_negative_max_enum_is_input_error(capsys):
+    assert run(["--max-enum", "-1", "function-space", str(DATA / "chain3.poset"),
+                str(DATA / "chain3.poset")]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: --max-enum must be non-negative, got -1\n"
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    import finspace.cli as cli
+
+    run(["contractible", str(DATA / "chain3.poset")])
+
+    def rebuild():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    assert run(["contractible", str(DATA / "chain3.poset")]) == EXIT_OK

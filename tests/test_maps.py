@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from finspace import (
@@ -18,11 +20,29 @@ from finspace import (
     min_contraction_chain,
 )
 from finspace.generators import random_poset
-from finspace.maps import count_monotone
+from finspace.maps import _iter_assignments, count_monotone
 from finspace.poset import bits
-from finspace.reduction import remove_beat_point
+from finspace.reduction import core, is_core, remove_beat_point
 
-from helpers import assert_same_poset, brute_force_monotone, poset_by_closure
+from helpers import (
+    assert_same_poset,
+    assignments_by_predecessors,
+    brute_force_monotone,
+    count_by_enumeration,
+    fpp_by_enumeration,
+    poset_by_closure,
+    posets_up_to_iso,
+)
+
+
+def random_pairs_of_posets(seed, count, max_size):
+    rng = random.Random(seed)
+    for _ in range(count):
+        x = random_poset(rng.randint(0, max_size), rng.choice([0.2, 0.4, 0.6]),
+                         rng.randrange(1 << 30))
+        y = random_poset(rng.randint(0, max_size), rng.choice([0.2, 0.4, 0.6]),
+                         rng.randrange(1 << 30))
+        yield x, y
 
 
 class TestEnumeration:
@@ -51,6 +71,47 @@ class TestEnumeration:
         with pytest.raises(GuardExceeded):
             enumerate_monotone(antichain(8), antichain(8), guard=1000)
         assert count_monotone(chain(2), chain(2)) == 3
+
+    def test_kernel_matches_predecessor_search(self):
+        for x, y in random_pairs_of_posets(8, 300, 6):
+            assert list(_iter_assignments(x, y)) == list(assignments_by_predecessors(x, y))
+        empty, point = chain(0), chain(1)
+        for x, y in [(empty, empty), (empty, fence(3)), (fence(3), empty), (point, empty)]:
+            assert list(_iter_assignments(x, y)) == list(assignments_by_predecessors(x, y))
+        assert list(_iter_assignments(empty, fence(3))) == [()]
+        assert list(_iter_assignments(fence(3), empty)) == []
+
+    def test_kernel_restricted_domains(self):
+        # the fixed-point-free self-maps of a crown, against a filter
+        p = crown(3)
+        domains = [p.full_mask & ~(1 << i) for i in range(p.n)]
+        expected = [a for a in brute_force_monotone(p, p) if all(a[i] != i for i in range(p.n))]
+        assert list(_iter_assignments(p, p, domains)) == expected
+
+    def test_kernel_node_guard(self):
+        p = crown(4)
+        domains = [p.full_mask & ~(1 << i) for i in range(p.n)]
+        assert next(_iter_assignments(p, p, domains, node_guard=100)) is not None
+        with pytest.raises(GuardExceeded, match="more than 3 search nodes"):
+            next(_iter_assignments(p, p, domains, node_guard=3))
+
+    def test_count_matches_enumeration(self):
+        for x, y in random_pairs_of_posets(9, 400, 7):
+            assert count_monotone(x, y) == count_by_enumeration(x, y)
+        assert count_monotone(chain(0), fence(3)) == 1
+        assert count_monotone(fence(3), chain(0)) == 0
+        assert count_monotone(fence(9), fence(9)) == 6187
+
+    def test_count_guard(self):
+        assert count_monotone(antichain(6), chain(3), guard=729) == 729
+        with pytest.raises(GuardExceeded, match="more than 728 monotone maps"):
+            count_monotone(antichain(6), chain(3), guard=728)
+        # the open positions of antichain(3) below a top element take 4**3
+        # values before the top is assigned
+        x = poset_by_closure(["a", "b", "c", "t"], [("a", "t"), ("b", "t"), ("c", "t")])
+        with pytest.raises(GuardExceeded, match="more than 20 partial-map states"):
+            count_monotone(x, antichain(4), guard=20)
+        assert count_monotone(x, antichain(4)) == 4
 
     def test_order_matches_closure(self):
         posets = [chain(3), fence(4), antichain(2), crown(2)]
@@ -158,6 +219,11 @@ class TestMinContractionChain:
         assert min_contraction_chain(crown(2)) is None
 
 
+def assert_fixed_point_free(p, witness):
+    a = MonotoneMap(p, p, witness.assignment).assignment  # rebuilt: monotone
+    assert all(a[i] != i for i in range(p.n))
+
+
 class TestFpp:
     def test_chains(self):
         for n in range(1, 6):
@@ -173,6 +239,53 @@ class TestFpp:
 
     def test_singleton(self):
         assert has_fpp(chain(1)) == (True, None)
+
+    def test_empty(self):
+        ok, witness = has_fpp(chain(0))
+        assert not ok and witness.assignment == () and witness.domain.n == 0
+
+    def test_matches_enumeration_up_to_iso(self):
+        for n in range(1, 6):
+            for p in posets_up_to_iso(n):
+                ok, witness = has_fpp(p)
+                assert ok == fpp_by_enumeration(p)[0]
+                if not ok:
+                    assert_fixed_point_free(p, witness)
+
+    def test_matches_enumeration_on_random_posets(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            p = random_poset(rng.randint(1, 8), rng.choice([0.2, 0.35, 0.5]),
+                             rng.randrange(1 << 30))
+            ok, witness = has_fpp(p)
+            slow_ok, slow_witness = fpp_by_enumeration(p)
+            assert ok == slow_ok
+            if not ok:
+                assert_fixed_point_free(p, witness)
+                if is_core(p):  # no lift: the lexicographically first map
+                    assert witness.assignment == slow_witness.assignment
+
+    def test_lifted_witness_off_the_core(self):
+        # a crown with a tail: the witness moves the tail into the core
+        x = poset_by_closure(
+            ["a0", "a1", "b0", "b1", "t"],
+            [("a0", "b0"), ("a0", "b1"), ("a1", "b0"), ("a1", "b1"), ("t", "a0")])
+        assert core(x).core.n == 4
+        ok, witness = has_fpp(x)
+        assert not ok
+        assert_fixed_point_free(x, witness)
+        assert witness.image() <= core(x).core_elements
+
+    def test_large_crowns_and_fences(self):
+        for k in (8, 30):
+            ok, witness = has_fpp(crown(k))
+            assert not ok
+            assert_fixed_point_free(crown(k), witness)
+        assert has_fpp(fence(30), guard=1) == (True, None)
+
+    def test_node_guard(self):
+        with pytest.raises(GuardExceeded, match="search nodes"):
+            has_fpp(crown(3), guard=2)
 
 
 class TestIsRetraction:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -168,6 +169,19 @@ class TestGenerateTopology:
         alex = alexandroff_topology(c.order)
         assert families_equal(gen, alex)
         assert len(alex) == 4  # down-sets of the 3-chain C(X,X)
+
+    def test_family_guard(self):
+        # C(point, antichain(k)) is discrete: its subbasis is the k singletons
+        # and the closure would hold 2**k sets
+        point = chain(1)
+        for k in (12, 40):
+            y = antichain(k)
+            sub = compact_open_subbasis(point, y, enumerate_monotone(point, y))
+            t0 = time.perf_counter()
+            with pytest.raises(GuardExceeded, match="closure of more than"):
+                generate_topology(sub)
+            assert time.perf_counter() - t0 < 2.0
+        assert len(generate_topology(SetFamily.of(10, [1 << i for i in range(10)]))) == 1024
 
 
 def test_families_equal():
