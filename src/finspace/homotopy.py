@@ -27,8 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import GuardExceeded, HeightExceeded
-from .maps import enumerate_monotone, homotopy_classes
-from .poset import shortest_path
+from .maps import enumerate_monotone
+from .poset import bfs_layers, bits, components, shortest_path
 from .reduction import core
 
 
@@ -328,9 +328,12 @@ def brute_force_homotopy_equivalent(p, q, guard=10**6):
     """Independent oracle: search for f: P->Q, g: Q->P with g o f
     homotopic to id_P and f o g homotopic to id_Q.
 
-    Homotopy is decided through comparability components of C(P,P) and
-    C(Q,Q); correct for finite inputs only.  Used to validate
-    are_homotopy_equivalent in tests.
+    Homotopy is decided through comparability components of the function
+    posets themselves, never through cores; correct for finite inputs
+    only.  Used to validate are_homotopy_equivalent in tests.  f <= f'
+    implies g o f <= g o f' and f o g <= f' o g (and likewise for g), so
+    the classes of the composites depend only on the classes of f and g,
+    and one representative of each class of C(P,Q) and of C(Q,P) is tried.
     """
     if p.n == 0 or q.n == 0:
         return p.n == q.n
@@ -341,29 +344,27 @@ def brute_force_homotopy_equivalent(p, q, guard=10**6):
             "too many candidate pairs",
             count=len(cpq.assignments) * len(cqp.assignments),
         )
-    cpp = enumerate_monotone(p, p, guard=guard)
-    cqq = enumerate_monotone(q, q, guard=guard)
-    comp_p = _component_ids(cpp)
-    comp_q = _component_ids(cqq)
-    id_p_class = comp_p[cpp.identity_index()]
-    id_q_class = comp_q[cqq.identity_index()]
-    for f in cpq.assignments:
-        for g in cqp.assignments:
-            gf = tuple(g[v] for v in f)
-            if comp_p[cpp.index_of(gf)] != id_p_class:
-                continue
-            fg = tuple(f[v] for v in g)
-            if comp_q[cqq.index_of(fg)] == id_q_class:
+    id_p = _identity_class(enumerate_monotone(p, p, guard=guard))
+    id_q = _identity_class(enumerate_monotone(q, q, guard=guard))
+    for f in _class_representatives(cpq):
+        for g in _class_representatives(cqp):
+            if tuple(g[v] for v in f) in id_p and tuple(f[v] for v in g) in id_q:
                 return True
     return False
 
 
-def _component_ids(c):
-    comp = [0] * len(c.assignments)
-    for k, part in enumerate(homotopy_classes(c)):
-        for i in part:
-            comp[i] = k
-    return comp
+def _class_representatives(c):
+    """The lowest-index map of each comparability component of c."""
+    return [c.assignments[(part & -part).bit_length() - 1]
+            for part in components(c.comparability_mask, len(c))]
+
+
+def _identity_class(c):
+    """The assignments in the comparability component of the identity."""
+    reached = 0
+    for layer in bfs_layers(c.comparability_mask, c.identity_index()):
+        reached |= layer
+    return {c.assignments[i] for i in bits(reached)}
 
 
 def is_contractible(p):

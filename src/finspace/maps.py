@@ -18,11 +18,18 @@ domain, stops at the first map, and lifts it to X through the core
 retraction.  Its guard counts search nodes, not maps.
 ``count_monotone`` counts by a dynamic program over the cover relation
 without listing any map.
+
+``FunctionPoset`` builds its pointwise order (m^2 bits for m maps) only
+when it is read, and finds homotopy classes through the cores: f ~ g in
+C(X, Y) exactly when r_Y o f o i_X ~ r_Y o g o i_X in C(X_c, Y_c), since
+i o r ~ id on both sides (Stong 1966).  So only the order of the smaller
+C(X_c, Y_c) is built, unless X and Y are both cores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import GuardExceeded
 from .poset import Poset, bits, components, shortest_path
@@ -179,9 +186,20 @@ class FunctionPoset:
     """All monotone maps X -> Y under the pointwise order.
 
     maps are kept in lexicographic order of their assignment vectors, so
-    indices are reproducible.  The strict pointwise order is held as
-    per-map bitmasks; the explicit Poset over map indices (``order``) is
-    built lazily since only the topology checks need its cover relation.
+    indices are reproducible.  The strict pointwise order, m^2 bits for m
+    maps, is built only when it is read: ``_strict_up`` by ``leq`` and
+    ``order`` (the explicit Poset over map indices that the topology
+    check uses), both masks by ``comparability_mask``.
+
+    ``components`` finds the homotopy classes through the cores.  With
+    r_Y the core retraction of Y and i_X the inclusion of the core of X,
+    f ~ g in C(X, Y) exactly when r_Y o f o i_X ~ r_Y o g o i_X in
+    C(X_c, Y_c): composition respects homotopy, and i o r ~ id on both
+    sides (Stong 1966) takes a homotopy of the composites back to one of
+    f and g.  So only the much smaller C(X_c, Y_c) is partitioned by
+    comparability, and each map is labelled by the class of its
+    composite; the order of C(X, Y) itself is built only when X and Y
+    are both cores.
     """
 
     def __init__(self, domain, codomain, assignments):
@@ -189,49 +207,55 @@ class FunctionPoset:
         self.codomain = codomain
         self.assignments = assignments
         self._index = {a: i for i, a in enumerate(assignments)}
-        self._strict_up, self._strict_down = self._build_reach()
-        self._order = None
 
-    def _build_reach(self):
-        """Strict up- and down-masks of every map in the pointwise order."""
-        m = len(self.assignments)
-        y = self.codomain
-        nx = self.domain.n
-        # eq[x][v] = mask of maps sending x to v
-        eq = [[0] * y.n for _ in range(nx)]
+    @cached_property
+    def _sending(self):
+        """_sending[x][v] = mask of the maps sending x to v."""
+        sending = [[0] * self.codomain.n for _ in range(self.domain.n)]
         for j, a in enumerate(self.assignments):
             bj = 1 << j
             for x, v in enumerate(a):
-                eq[x][v] |= bj
-        full = (1 << m) - 1
-        reaches = []
-        for cone in (y.up, y.down):
-            # within[x][v] = mask of maps sending x into cone[v]
-            within = [[0] * y.n for _ in range(nx)]
-            for x in range(nx):
-                for v in range(y.n):
-                    acc = 0
-                    for w in bits(cone[v]):
-                        acc |= eq[x][w]
-                    within[x][v] = acc
-            reach = []
-            for i, a in enumerate(self.assignments):
-                mask = full
-                for x, v in enumerate(a):
-                    mask &= within[x][v]
-                reach.append(mask & ~(1 << i))
-            reaches.append(reach)
-        return reaches
+                sending[x][v] |= bj
+        return sending
 
-    @property
+    def _reach(self, cone):
+        """Strict up-masks (``cone`` = Y's up-sets) or down-masks (Y's
+        down-sets) of every map in the pointwise order."""
+        y = self.codomain
+        nx = self.domain.n
+        sending = self._sending
+        # within[x][v] = mask of maps sending x into cone[v]
+        within = [[0] * y.n for _ in range(nx)]
+        for x in range(nx):
+            for v in range(y.n):
+                acc = 0
+                for w in bits(cone[v]):
+                    acc |= sending[x][w]
+                within[x][v] = acc
+        full = (1 << len(self.assignments)) - 1
+        reach = []
+        for i, a in enumerate(self.assignments):
+            mask = full
+            for x, v in enumerate(a):
+                mask &= within[x][v]
+            reach.append(mask & ~(1 << i))
+        return reach
+
+    @cached_property
+    def _strict_up(self):
+        return self._reach(self.codomain.up)
+
+    @cached_property
+    def _strict_down(self):
+        return self._reach(self.codomain.down)
+
+    @cached_property
     def order(self):
-        if self._order is None:
-            labels = [f"f{i}" for i in range(len(self.assignments))]
-            # the strict up-sets are closed, so larger ones come first in
-            # a topological order
-            order = sorted(range(len(labels)), key=lambda i: -self._strict_up[i].bit_count())
-            self._order = Poset._from_successors(labels, self._strict_up, order)
-        return self._order
+        labels = [f"f{i}" for i in range(len(self.assignments))]
+        # the strict up-sets are closed, so larger ones come first in a
+        # topological order
+        order = sorted(range(len(labels)), key=lambda i: -self._strict_up[i].bit_count())
+        return Poset._from_successors(labels, self._strict_up, order)
 
     def leq(self, i, j):
         return i == j or bool(self._strict_up[i] >> j & 1)
@@ -239,10 +263,39 @@ class FunctionPoset:
     def comparability_mask(self, i):
         return self._strict_up[i] | self._strict_down[i]
 
-    def components(self):
-        """Partition of map indices into comparability-graph components."""
+    def _comparability_components(self):
+        """Components of the comparability graph of the pointwise order."""
         return [frozenset(bits(c))
                 for c in components(self.comparability_mask, len(self.assignments))]
+
+    def components(self):
+        """Partition of map indices into homotopy classes, ordered by
+        lowest index, found through the cores of X and Y."""
+        x, y = self.domain, self.codomain
+        if x.n == 0 or y.n == 0:
+            return self._comparability_components()
+        from .reduction import core
+
+        cx, cy = core(x), core(y)
+        if cx.core.n == x.n and cy.core.n == y.n:
+            return self._comparability_components()
+        small = enumerate_monotone(cx.core, cy.core, guard=len(self.assignments))
+        classes = small._comparability_components()
+        if len(classes) == 1:
+            return [frozenset(range(len(self.assignments)))]
+        label = [0] * len(small)
+        for k, part in enumerate(classes):
+            for i in part:
+                label[i] = k
+        keep = sorted(cx.core_elements)  # i_X: core id -> id in X
+        r = cy.trace.composed
+        retract = [cy.relabel[r[v]] for v in range(y.n)]  # r_Y: id in Y -> core id
+        index = small._index
+        parts = {}  # insertion order is the order of lowest index
+        for i, a in enumerate(self.assignments):
+            k = label[index[tuple(retract[a[c]] for c in keep)]]
+            parts.setdefault(k, []).append(i)
+        return [frozenset(part) for part in parts.values()]
 
     def __len__(self):
         return len(self.assignments)

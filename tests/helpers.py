@@ -6,7 +6,9 @@ import random
 from finspace.errors import CycleError, DuplicateLabel, GuardExceeded, UnknownLabel
 from finspace.homotopy import IsoWitness, are_isomorphic
 from finspace.maps import MonotoneMap, _iter_assignments
-from finspace.poset import ClassifyRecord, Poset, _transitive_closure, bits, popcount
+from finspace.poset import (
+    ClassifyRecord, Poset, _transitive_closure, bits, components, popcount,
+)
 from finspace.reduction import (
     BULK_DOWN, BULK_UP, _beat_target, beat_points, remove_beat_point,
 )
@@ -68,6 +70,27 @@ def crown_union(*ks):
         labels += [f"u{c}a{i}" for i in range(k)] + [f"u{c}b{i}" for i in range(k)]
         covers += [(f"u{c}a{i}", f"u{c}b{j}") for i in range(k) for j in (i, (i + 1) % k)]
     return Poset.from_covers(labels, covers)
+
+
+def with_beat_points(p, rng, k):
+    """P with ``k`` new points, each covering exactly one point or covered
+    by exactly one (so each is a beat point and the core is unchanged),
+    with all labels in a shuffled id order."""
+    labels = list(p.labels)
+    covers = [(p.labels[a], p.labels[b]) for a, b in p.covers]
+    for i in range(k):
+        new, old = f"t{i}", rng.choice(labels)
+        covers.append((old, new) if rng.random() < 0.5 else (new, old))
+        labels.append(new)
+    rng.shuffle(labels)
+    return Poset.from_covers(labels, covers)
+
+
+def components_by_comparability(c):
+    """Homotopy classes of the function poset ``c`` as the components of
+    the comparability graph of its own pointwise order: the straightforward
+    form of ``FunctionPoset.components``, without the cores."""
+    return [frozenset(bits(part)) for part in components(c.comparability_mask, len(c))]
 
 
 def brute_force_down_sets(p):

@@ -1,9 +1,12 @@
 import json
 import pathlib
+import random
 
 import pytest
 
-from finspace import MonotoneMap, ParseError, chain, crown, fence
+from finspace import (
+    MonotoneMap, ParseError, antichain, chain, crown, enumerate_monotone, fence,
+)
 from finspace.cli import (
     EXIT_GUARD,
     EXIT_INPUT,
@@ -314,6 +317,42 @@ def test_fpp_fence30_dismantles(tmp_path, capsys):
 def test_fpp_node_guard(capsys):
     assert run(["--max-enum", "1", "fpp", str(DATA / "crown2.poset")]) == EXIT_GUARD
     assert capsys.readouterr().err == "guard exceeded: more than 1 search nodes\n"
+
+
+def test_function_space_fence12_self_maps(tmp_path, capsys):
+    # 117,831 maps, one class found through the one-point cores
+    path = _poset_file(tmp_path, fence(12), "fence12")
+    assert run(["--json", "function-space", path, path]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "map_count": 117831, "class_count": 1, "identity_class_size": 117831}
+
+
+def test_function_space_chain4_to_chain40(tmp_path, capsys):
+    small = _poset_file(tmp_path, chain(4), "chain4")
+    large = _poset_file(tmp_path, chain(40), "chain40")
+    assert run(["function-space", small, large]) == EXIT_OK
+    assert capsys.readouterr().err == "123410 maps in 1 homotopy classes\n"
+
+
+def test_function_space_matches_comparability_oracle(tmp_path, capsys):
+    from helpers import components_by_comparability, crown_union, with_beat_points
+
+    rng = random.Random(3)
+    crown2 = with_beat_points(crown(2), rng, 3)
+    for x, y in [(crown2, crown2), (crown2, crown(2)), (crown(2), crown2),
+                 (antichain(2), with_beat_points(crown_union(2, 2), rng, 2)),
+                 (fence(5), fence(5)), (crown(2), crown(2)), (crown(3), chain(0))]:
+        px, py = _poset_file(tmp_path, x, "x"), _poset_file(tmp_path, y, "y")
+        assert run(["--json", "function-space", px, py]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        c = enumerate_monotone(x, y)
+        classes = components_by_comparability(c)
+        assert data["class_count"] == len(classes)
+        if x.up == y.up:  # the same file contents: the identity is a map
+            ident = c.identity_index()
+            assert data["identity_class_size"] == len(next(p for p in classes if ident in p))
+        else:
+            assert data["identity_class_size"] is None
 
 
 def test_negative_max_enum_is_input_error(capsys):

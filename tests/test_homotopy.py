@@ -21,7 +21,9 @@ from finspace import (
 )
 from finspace.generators import random_poset
 
-from helpers import crown_union, iso_by_backtrack, layered, random_height1_poset
+from helpers import (
+    crown_union, iso_by_backtrack, layered, random_height1_poset, with_beat_points,
+)
 
 
 def _relabelled(p, rng):
@@ -282,6 +284,24 @@ class TestBruteForce:
     def test_empty(self):
         assert brute_force_homotopy_equivalent(chain(0), chain(0))
         assert not brute_force_homotopy_equivalent(chain(0), chain(1))
+
+    def test_independent_of_core(self, monkeypatch):
+        import finspace.reduction
+
+        rng = random.Random(11)
+        pairs = [(chain(1), fence(5)), (crown(2), chain(1)), (crown(3), crown(2)),
+                 (with_beat_points(crown(2), rng, 3), crown(2)),
+                 (with_beat_points(antichain(2), rng, 2), antichain(2)),
+                 (with_beat_points(crown(2), rng, 2), with_beat_points(antichain(2), rng, 2))]
+        expected = [bool(are_homotopy_equivalent(p, q)) for p, q in pairs]
+        assert True in expected and False in expected
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("core called")
+
+        monkeypatch.setattr(finspace.reduction, "core", refuse)
+        monkeypatch.setattr(homotopy, "core", refuse)
+        assert [brute_force_homotopy_equivalent(p, q) for p, q in pairs] == expected
 
 
 class TestContractibility:

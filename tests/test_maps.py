@@ -28,10 +28,13 @@ from helpers import (
     assert_same_poset,
     assignments_by_predecessors,
     brute_force_monotone,
+    components_by_comparability,
     count_by_enumeration,
+    crown_union,
     fpp_by_enumeration,
     poset_by_closure,
     posets_up_to_iso,
+    with_beat_points,
 )
 
 
@@ -128,6 +131,11 @@ class TestEnumeration:
         assert c.assignments == sorted(c.assignments)
 
 
+    def test_helper_checks_survive_python_O(self):
+        # helpers is registered for assertion rewriting in conftest.py
+        with pytest.raises(AssertionError):
+            assert_same_poset(chain(2), chain(3))
+
     def test_strict_down_is_transpose_of_strict_up(self):
         for seed in range(40):
             x = random_poset(2 + seed % 4, 0.4, seed)
@@ -202,6 +210,69 @@ class TestHomotopy:
                 for k in idx:
                     if is_homotopic(c, i, j)[0] and is_homotopic(c, j, k)[0]:
                         assert is_homotopic(c, i, k)[0]
+
+
+def _class_corpus_poset(rng):
+    """A small poset that is a core (crowns, antichains, crown unions), a
+    random one (seldom a core), or a core with beat points added."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return random_poset(rng.randint(0, 7), rng.choice([0.2, 0.4, 0.6]),
+                            rng.randrange(1 << 30))
+    if kind == 1:
+        return crown(rng.choice([2, 3]))
+    if kind == 2:
+        return antichain(rng.randint(0, 3))
+    if kind == 3:
+        return crown_union(2, 2)
+    base = rng.choice([crown(2), antichain(2), crown_union(2, 2), crown(3)])
+    return with_beat_points(base, rng, rng.randint(1, 3))
+
+
+class TestClassesThroughCores:
+    def test_matches_comparability_oracle(self):
+        rng = random.Random(20261019)
+        seen = {"both cores": 0, "one core": 0, "no core": 0, "disconnected": 0,
+                "empty": 0, "several classes off the cores": 0}
+        done = 0
+        while done < 250:
+            x, y = _class_corpus_poset(rng), _class_corpus_poset(rng)
+            if count_monotone(x, y, guard=10**6) > 1000:
+                continue
+            c = enumerate_monotone(x, y)
+            expected = components_by_comparability(c)
+            assert enumerate_monotone(x, y).components() == expected
+            assert homotopy_classes(c) == expected
+            cores = is_core(x) + is_core(y)
+            seen[["no core", "one core", "both cores"][cores]] += 1
+            seen["disconnected"] += len(x.components()) > 1 or len(y.components()) > 1
+            seen["empty"] += x.n == 0 or y.n == 0
+            seen["several classes off the cores"] += cores < 2 and len(expected) > 1
+            done += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_empty_sides(self):
+        for x, y, expected in [(chain(0), chain(0), [{0}]), (chain(0), crown(2), [{0}]),
+                               (fence(3), chain(0), []), (crown(2), chain(0), [])]:
+            c = enumerate_monotone(x, y)
+            assert homotopy_classes(c) == expected == components_by_comparability(c)
+
+    def test_classes_off_the_cores(self):
+        # crowns with beat points: C(crown(2), crown(2)) has 6 classes
+        rng = random.Random(7)
+        x = with_beat_points(crown(2), rng, 3)
+        y = with_beat_points(crown(2), rng, 2)
+        c = enumerate_monotone(x, y)
+        classes = homotopy_classes(c)
+        assert len(classes) == len(homotopy_classes(enumerate_monotone(crown(2), crown(2))))
+        assert classes == components_by_comparability(c)
+
+    def test_order_built_only_when_read(self):
+        c = enumerate_monotone(fence(7), fence(6))
+        assert len(homotopy_classes(c)) == 1
+        assert "_strict_up" not in vars(c) and "_strict_down" not in vars(c)
+        c.leq(0, 1)
+        assert "_strict_up" in vars(c) and "_strict_down" not in vars(c)
 
 
 class TestMinContractionChain:
