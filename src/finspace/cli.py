@@ -164,6 +164,11 @@ def dump_document(doc, json_mode=False):
     return emit_poset(doc)
 
 
+def _dot_escape(label):
+    """A label as the inside of a DOT double-quoted string."""
+    return str(label).replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
 def emit_dot(p, trace=None):
     """Hasse diagram as a DOT digraph; trace removals grayed out."""
     removed = {}
@@ -173,10 +178,10 @@ def emit_dot(p, trace=None):
                 removed[x] = step.mapping[x]
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for i, lab in enumerate(p.labels):
-        attrs = [f'label="{lab}"']
+        attrs = [f'label="{_dot_escape(lab)}"']
         if i in removed:
             attrs.append('style=filled, fillcolor=gray80')
-            attrs.append(f'xlabel="-> {p.labels[removed[i]]}"')
+            attrs.append(f'xlabel="-> {_dot_escape(p.labels[removed[i]])}"')
         lines.append(f'  n{i} [{", ".join(attrs)}];')
     for a, b in sorted(p.covers):
         lines.append(f"  n{a} -> n{b};")
@@ -322,11 +327,9 @@ def cmd_function_space(args):
     c = maps.enumerate_monotone(x, y, guard=args.max_enum)
     classes = maps.homotopy_classes(c)
     id_class = None
-    if x.same_order(y) or (x.n == y.n and x.up == y.up):
-        ident = tuple(range(x.n))
-        if ident in c._index:
-            idx = c.index_of(ident)
-            id_class = next(len(part) for part in classes if idx in part)
+    if x.up == y.up:  # the identity is monotone X -> Y
+        idx = c.identity_index()
+        id_class = next(len(part) for part in classes if idx in part)
     data = {
         "map_count": len(c),
         "class_count": len(classes),

@@ -9,12 +9,16 @@ from .poset import PointedPoset, Poset
 
 def chain(n):
     """The n-element total order c0 < c1 < ... < c{n-1}."""
+    if n < 0:
+        raise ValueError("chain needs n >= 0")
     labels = [f"c{i}" for i in range(n)]
     return Poset.from_covers(labels, [(f"c{i}", f"c{i+1}") for i in range(n - 1)])
 
 
 def antichain(n):
     """The n-element discrete order."""
+    if n < 0:
+        raise ValueError("antichain needs n >= 0")
     return Poset.from_covers([f"a{i}" for i in range(n)], [])
 
 
@@ -91,6 +95,8 @@ def random_poset(n, edge_prob, seed):
     The PRNG is Python's Mersenne Twister seeded with ``seed``, drawing
     one random() per candidate pair in row-major order.
     """
+    if n < 0:
+        raise ValueError("random poset needs n >= 0")
     if not 0 <= edge_prob <= 1:
         raise ValueError("edge_prob must lie in [0, 1]")
     rng = random.Random(seed)

@@ -70,9 +70,13 @@ class _JointPartition:
         self.upper = [[] for _ in range(2 * n)]
         self.lower = [[] for _ in range(2 * n)]
         for shift, x in ((0, p), (n, q)):
-            for a, b in x.covers:
-                self.upper[a + shift].append(b + shift)
-                self.lower[b + shift].append(a + shift)
+            for a, m in enumerate(x.upper_covers, shift):
+                while m:
+                    low = m & -m
+                    m ^= low
+                    b = low.bit_length() - 1 + shift
+                    self.upper[a].append(b)
+                    self.lower[b].append(a)
         self.elems = list(range(2 * n))
         self.pos = list(range(2 * n))
         self.cell = [0] * (2 * n)
@@ -219,20 +223,17 @@ class _JointPartition:
         return tuple(m)
 
 
-def _is_isomorphism(p, q, m, fix):
+def _is_isomorphism(p, q, m, fix, upper):
     """m is a bijection p -> q that sends every up-set of p onto the
     up-set of the image (so it preserves and reflects the order) and
     respects ``fix``.
 
     The image of up(a) is assembled from a and the images of the up-sets
-    of a's upper covers, which are smaller and so come first; each image
-    is one mask comparison against q.
+    of a's upper covers ``upper[a]``, which are smaller and so come
+    first; each image is one mask comparison against q.
     """
     if len(set(m)) != q.n or (fix is not None and m[fix[0]] != fix[1]):
         return False
-    upper = [[] for _ in range(p.n)]
-    for a, b in p.covers:
-        upper[a].append(b)
     image = [0] * p.n
     for a in sorted(range(p.n), key=lambda a: p.up[a].bit_count()):
         mask = 1 << m[a]
@@ -281,7 +282,7 @@ def are_isomorphic(p, q, fix=None):
     while True:
         if ok and not part.open:
             m = part.bijection()
-            if _is_isomorphism(p, q, m, fix):
+            if _is_isomorphism(p, q, m, fix, part.upper):
                 return IsoWitness(m)
         elif ok:
             v, targets = part.branches()
@@ -375,14 +376,6 @@ def is_contractible(p):
     return core(p).is_point
 
 
-def _cover_graph_adjacency(p):
-    adj = [0] * p.n
-    for a, b in p.covers:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return adj
-
-
 def _is_tree(p):
     """True iff the cover graph is connected and acyclic."""
     return len(p.covers) == p.n - 1 and len(p.components()) == 1
@@ -414,7 +407,7 @@ def contains_crown(p):
     has the length of the girth.
     """
     _check_height1(p)
-    adj = _cover_graph_adjacency(p)
+    adj = [lo | up for lo, up in zip(p.lower_covers, p.upper_covers)]
     best = None
     for a, b in sorted(p.covers):
         cut = {a: 1 << b, b: 1 << a}

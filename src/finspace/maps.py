@@ -344,11 +344,8 @@ def count_monotone(x, y, guard=DEFAULT_MAP_GUARD):
     n = x.n
     if n == 0:
         return 1
-    neighbours = [0] * n  # lower and upper covers of each position
-    for a, b in x.covers:
-        neighbours[a] |= 1 << b
-        neighbours[b] |= 1 << a
-    last_use = [max(i, neighbours[i].bit_length() - 1) for i in range(n)]
+    last_use = [max(i, (lo | up).bit_length() - 1)
+                for i, (lo, up) in enumerate(zip(x.lower_covers, x.upper_covers))]
     full = y.full_mask
     table = {(): 1}
     open_ = []  # positions in the table's keys, in key order

@@ -6,17 +6,19 @@ integer ids 0..n-1 with a label table.  The full reflexive-transitive
 closure is stored as per-element bitmasks (``down[i]`` holds every id
 below-or-equal to i, ``up[i]`` every id above-or-equal), so order queries
 are single mask operations.  The cover relation (Hasse diagram) is kept
-alongside as the transitive reduction.
+alongside as the transitive reduction, both as a pair set and as
+per-element lower- and upper-cover masks; every other module reads the
+masks rather than rebuilding them.
 
 Posets built from pairs, restricted, quotiented, dismantled or taken as
 a function-space order all come from ``Poset._from_successors``, given a
 successor mask per element.  It walks a topological order (Kahn's, which
 is also the cycle check, unless the caller knows one) and fills the
-up-masks and covers in one reverse pass and the down-masks in one
-forward pass over the covers.  When the ids follow a linear extension
-(as in every generator) the cost is O(n + pairs given) bit tests plus
-O(covers) mask unions of n bits each: building ``chain(n)`` is linear in
-the number of mask words, not quadratic in n.
+up-masks and upper covers in one reverse pass and the down-masks and
+lower covers in one forward pass over the covers.  When the ids follow
+a linear extension (as in every generator) the cost is O(n + pairs
+given) bit tests plus O(covers) mask unions of n bits each: building
+``chain(n)`` is linear in the number of mask words, not quadratic in n.
 
 ``bfs_layers``, ``components`` and ``shortest_path`` are the one BFS
 kernel behind every graph walk in the package; each takes a neighbour
@@ -159,23 +161,27 @@ class Poset:
         down: down[i] = bitmask of {j : j <= i} (includes i).
         up:   up[i]   = bitmask of {j : i <= j} (includes i).
         covers: set of pairs (a, b) with b covering a.
-        upper_covers: upper_covers[i] = bitmask of the elements covering i;
-            taken from ``covers`` unless given.
+        lower_covers: lower_covers[i] = bitmask of the elements i covers.
+        upper_covers: upper_covers[i] = bitmask of the elements covering i.
+            Both are the Hasse diagram of ``covers`` as masks, passed as
+            the pair ``cover_masks`` or derived from ``covers``.
     """
 
-    __slots__ = ("n", "labels", "down", "up", "covers", "upper_covers", "full_mask", "_index")
+    __slots__ = ("n", "labels", "down", "up", "covers", "lower_covers", "upper_covers",
+                 "full_mask", "_index")
 
-    def __init__(self, labels, down, up, covers, upper_covers=None):
+    def __init__(self, labels, down, up, covers, cover_masks=None):
         self.n = len(labels)
         self.labels = list(labels)
         self.down = list(down)
         self.up = list(up)
         self.covers = frozenset(covers)
-        if upper_covers is None:
-            upper_covers = [0] * self.n
+        if cover_masks is None:
+            cover_masks = [0] * self.n, [0] * self.n
             for a, b in self.covers:
-                upper_covers[a] |= 1 << b
-        self.upper_covers = list(upper_covers)
+                cover_masks[0][b] |= 1 << a
+                cover_masks[1][a] |= 1 << b
+        self.lower_covers, self.upper_covers = map(list, cover_masks)
         self.full_mask = (1 << self.n) - 1
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
@@ -224,7 +230,7 @@ class Poset:
         Successors are visited lowest id first, skipping any already
         reached, so when the ids follow a linear extension only the
         covers are expanded.  A forward pass pushes each down-mask to
-        the upper covers.
+        the upper covers and fills the lower-cover masks.
         """
         n = len(labels)
         if order is None:
@@ -243,13 +249,15 @@ class Poset:
             reach[v] = strict
             upper[v] = succ[v] & ~beyond
         down = [1 << v for v in range(n)]
+        lower = [0] * n
         covers = []
         for v in order:
             for w in bits(upper[v]):
                 down[w] |= down[v]
+                lower[w] |= 1 << v
                 covers.append((v, w))
         up = [reach[v] | (1 << v) for v in range(n)]
-        return cls(labels, down, up, covers, upper)
+        return cls(labels, down, up, covers, (lower, upper))
 
     # -- basic queries --------------------------------------------------
 
@@ -374,7 +382,8 @@ class Poset:
 
     def dual(self):
         """The opposite poset (order reversed)."""
-        return Poset(self.labels, self.up, self.down, {(b, a) for a, b in self.covers})
+        return Poset(self.labels, self.up, self.down, {(b, a) for a, b in self.covers},
+                     (self.upper_covers, self.lower_covers))
 
     def same_order(self, other):
         """Equality of carrier and relation (same ids and labels)."""
@@ -463,6 +472,9 @@ def kolmogorov_quotient(q):
     return Poset._from_successors(labels, succ), proj
 
 
+CLASSIFY_STATE_BUDGET = 200_000
+
+
 @dataclass
 class ClassifyRecord:
     """Finiteness predicates, trivially true on finite inputs, with witnesses.
@@ -491,25 +503,36 @@ def classify(p, exact_limit=24):
     and its length is popcount(visited) - 1, so each state is expanded
     once (``seen[visited]`` holds the ends already taken): at most
     n * 2^n states, against every simple path for a plain DFS.  It stops
-    as soon as it finds a path through all n elements.
+    as soon as it finds a path through all n elements.  At most
+    ``CLASSIFY_STATE_BUDGET`` states are pushed, which bounds the memo
+    and the stack, and the work to n neighbour tests per state; past it
+    the record is the approximate one, as above ``exact_limit``.
     """
     n = p.n
     degree = max((popcount(p.comparability_mask(x)) + 1 for x in range(n)), default=0)
     if n == 0:
         return ClassifyRecord(True, True, True, 0, 0, 0)
+    approximate = ClassifyRecord(True, True, True, degree, n - 1, n, approximate=True)
     if n > exact_limit:
-        return ClassifyRecord(True, True, True, degree, n - 1, n, approximate=True)
+        return approximate
     adj = [p.comparability_mask(x) for x in range(n)]
     best = 0
     seen = {}
     stack = [(1 << s, s) for s in reversed(range(n))]
+    pushed = n
     while stack and best < n - 1:  # a Hamiltonian path: no simple path is longer
         visited, x = stack.pop()
         best = max(best, popcount(visited) - 1)
-        for y in bits(adj[x] & ~visited):
-            nxt = visited | (1 << y)
+        rest = adj[x] & ~visited
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            nxt = visited | bit
             ends = seen.get(nxt, 0)
-            if not ends >> y & 1:
-                seen[nxt] = ends | (1 << y)
-                stack.append((nxt, y))
+            if not ends & bit:
+                seen[nxt] = ends | bit
+                stack.append((nxt, bit.bit_length() - 1))
+                pushed += 1
+        if pushed > CLASSIFY_STATE_BUDGET:
+            return approximate
     return ClassifyRecord(True, True, True, degree, best, best + 1)

@@ -7,17 +7,18 @@ without beat points; since on finite inputs such a subspace admits no
 nontrivial comparative retraction at all, it is the core, and cores are
 unique up to order isomorphism.
 
-``core`` keeps the Hasse diagram of the current subspace as per-element
-lower- and upper-cover bitmasks.  In a finite poset x is a down (up)
-beat point exactly when it has a single lower (upper) cover, which is
-then d_x (u_x), so the beat test is a one-bit check.  Removing x only
-changes the covers of its neighbours (``_unlink``), so only they are
-tested again: a dismantling costs O(covers + removals * deg^2) mask
-operations instead of a rescan of the whole subspace after every
-removal, and the core is built from the cover masks left at the end.
-``standard_sequence`` keeps the same cover masks and reads each bulk
-step's beat points off them.  Single-point steps store their mapping as
-``{x: target}`` and their domain as an int mask.
+In a finite poset x is a down (up) beat point exactly when it has a
+single lower (upper) cover, which is then d_x (u_x), so every beat
+query is a one-bit test of a cover mask (``_sole``): on the poset's own
+``lower_covers`` and ``upper_covers`` for the public queries, and on
+copies that follow the current subspace in ``core`` and
+``standard_sequence``.  Removing x only changes the covers of its
+neighbours (``_unlink``), so only they are tested again: a dismantling
+costs O(covers + removals * deg^2) mask operations instead of a rescan
+of the whole subspace after every removal, and the core is built from
+the cover masks left at the end.  Every step stores its domain as an
+int mask and in its mapping only the points it moves: ``{x: target}``
+for a single-point step.
 """
 
 from __future__ import annotations
@@ -34,35 +35,42 @@ BULK_DOWN = "bulk-down"
 BULK_UP = "bulk-up"
 
 
-def _beat_target(p, x, mask, upward):
-    """u_x, the smallest element of (x^ \\ {x}) within mask (upward), or
-    d_x, the largest of (x_v \\ {x}); None if there is no such element."""
-    cone = p.up if upward else p.down
-    punctured = cone[x] & mask & ~(1 << x)
-    for t in bits(punctured):
-        if punctured & ~cone[t] == 0:  # every member lies in t's cone
-            return t
+def _sole(c):
+    """The one element of the cover mask c, or None unless it has exactly
+    one: the target of a beat point, whose cover mask this is."""
+    return c.bit_length() - 1 if c and not c & (c - 1) else None
+
+
+def _one_point(lower, upper, x, prefer_down=True):
+    """(kind, target) of the one-point retraction removing x from the
+    subspace with these cover masks, or None if x is not a beat point."""
+    d, u = _sole(lower[x]), _sole(upper[x])
+    if d is not None and (prefer_down or u is None):
+        return REMOVE_DOWN, d
+    if u is not None:
+        return REMOVE_UP, u
     return None
 
 
-def _beat_points(p, basepoint, mask, upward):
-    mask = p.full_mask if mask is None else mask
-    return frozenset(x for x in bits(mask)
-                     if x != basepoint and _beat_target(p, x, mask, upward) is not None)
+def _single_covered(covers, basepoint):
+    return frozenset(x for x, c in enumerate(covers)
+                     if x != basepoint and _sole(c) is not None)
 
 
-def up_beat_points(p, basepoint=None, _mask=None):
-    """Elements whose punctured up-set has a smallest element."""
-    return _beat_points(p, basepoint, _mask, upward=True)
+def up_beat_points(p, basepoint=None):
+    """Elements with a single upper cover, the smallest element of their
+    punctured up-set."""
+    return _single_covered(p.upper_covers, basepoint)
 
 
-def down_beat_points(p, basepoint=None, _mask=None):
-    """Elements whose punctured down-set has a largest element."""
-    return _beat_points(p, basepoint, _mask, upward=False)
+def down_beat_points(p, basepoint=None):
+    """Elements with a single lower cover, the largest element of their
+    punctured down-set."""
+    return _single_covered(p.lower_covers, basepoint)
 
 
-def beat_points(p, basepoint=None, _mask=None):
-    return up_beat_points(p, basepoint, _mask) | down_beat_points(p, basepoint, _mask)
+def beat_points(p, basepoint=None):
+    return up_beat_points(p, basepoint) | down_beat_points(p, basepoint)
 
 
 def is_core(p, basepoint=None):
@@ -75,10 +83,10 @@ class RetractionStep:
     """One comparative retraction in a dismantling.
 
     ``domain`` is the subspace the step acts on, as a bitmask of start
-    ids.  mapping sends elements to their images; every element missing
-    from it is fixed, so single-point steps store only ``{x: target}``.
-    targets records the absorbing element u_x or d_x for single-point
-    removals.
+    ids.  mapping sends the moved elements, exactly the removed ones, to
+    their images and fixes every element missing from it: a single-point
+    step stores ``{x: target}``, an identity step ``{}``.  targets
+    records the absorbing element u_x or d_x for single-point removals.
     """
 
     kind: str
@@ -136,22 +144,15 @@ class DismantlingTrace:
         return [s for s in self.steps if s.removed]
 
 
-def remove_beat_point(p, x, basepoint=None, _mask=None, prefer_down=True):
+def remove_beat_point(p, x, basepoint=None, prefer_down=True):
     """The one-point comparative retraction sending x to d_x or u_x."""
-    mask = p.full_mask if _mask is None else _mask
-    if x == basepoint or not 0 <= x < p.n or not mask >> x & 1:
+    if x == basepoint or not 0 <= x < p.n:
         raise NotABeatPoint(f"element {x} not removable")
-    d = _beat_target(p, x, mask, upward=False)
-    u = _beat_target(p, x, mask, upward=True)
-    if prefer_down and d is not None:
-        kind, target = REMOVE_DOWN, d
-    elif u is not None:
-        kind, target = REMOVE_UP, u
-    elif d is not None:
-        kind, target = REMOVE_DOWN, d
-    else:
+    beat = _one_point(p.lower_covers, p.upper_covers, x, prefer_down)
+    if beat is None:
         raise NotABeatPoint(f"element {p.labels[x]!r} is not a beat point")
-    return RetractionStep(kind, mask, frozenset({x}), {x: target}, {x: target})
+    kind, target = beat
+    return RetractionStep(kind, p.full_mask, frozenset({x}), {x: target}, {x: target})
 
 
 @dataclass
@@ -168,16 +169,9 @@ class CoreResult:
         return self.core.n == 1
 
 
-def _cover_masks(p):
-    """Per-element lower- and upper-cover masks of ``p``, as new lists."""
-    lower = [0] * p.n
-    for a, b in p.covers:
-        lower[b] |= 1 << a
-    return lower, list(p.upper_covers)
-
-
 def _unlink(p, lower, upper, mask, x):
-    """Update the cover masks of a subspace when x leaves it.
+    """Update the cover masks of a subspace when x leaves it, and return
+    the mask of x's old covers, the only elements whose covers change.
 
     ``mask`` is the subspace without x.  Every old cover stays a cover;
     the new ones join a lower cover a of x to an upper cover b of x when
@@ -194,6 +188,7 @@ def _unlink(p, lower, upper, mask, x):
             if p.up[a] & p.down[b] & mask == (1 << a) | (1 << b):
                 upper[a] |= 1 << b
                 lower[b] |= 1 << a
+    return below | above
 
 
 def core(p, basepoint=None):
@@ -217,7 +212,7 @@ def core(p, basepoint=None):
     tests.  Each step stores its domain as a mask and its mapping as
     ``{x: target}``.
     """
-    lower, upper = _cover_masks(p)
+    lower, upper = list(p.lower_covers), list(p.upper_covers)
     fixed = 0 if basepoint is None else 1 << basepoint
     mask = p.full_mask
     candidates = mask & ~fixed
@@ -226,17 +221,13 @@ def core(p, basepoint=None):
         bit = candidates & -candidates
         candidates ^= bit
         x = bit.bit_length() - 1
-        below, above = lower[x], upper[x]
-        if below and not below & (below - 1):
-            kind, target = REMOVE_DOWN, below.bit_length() - 1
-        elif above and not above & (above - 1):
-            kind, target = REMOVE_UP, above.bit_length() - 1
-        else:
+        beat = _one_point(lower, upper, x)
+        if beat is None:
             continue
+        kind, target = beat
         steps.append(RetractionStep(kind, mask, frozenset((x,)), {x: target}, {x: target}))
         mask ^= bit
-        _unlink(p, lower, upper, mask, x)
-        candidates |= (below | above) & ~fixed
+        candidates |= _unlink(p, lower, upper, mask, x) & ~fixed
     keep = list(bits(mask))
     relabel = {old: new for new, old in enumerate(keep)}
     succ = []
@@ -251,46 +242,32 @@ def core(p, basepoint=None):
 
 
 def _bulk_step(covers, mask, upward, basepoint=None):
-    """The U_X (upward) or D_X step on the subspace ``mask``; None if identity.
+    """The U_X (upward) or D_X step on the subspace ``mask``.
 
     ``covers`` holds the upper (upward) or lower cover masks of the
     subspace: x is a beat point exactly when its mask has a single bit,
     which is then its target.  The basepoint, if given, is never a beat
-    point and so never moves.
+    point and so never moves.  Only the beat points enter the mapping,
+    each sent to the end of its chain of targets.
     """
-    one = {}
-    for x in bits(mask):
-        c = covers[x]
-        one[x] = c.bit_length() - 1 if x != basepoint and c and not c & (c - 1) else x
-    if all(v == x for x, v in one.items()):
-        return None
+    one = {x: t for x in bits(mask)
+           if x != basepoint and (t := _sole(covers[x])) is not None}
     mapping = {}
-    for x in bits(mask):
-        v = x
-        while one[v] != v:
+    for x, v in one.items():
+        while v in one:
             v = one[v]
         mapping[x] = v
-    removed = frozenset(x for x, v in mapping.items() if v != x)
-    return RetractionStep(BULK_UP if upward else BULK_DOWN, mask, removed, mapping)
-
-
-def _bulk(p, upward):
-    lower, upper = _cover_masks(p)
-    step = _bulk_step(upper if upward else lower, p.full_mask, upward)
-    if step is None:
-        step = RetractionStep(BULK_UP if upward else BULK_DOWN, p.full_mask, frozenset(),
-                              {i: i for i in range(p.n)})
-    return step
+    return RetractionStep(BULK_UP if upward else BULK_DOWN, mask, frozenset(mapping), mapping)
 
 
 def bulk_up(p):
     """The U_X retraction: iterate one-step up-beat absorption to a fixpoint."""
-    return _bulk(p, upward=True)
+    return _bulk_step(p.upper_covers, p.full_mask, upward=True)
 
 
 def bulk_down(p):
     """The D_X retraction, dual to bulk_up."""
-    return _bulk(p, upward=False)
+    return _bulk_step(p.lower_covers, p.full_mask, upward=False)
 
 
 def standard_sequence(p, basepoint=None, max_rounds=None):
@@ -307,7 +284,7 @@ def standard_sequence(p, basepoint=None, max_rounds=None):
         max_rounds = 2 * max(p.n, 1) + 4
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    lower, upper = _cover_masks(p)
+    lower, upper = list(p.lower_covers), list(p.upper_covers)
     mask = p.full_mask
     steps = []
     idle = 0
@@ -317,7 +294,7 @@ def standard_sequence(p, basepoint=None, max_rounds=None):
         step = _bulk_step(upper if upward else lower, mask, upward, basepoint)
         rounds += 1
         upward = not upward
-        if step is None:
+        if not step.removed:
             idle += 1
             continue
         idle = 0

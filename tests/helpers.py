@@ -9,9 +9,7 @@ from finspace.maps import MonotoneMap, _iter_assignments
 from finspace.poset import (
     ClassifyRecord, Poset, _transitive_closure, bits, components, popcount,
 )
-from finspace.reduction import (
-    BULK_DOWN, BULK_UP, _beat_target, beat_points, remove_beat_point,
-)
+from finspace.reduction import BULK_DOWN, BULK_UP, REMOVE_DOWN, REMOVE_UP
 from finspace.simplicial import HomologyProfile, _smith_invariant_factors
 
 
@@ -207,7 +205,7 @@ def random_pairs(rng, n, density):
 def assert_same_poset(p, q):
     assert p.labels == q.labels
     assert p.up == q.up and p.down == q.down and p.covers == q.covers
-    assert p.upper_covers == q.upper_covers
+    assert p.lower_covers == q.lower_covers and p.upper_covers == q.upper_covers
 
 
 def poset_by_closure(labels, pairs):
@@ -267,12 +265,34 @@ def classify_by_dfs(p, exact_limit=24):
     return ClassifyRecord(True, True, True, degree, best, best + 1)
 
 
+def beat_target_by_scan(p, x, mask, upward):
+    """u_x, the smallest element of the punctured up-set of x within
+    ``mask`` (upward), or d_x, the largest of its punctured down-set; None
+    if there is no such element.  Scans the punctured set for a member
+    whose cone holds all of it: the definition of a beat point, against
+    the one-bit cover test of ``reduction``."""
+    cone = p.up if upward else p.down
+    punctured = cone[x] & mask & ~(1 << x)
+    for t in bits(punctured):
+        if punctured & ~cone[t] == 0:  # every member lies in t's cone
+            return t
+    return None
+
+
+def beat_points_by_scan(p, basepoint, mask, upward=None):
+    """The up (upward=True), down (False) or all (None) beat points of the
+    subspace ``mask``, the basepoint excluded, by ``beat_target_by_scan``."""
+    ways = (False, True) if upward is None else (upward,)
+    return frozenset(x for x in bits(mask) if x != basepoint and any(
+        beat_target_by_scan(p, x, mask, w) is not None for w in ways))
+
+
 def standard_sequence_by_scan(p, basepoint=None):
     """The standard sequence with every beat target found by a scan of the
     punctured up- or down-set in the current subspace: the straightforward
     form of ``reduction.standard_sequence`` (default round limit).
-    Returns the (kind, domain, removed, mapping) of every step and the
-    surviving elements."""
+    Returns the (kind, domain, removed, mapping) of every step, with only
+    the moved points in the mapping, and the surviving elements."""
     mask = p.full_mask
     steps = []
     idle = rounds = 0
@@ -280,7 +300,7 @@ def standard_sequence_by_scan(p, basepoint=None):
     while rounds < 2 * max(p.n, 1) + 4 and idle < 2:
         one = {}
         for x in bits(mask):
-            t = None if x == basepoint else _beat_target(p, x, mask, upward)
+            t = None if x == basepoint else beat_target_by_scan(p, x, mask, upward)
             one[x] = x if t is None else t
         rounds += 1
         kind = BULK_UP if upward else BULK_DOWN
@@ -294,8 +314,9 @@ def standard_sequence_by_scan(p, basepoint=None):
             v = x
             while one[v] != v:
                 v = one[v]
-            mapping[x] = v
-        removed = frozenset(x for x, v in mapping.items() if v != x)
+            if v != x:
+                mapping[x] = v
+        removed = frozenset(mapping)
         steps.append((kind, mask, removed, mapping))
         for x in removed:
             mask &= ~(1 << x)
@@ -313,12 +334,15 @@ def core_by_rescan(p, basepoint=None):
     mask = p.full_mask
     steps = []
     while True:
-        candidates = beat_points(p, basepoint, mask)
+        candidates = beat_points_by_scan(p, basepoint, mask)
         if not candidates:
             break
         x = min(candidates)
-        step = remove_beat_point(p, x, basepoint, mask)
-        steps.append((step.kind, x, step.targets[x]))
+        d = beat_target_by_scan(p, x, mask, upward=False)
+        if d is not None:
+            steps.append((REMOVE_DOWN, x, d))
+        else:
+            steps.append((REMOVE_UP, x, beat_target_by_scan(p, x, mask, upward=True)))
         mask &= ~(1 << x)
     return steps, frozenset(bits(mask))
 

@@ -373,3 +373,29 @@ def test_parser_built_once(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "build_parser", rebuild)
     assert run(["contractible", str(DATA / "chain3.poset")]) == EXIT_OK
+
+
+def test_dot_escapes_quotes_backslashes_and_newlines(tmp_path, capsys):
+    labels = ['a"b', "c\\d", "e\nf"]
+    f = tmp_path / "odd.json"
+    f.write_text(json.dumps({"name": "odd", "elements": labels,
+                             "covers": [labels[:2], labels[1:]]}))
+    assert run(["dot", "--core-trace", str(f)]) == EXIT_OK
+    assert capsys.readouterr().out == "\n".join([
+        "digraph hasse {",
+        "  rankdir=BT;",
+        r'  n0 [label="a\"b", style=filled, fillcolor=gray80, xlabel="-> c\\d"];',
+        r'  n1 [label="c\\d", style=filled, fillcolor=gray80, xlabel="-> e\nf"];',
+        r'  n2 [label="e\nf"];',
+        "  n0 -> n1;",
+        "  n1 -> n2;",
+        "}",
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["gen", "chain", "-3"], ["gen", "antichain", "-2"],
+                                  ["gen", "random", "-4", "0.5"]])
+def test_gen_negative_size_is_input_error(argv, capsys):
+    assert run(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: ")

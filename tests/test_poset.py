@@ -315,6 +315,20 @@ class TestClassifyAgainstDFS:
             assert (rec.comparability_degree, rec.bp_step_bound) == (degree, steps)
             assert rec.bp_element_bound == steps + 1 and not rec.approximate
 
+    def test_state_budget_gives_the_approximate_record(self):
+        # K(8, 10) has no Hamiltonian path, so the search would expand
+        # about n * 2^n states; it stops at CLASSIFY_STATE_BUDGET pushes
+        # and reports the trivial bound instead.
+        import time
+
+        labels = [f"a{i}" for i in range(8)] + [f"b{j}" for j in range(10)]
+        k = Poset.from_covers(labels, [(a, b) for a in labels[:8] for b in labels[8:]])
+        start = time.process_time()
+        rec = classify(k)
+        assert time.process_time() - start < 1
+        assert rec.approximate and (rec.bp_step_bound, rec.bp_element_bound) == (17, 18)
+        assert rec.comparability_degree == 11
+
     def test_sixteen_elements_within_a_time_bound(self):
         # A Hamiltonian path exists, but the plain DFS from element 0 runs
         # for minutes before it finds one; with each state expanded once

@@ -24,9 +24,30 @@ from finspace.generators import random_poset
 from finspace.reduction import DismantlingTrace, RetractionStep
 
 from helpers import (
-    assert_same_poset, core_by_rescan, poset_by_closure, random_pairs,
-    standard_sequence_by_scan,
+    assert_same_poset, beat_points_by_scan, beat_target_by_scan, core_by_rescan,
+    poset_by_closure, random_pairs, standard_sequence_by_scan,
 )
+
+
+def _oracle_corpus():
+    """(poset, basepoint) pairs: the 320 seeded random posets and the
+    families, each unpointed and pointed."""
+    for seed in range(320):
+        n = 1 + seed % 30
+        p = random_poset(n, (0.1, 0.2, 0.3, 0.5)[seed % 4], seed)
+        yield p, None
+        yield p, (seed * 7) % n
+    for n in range(0, 14):
+        yield chain(n), None
+    for n in range(1, 16):
+        yield fence(n), None
+        yield fence(n), n // 2
+    for n in range(2, 7):
+        yield crown(n), None
+    for legs in ([1], [2, 2], [3, 1, 4], [5, 5], [2, 3, 4, 5]):
+        sp = spider(legs)
+        yield sp.poset, None
+        yield sp.poset, sp.basepoint
 
 
 class TestBeatPoints:
@@ -46,6 +67,36 @@ class TestBeatPoints:
     def test_basepoint_excluded(self):
         p = chain(3)
         assert 1 not in beat_points(p, basepoint=1)
+
+
+class TestBeatQueriesMatchScan:
+    """The one-bit cover tests against the punctured-set scan of the
+    definition, on the whole poset."""
+
+    def test_beat_point_sets(self):
+        for p, base in _oracle_corpus():
+            full = p.full_mask
+            assert up_beat_points(p, base) == beat_points_by_scan(p, base, full, upward=True)
+            assert down_beat_points(p, base) == beat_points_by_scan(p, base, full, upward=False)
+            assert beat_points(p, base) == beat_points_by_scan(p, base, full)
+            assert is_core(p, base) == (not beat_points_by_scan(p, base, full))
+
+    def test_remove_beat_point(self):
+        for p, base in _oracle_corpus():
+            for x in range(p.n):
+                d = beat_target_by_scan(p, x, p.full_mask, upward=False)
+                u = beat_target_by_scan(p, x, p.full_mask, upward=True)
+                for prefer_down in (True, False):
+                    if x == base or (d is None and u is None):
+                        with pytest.raises(NotABeatPoint):
+                            remove_beat_point(p, x, base, prefer_down=prefer_down)
+                        continue
+                    step = remove_beat_point(p, x, base, prefer_down=prefer_down)
+                    down = d is not None and (prefer_down or u is None)
+                    target = d if down else u
+                    assert step.kind == ("remove-down-beat" if down else "remove-up-beat")
+                    assert step.mapping == step.targets == {x: target}
+                    assert step.removed == {x} and step.domain == p.full_mask
 
 
 class TestRemoveBeatPoint:
@@ -101,7 +152,7 @@ class TestCore:
             p = random_poset(6, 0.4, seed)
             mask = p.full_mask
             while True:
-                cands = beat_points(p, None, mask)
+                cands = beat_points_by_scan(p, None, mask)
                 if not cands:
                     break
                 x = max(cands)
@@ -188,7 +239,7 @@ class TestCoreMatchesRescan:
 class TestBulkRetractions:
     def test_chain_bulk_up_to_top(self):
         step = bulk_up(chain(3))
-        assert step.mapping == {0: 2, 1: 2, 2: 2}
+        assert step.mapping == {0: 2, 1: 2}
         assert step.image_elements == {2}
 
     def test_crown_bulk_up_identity(self):
