@@ -308,15 +308,21 @@ def cmd_homology(args):
     doc = load_document(args.file)
     p = doc.to_poset()
     k = simplicial.order_complex(p, guard=args.max_enum)
-    prof = simplicial.homology(k, reduced=True, guard=args.max_enum)
+    # P is homotopy equivalent to its core, whose complex is a subcomplex of
+    # k; its groups above the core's dimension are zero
+    c = reduction.core(p).core
+    kc = k if c.n == p.n else simplicial.order_complex(c, guard=args.max_enum)
+    prof = simplicial.homology(kc, reduced=True, guard=args.max_enum)
+    degrees = [prof.degree(d) for d in range(k.dimension() + 1)]
+    betti = [b for b, _ in degrees]
     data = {
         "simplex_counts": [k.count(d) for d in range(k.dimension() + 1)],
         "euler_characteristic": k.euler_characteristic(),
-        "reduced_betti": list(prof.betti),
-        "torsion": [list(t) for t in prof.torsion],
+        "reduced_betti": betti,
+        "torsion": [list(t) for _, t in degrees],
         "acyclic": prof.is_acyclic(),
     }
-    _report(args, data, f"reduced betti {list(prof.betti)}")
+    _report(args, data, f"reduced betti {betti}")
     return EXIT_OK
 
 

@@ -6,12 +6,19 @@ acyclic.  Each boundary map is held as sparse columns, one
 ``{face index: +-1}`` dict per simplex, and its invariant factors are
 found in two stages:
 
-1. Unit-pivot elimination.  While some column has a +-1 entry, take the
-   shortest such column and in it the unit entry on the shortest row,
-   clear that row with integer column operations and drop the pivot's row
-   and column.  Dividing by +-1 is exact, so every step is unimodular:
-   the Smith form of the matrix is a 1 for the pivot followed by the
-   Smith form of the Schur complement that remains.
+1. Unit-pivot elimination, from the top dimension down.  While some
+   column has a +-1 entry, take the shortest such column and in it the
+   unit entry on the shortest row, clear that row with integer column
+   operations and drop the pivot's row and column.  Dividing by +-1 is
+   exact, so every step is unimodular: the Smith form of the matrix is a
+   1 for the pivot followed by the Smith form of the Schur complement
+   that remains.  Clearing: the rows R pivoted this way in
+   boundary_{d+1} are d-simplices, and their columns are dropped from
+   boundary_d before it is eliminated.  Up to column operations inside
+   the pivot columns J, the minor on R x J is triangular with +-1
+   diagonal, so the boundaries of J replace the basis vectors of R
+   unimodularly, and boundary_d sends them to 0.  Rows pivoted in stage 2
+   are not cleared: their minor need not be unimodular.
 2. The residual block, whose entries are all 0 or of absolute value at
    least 2, goes to a dense Smith normal form.  On order complexes it is
    usually empty; torsion such as the Z/2 of the projective plane comes
@@ -197,9 +204,9 @@ def _eliminate_unit_pivots(columns):
     the unit entry whose row has the fewest entries; the other columns
     through that row are cleared by adding an integer multiple of the
     pivot column, and the pivot's row and column are dropped.  Returns
-    the number of pivots and the nonzero residual columns, none of which
-    holds a unit entry; the invariant factors of the matrix are that many
-    1s followed by the invariant factors of the residual.
+    the pivot rows, in pivot order, and the nonzero residual columns,
+    none of which holds a unit entry; the invariant factors of the matrix
+    are one 1 per pivot followed by the invariant factors of the residual.
     """
     cols = {j: col for j, col in enumerate(columns) if col}
     rows = {}
@@ -208,7 +215,7 @@ def _eliminate_unit_pivots(columns):
             rows.setdefault(i, set()).add(j)
     heap = [(len(col), j) for j, col in cols.items()]
     heapify(heap)
-    pivots = 0
+    pivots = []
     while heap:
         size, j = heappop(heap)
         col = cols.get(j)
@@ -238,18 +245,18 @@ def _eliminate_unit_pivots(columns):
                 heappush(heap, (len(other), k))
             else:
                 del cols[k]
-        pivots += 1
+        pivots.append(r)
     return pivots, list(cols.values())
 
 
 def _invariant_factors(columns):
-    """Invariant factors of a sparse integer matrix (see the module
-    docstring): unit pivots first, then a dense Smith normal form of the
-    residual block only."""
+    """The unit-pivot rows and the invariant factors of a sparse integer
+    matrix (see the module docstring): unit pivots first, then a dense
+    Smith normal form of the residual block only."""
     pivots, residual = _eliminate_unit_pivots(columns)
     row_ids = sorted({i for col in residual for i in col})
     rows = [[col.get(i, 0) for col in residual] for i in row_ids]
-    return [1] * pivots + _smith_invariant_factors(rows, len(residual))
+    return pivots, [1] * len(pivots) + _smith_invariant_factors(rows, len(residual))
 
 
 def homology(k, reduced=False, guard=COMPLEX_GUARD):
@@ -267,11 +274,16 @@ def homology(k, reduced=False, guard=COMPLEX_GUARD):
     counts = [k.count(d) for d in range(dim + 1)]
     # factors[d] = invariant factors of boundary_d (d -> d-1); degree 0
     # boundary is zero unless reduced, where it maps onto the empty simplex.
+    # Top down, so the unit-pivot rows of boundary_{d+1} clear their
+    # columns of boundary_d (module docstring).
     factors = [[] for _ in range(dim + 2)]
+    cleared = set()
+    for d in range(dim, 0, -1):
+        upper = [s for j, s in enumerate(k.simplices[d]) if j not in cleared]
+        pivots, factors[d] = _invariant_factors(_boundary_columns(k.simplices[d - 1], upper))
+        cleared = set(pivots)
     if reduced:
-        factors[0] = _invariant_factors([{0: 1} for _ in range(counts[0])])
-    for d in range(1, dim + 1):
-        factors[d] = _invariant_factors(_boundary_columns(k.simplices[d - 1], k.simplices[d]))
+        factors[0] = _invariant_factors([{0: 1} for _ in range(counts[0] - len(cleared))])[1]
     betti = []
     torsion = []
     for d in range(dim + 1):
@@ -303,15 +315,18 @@ def is_gamma_point(p, x, guard=COMPLEX_GUARD):
     homology preservation only.  unknown is reserved for acyclic links
     whose deeper homotopical triviality could not be certified (the
     homology_yes verdict doubles as it; never returned otherwise).
-    The guard bounds the number of simplices of the order complex of the
-    link, which is built only when the link does not dismantle to a point.
+    The link is homotopy equivalent to its core, so its homology is
+    computed on the order complex of the core, which is built only when
+    the core is larger than a point; the guard bounds the simplices of
+    that complex, not of the link's.
     """
     lk = link(p, x)
     if lk.n == 0:
         return NO  # empty link: reduced H_{-1} nontrivial (isolated point)
-    if core(lk).is_point:
+    c = core(lk)
+    if c.is_point:
         return CERTIFIED_YES
-    prof = poset_homology(lk, reduced=True, guard=guard)
+    prof = poset_homology(c.core, reduced=True, guard=guard)
     if not prof.is_acyclic():
         return NO
     return HOMOLOGY_YES

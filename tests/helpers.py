@@ -10,7 +10,9 @@ from finspace.poset import (
     ClassifyRecord, Poset, _transitive_closure, bits, components, popcount,
 )
 from finspace.reduction import BULK_DOWN, BULK_UP, REMOVE_DOWN, REMOVE_UP
-from finspace.simplicial import HomologyProfile, _smith_invariant_factors
+from finspace.simplicial import (
+    CERTIFIED_YES, HOMOLOGY_YES, NO, HomologyProfile, _smith_invariant_factors, order_complex,
+)
 
 
 def all_labeled_posets(n):
@@ -59,6 +61,26 @@ def layered(width, depth):
     levels = [[f"l{i}_{j}" for j in range(width)] for i in range(depth)]
     covers = [(a, b) for lo, hi in zip(levels, levels[1:]) for a in lo for b in hi]
     return Poset.from_covers([x for level in levels for x in level], covers)
+
+
+def maxima_and_covers(p):
+    """Labels of the maximal elements of P and its covers by label."""
+    maxima = [p.labels[x] for x in range(p.n) if p.up[x] == 1 << x]
+    return maxima, [(p.labels[a], p.labels[b]) for a, b in p.covers]
+
+
+def with_tails(p, length):
+    """A chain of ``length`` points hung above each maximal element: the
+    new points are beat points, so the core is that of P."""
+    maxima, covers = maxima_and_covers(p)
+    labels = list(p.labels)
+    for m in maxima:
+        prev = m
+        for i in range(length):
+            labels.append(f"{m}_t{i}")
+            covers.append((prev, labels[-1]))
+            prev = labels[-1]
+    return Poset.from_covers(labels, covers)
 
 
 def crown_union(*ks):
@@ -379,6 +401,19 @@ def homology_dense(k, reduced=False):
         betti.append(counts[d] - len(factors[d]) - len(factors[d + 1]))
         torsion.append(tuple(f for f in factors[d + 1] if f > 1))
     return HomologyProfile(tuple(betti), tuple(torsion), reduced)
+
+
+def gamma_by_full_link(p, x):
+    """The verdict of ``simplicial.is_gamma_point`` decided on the whole
+    link of x: the link dismantles by ``core_by_rescan``, and its reduced
+    homology is the dense Smith normal form of the link's own order
+    complex (no guard), not of its core's."""
+    lk, _ = p.restrict([y for y in range(p.n) if y != x and p.comparable(x, y)])
+    if lk.n == 0:
+        return NO
+    if len(core_by_rescan(lk)[1]) == 1:
+        return CERTIFIED_YES
+    return HOMOLOGY_YES if homology_dense(order_complex(lk), reduced=True).is_acyclic() else NO
 
 
 def _joint_refine(p, q):

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from finspace import (
-    MonotoneMap, ParseError, antichain, chain, crown, enumerate_monotone, fence,
+    MonotoneMap, ParseError, Poset, antichain, chain, crown, enumerate_monotone, fence, homology,
+    link, order_complex,
 )
 from finspace.cli import (
     EXIT_GUARD,
@@ -21,6 +22,8 @@ from finspace.cli import (
     parse_poset,
     run,
 )
+
+from helpers import layered, with_tails
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -399,3 +402,38 @@ def test_gen_negative_size_is_input_error(argv, capsys):
     assert run(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("input error: ")
+
+
+def write_poset(tmp_path, p, name):
+    path = tmp_path / f"{name}.poset"
+    path.write_text(dump_document(document_from_poset(p, name)))
+    return str(path)
+
+
+def test_homology_of_lower_dimensional_core(tmp_path, capsys):
+    # 2-chain tails raise the 2-sphere to dimension 4; its core does not
+    p = with_tails(layered(2, 3), 2)
+    assert run(["--json", "homology", write_poset(tmp_path, p, "tails")]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    full = homology(order_complex(p), reduced=True)
+    assert len(data["simplex_counts"]) == 5
+    assert len(data["reduced_betti"]) == len(data["torsion"]) == 5
+    assert data["reduced_betti"] == list(full.betti) == [0, 0, 1, 0, 0]
+    assert data["torsion"] == [list(t) for t in full.torsion]
+    assert data["acyclic"] is False
+
+
+def test_gamma_guard_bounds_the_core_of_the_link(tmp_path, capsys):
+    # below a crown with tails, whose link has 44 chains and whose core,
+    # the crown, has 8; every other link has the bottom as its minimum
+    top = with_tails(crown(2), 2)
+    covers = [(top.labels[a], top.labels[b]) for a, b in top.covers]
+    covers += [("bottom", lab) for lab in ("a0", "a1")]
+    p = Poset.from_covers(["bottom", *top.labels], covers)
+    assert order_complex(link(p, p.index("bottom"))).total() == 44
+    path = write_poset(tmp_path, p, "cone")
+    assert run(["--json", "--max-enum", "8", "gamma", path]) == EXIT_OK
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts.pop("bottom") == "no"
+    assert set(verdicts.values()) == {"certified_yes"}
+    assert run(["--max-enum", "7", "gamma", path]) == EXIT_GUARD

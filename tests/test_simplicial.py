@@ -29,7 +29,9 @@ from finspace.simplicial import (
     _smith_invariant_factors,
 )
 
-from helpers import homology_dense, layered
+from helpers import (
+    boundary_rows, gamma_by_full_link, homology_dense, layered, maxima_and_covers, with_tails,
+)
 
 RP2_FACETS = [
     (1, 2, 3), (1, 3, 4), (1, 2, 6), (1, 4, 5), (1, 5, 6),
@@ -56,30 +58,11 @@ def face_poset(k):
     return Poset.from_covers(labels, covers)
 
 
-def maxima_and_covers(p):
-    """Labels of the maximal elements of P and its covers by label."""
-    maxima = [p.labels[x] for x in range(p.n) if p.up[x] == 1 << x]
-    return maxima, [(p.labels[a], p.labels[b]) for a, b in p.covers]
-
-
 def suspension(p):
     """Two incomparable points above everything."""
     maxima, covers = maxima_and_covers(p)
     covers += [(m, t) for m in maxima for t in ("top0", "top1")]
     return Poset.from_covers(list(p.labels) + ["top0", "top1"], covers)
-
-
-def with_tails(p, length):
-    """A chain of ``length`` points hung above each maximal element."""
-    maxima, covers = maxima_and_covers(p)
-    labels = list(p.labels)
-    for m in maxima:
-        prev = m
-        for i in range(length):
-            labels.append(f"{m}_t{i}")
-            covers.append((prev, labels[-1]))
-            prev = labels[-1]
-    return Poset.from_covers(labels, covers)
 
 
 class TestOrderComplex:
@@ -194,27 +177,71 @@ class TestHomology:
         assert prof.betti == (0, 1)
 
 
+def rp2_face_poset():
+    return face_poset(complex_from_facets(7, RP2_FACETS))
+
+
+def seeded_random_poset(seed):
+    return random_poset(4 + seed % 6, (0.2, 0.35, 0.5)[seed % 3], seed)
+
+
+def elimination_families():
+    """Spheres, wide layers, circles, contractible posets, the projective
+    plane and its suspension (Z/2 torsion) and spheres with tails."""
+    rp2 = rp2_face_poset()
+    cases = [layered(2, d + 1) for d in range(1, 5)]
+    cases += [layered(3, 3), layered(3, 4), layered(4, 3), layered(5, 2)]
+    cases += [crown(k) for k in range(2, 6)] + [fence(6), chain(5)]
+    cases += [rp2, suspension(rp2)]
+    cases += [with_tails(layered(2, 3), 2), with_tails(layered(2, 4), 1),
+              with_tails(crown(3), 2)]
+    return cases
+
+
+def factors_without_columns(rows, ncols, dropped):
+    """Nonzero invariant factors of a dense matrix without some columns."""
+    dropped = set(dropped)
+    keep = [j for j in range(ncols) if j not in dropped]
+    return _smith_invariant_factors([[row[j] for j in keep] for row in rows], len(keep))
+
+
 class TestSparseElimination:
     """The unit-pivot elimination against dense Smith normal form."""
 
     def test_families_match_dense(self):
-        rp2 = face_poset(complex_from_facets(7, RP2_FACETS))
-        cases = [layered(2, d + 1) for d in range(1, 5)]
-        cases += [layered(3, 3), layered(3, 4), layered(4, 3), layered(5, 2)]
-        cases += [crown(k) for k in range(2, 6)] + [fence(6), chain(5)]
-        cases += [rp2, suspension(rp2)]
-        cases += [with_tails(layered(2, 3), 2), with_tails(layered(2, 4), 1),
-                  with_tails(crown(3), 2)]
-        for p in cases:
+        for p in elimination_families():
             k = order_complex(p)
             for reduced in (False, True):
                 assert homology(k, reduced=reduced) == homology_dense(k, reduced=reduced)
+        rp2 = rp2_face_poset()
         assert poset_homology(rp2).torsion == ((), (2,), ())
         assert poset_homology(suspension(rp2)).torsion == ((), (), (2,), ())
 
+    def test_clearing_keeps_invariant_factors(self):
+        # the columns of boundary_d named by the unit-pivot rows of
+        # boundary_{d+1} can be dropped without changing its factors
+        complexes = [order_complex(p) for p in elimination_families()]
+        complexes += [order_complex(seeded_random_poset(seed)) for seed in range(200)]
+        for k in complexes:
+            # boundary_0 is the augmentation onto the empty simplex
+            dense = [[[1] * k.count(0)]]
+            dense += [boundary_rows(k.simplices[d - 1], k.simplices[d])
+                      for d in range(1, k.dimension() + 1)]
+            for d in range(k.dimension()):
+                cleared, _ = _invariant_factors(
+                    _boundary_columns(k.simplices[d], k.simplices[d + 1]))
+                assert factors_without_columns(dense[d], k.count(d), cleared) \
+                    == factors_without_columns(dense[d], k.count(d), ())
+        # a chain complex whose boundary_{d+1} = (2, 3)^T has no unit pivot:
+        # the dense stage pivots a row, and dropping either column of
+        # boundary_d = (-3 2) would turn its factor 1 into 2 or 3
+        cleared, factors = _invariant_factors([{0: 2, 1: 3}])
+        assert factors == [1]
+        assert factors_without_columns([[-3, 2]], 2, cleared) == [1]
+
     def test_random_posets_match_dense(self):
         for seed in range(300):
-            p = random_poset(4 + seed % 6, (0.2, 0.35, 0.5)[seed % 3], seed)
+            p = seeded_random_poset(seed)
             k = order_complex(p)
             reduced = bool(seed & 1)
             assert homology(k, reduced=reduced) == homology_dense(k, reduced=reduced)
@@ -225,15 +252,15 @@ class TestSparseElimination:
         k = complex_from_facets(7, RP2_FACETS)
         pivots, residual = _eliminate_unit_pivots(
             _boundary_columns(k.simplices[1], k.simplices[2]))
-        assert pivots == 9
+        assert len(pivots) == 9
         assert len(residual) == 1 and {abs(v) for v in residual[0].values()} == {2}
-        assert _invariant_factors(_boundary_columns(k.simplices[1], k.simplices[2])) \
+        assert _invariant_factors(_boundary_columns(k.simplices[1], k.simplices[2]))[1] \
             == [1] * 9 + [2]
 
     def test_unit_free_matrix_goes_to_residual(self):
         pivots, residual = _eliminate_unit_pivots([{0: 2, 1: 4}, {0: 6}])
-        assert pivots == 0 and residual == [{0: 2, 1: 4}, {0: 6}]
-        assert _invariant_factors([{0: 2, 1: 4}, {0: 6}]) == [2, 12]
+        assert pivots == [] and residual == [{0: 2, 1: 4}, {0: 6}]
+        assert _invariant_factors([{0: 2, 1: 4}, {0: 6}]) == ([], [2, 12])
 
     def test_invariant_factors_match_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -247,7 +274,7 @@ class TestSparseElimination:
             want = [abs(int(f)) for f in invariant_factors(sympy.Matrix(rows)) if f]
             columns = [{i: rows[i][j] for i in range(nr) if rows[i][j]} for j in range(nc)]
             assert _smith_invariant_factors(rows, nc) == want
-            assert _invariant_factors(columns) == want
+            assert _invariant_factors(columns)[1] == want
 
 
 class TestLink:
@@ -295,6 +322,15 @@ class TestGammaPoints:
         covers += [(lab, "top") for lab in f.labels]
         p = Poset.from_covers(labels, covers)
         assert is_gamma_point(p, p.index("top")) == CERTIFIED_YES
+
+
+    def test_core_link_matches_full_link(self):
+        cases = [seeded_random_poset(seed) for seed in range(200)]
+        cases += [with_tails(layered(2, d + 1), 2) for d in (1, 2, 3)]
+        cases += [crown(k) for k in range(2, 6)] + [rp2_face_poset()]
+        for p in cases:
+            for x in range(p.n):
+                assert is_gamma_point(p, x) == gamma_by_full_link(p, x)
 
 
 class TestInvariance:
