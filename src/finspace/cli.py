@@ -138,10 +138,12 @@ def load_document(path):
             text = fh.read()
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8: {e}") from e
     if str(path).endswith(".json"):
         try:
             data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as e:
+        except (ValueError, RecursionError) as e:  # ValueError: bad syntax or a huge int
             raise ParseError(f"bad JSON in {path}: {e}") from e
         try:
             return parse_json_document(data)
@@ -205,31 +207,42 @@ def _basepoint(args, doc, p):
     return doc.basepoint_id(p) if args.pointed else None
 
 
+GEN_FAMILIES = {  # family -> (generator, parameter names); spider takes any number
+    "chain": (generators.chain, ("n",)), "antichain": (generators.antichain, ("n",)),
+    "fence": (generators.fence, ("n",)), "crown": (generators.crown, ("n",)),
+    "khalimsky": (generators.khalimsky_interval, ("a", "b")),
+    "random": (generators.random_poset, ("n", "edge_prob")),
+    "spider": (generators.spider, ("leg_length",)),
+}
+
+
 def cmd_gen(args):
-    family = args.family
-    params = args.params
-    if family == "chain":
-        p = generators.chain(int(params[0]))
-    elif family == "antichain":
-        p = generators.antichain(int(params[0]))
-    elif family == "fence":
-        p = generators.fence(int(params[0]))
-    elif family == "crown":
-        p = generators.crown(int(params[0]))
-    elif family == "khalimsky":
-        p = generators.khalimsky_interval(int(params[0]), int(params[1]))
-    elif family == "spider":
-        pp = generators.spider([int(x) for x in params])
-        doc = document_from_poset(pp.poset, "spider", pp.basepoint)
-        sys.stdout.write(dump_document(doc, args.json))
-        return EXIT_OK
-    elif family == "random":
-        n, prob = int(params[0]), float(params[1])
-        p = generators.random_poset(n, prob, args.seed)
-    else:
+    family, params = args.family, args.params
+    if family not in GEN_FAMILIES:
         raise ValidationError(f"unknown family {family!r}")
-    name = f"{family}{'_'.join(str(x) for x in params)}"
-    sys.stdout.write(dump_document(document_from_poset(p, name), args.json))
+    gen, names = GEN_FAMILIES[family]
+    if family == "spider":
+        names *= len(params)
+    elif len(params) != len(names):
+        raise ValidationError(f"gen {family} takes {len(names)} parameter(s) "
+                              f"({' '.join(names)}), got {len(params)}")
+    nums = []
+    for pname, v in zip(names, params):
+        kind, what = (float, "a number") if pname == "edge_prob" else (int, "an integer")
+        try:
+            nums.append(kind(v))
+        except ValueError:
+            raise ValidationError(f"gen {family}: {pname} must be {what}, got {v!r}") from None
+    try:
+        if family == "spider":
+            pp = gen(nums)
+            p, base, name = pp.poset, pp.basepoint, "spider"
+        else:
+            p = gen(*nums, args.seed) if family == "random" else gen(*nums)
+            base, name = None, f"{family}{'_'.join(params)}"
+    except ValueError as e:  # a value out of the family's range
+        raise ValidationError(f"gen {family}: {e}") from e
+    sys.stdout.write(dump_document(document_from_poset(p, name, base), args.json))
     return EXIT_OK
 
 
@@ -241,7 +254,7 @@ def cmd_core(args):
         {
             "kind": s.kind,
             "removed": [p.labels[x] for x in sorted(s.removed)],
-            "target": {p.labels[x]: p.labels[t] for x, t in s.targets.items()},
+            "target": {p.labels[x]: p.labels[t] for x, t in s.mapping.items()},
         }
         for s in res.trace.steps
     ]
@@ -277,9 +290,11 @@ def cmd_homotopy_eq(args):
     doc1 = load_document(args.file)
     doc2 = load_document(args.file2)
     p, q = doc1.to_poset(), doc2.to_poset()
-    ev = homotopy.are_homotopy_equivalent(
-        p, q, _basepoint(args, doc1, p), _basepoint(args, doc2, q)
-    )
+    base_p, base_q = _basepoint(args, doc1, p), _basepoint(args, doc2, q)
+    if (base_p is None) != (base_q is None):
+        raise ValidationError(f"--pointed needs a basepoint in both files or in neither, "
+                              f"but only {args.file if base_q is None else args.file2} has one")
+    ev = homotopy.are_homotopy_equivalent(p, q, base_p, base_q)
     data = {
         "equivalent": ev.equivalent,
         "core_size_1": ev.core_p.core.n,
@@ -454,7 +469,7 @@ def run(argv=None):
     except GuardExceeded as e:
         print(f"guard exceeded: {e}", file=sys.stderr)
         return EXIT_GUARD
-    except (ParseError, ValidationError, FinspaceError, ValueError, IndexError) as e:
+    except FinspaceError as e:  # ParseError and ValidationError among them
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import GuardExceeded, HeightExceeded
 from .maps import enumerate_monotone
-from .poset import bfs_layers, bits, components, shortest_path
+from .poset import shortest_path
 from .reduction import core
 
 
@@ -264,7 +264,7 @@ def are_isomorphic(p, q, fix=None):
     cells define a bijection, returned once its up-set images and the
     basepoint check out; a failed check moves on to the next branch.
     """
-    if p.n != q.n or len(p.covers) != len(q.covers):
+    if p.n != q.n or _cover_count(p) != _cover_count(q):
         return None
     if p.n == 0:
         return IsoWitness(())
@@ -356,16 +356,14 @@ def brute_force_homotopy_equivalent(p, q, guard=10**6):
 
 def _class_representatives(c):
     """The lowest-index map of each comparability component of c."""
-    return [c.assignments[(part & -part).bit_length() - 1]
-            for part in components(c.comparability_mask, len(c))]
+    return [c.assignments[min(part)] for part in c._comparability_components()]
 
 
 def _identity_class(c):
     """The assignments in the comparability component of the identity."""
-    reached = 0
-    for layer in bfs_layers(c.comparability_mask, c.identity_index()):
-        reached |= layer
-    return {c.assignments[i] for i in bits(reached)}
+    ident = c.identity_index()
+    return next({c.assignments[i] for i in part}
+                for part in c._comparability_components() if ident in part)
 
 
 def is_contractible(p):
@@ -376,9 +374,13 @@ def is_contractible(p):
     return core(p).is_point
 
 
+def _cover_count(p):
+    return sum(map(int.bit_count, p.upper_covers))
+
+
 def _is_tree(p):
     """True iff the cover graph is connected and acyclic."""
-    return len(p.covers) == p.n - 1 and len(p.components()) == 1
+    return _cover_count(p) == p.n - 1 and len(p.components()) == 1
 
 
 def _check_height1(p):

@@ -5,10 +5,10 @@ module is the data model everything else builds on.  Elements are dense
 integer ids 0..n-1 with a label table.  The full reflexive-transitive
 closure is stored as per-element bitmasks (``down[i]`` holds every id
 below-or-equal to i, ``up[i]`` every id above-or-equal), so order queries
-are single mask operations.  The cover relation (Hasse diagram) is kept
-alongside as the transitive reduction, both as a pair set and as
-per-element lower- and upper-cover masks; every other module reads the
-masks rather than rebuilding them.
+are single mask operations.  The cover relation (Hasse diagram), the
+transitive reduction, is stored once, as per-element lower- and
+upper-cover masks; ``covers``, the pair set, is read off the upper-cover
+masks when it is asked for.
 
 Posets built from pairs, restricted, quotiented, dismantled or taken as
 a function-space order all come from ``Poset._from_successors``, given a
@@ -28,7 +28,7 @@ function ``nbrs(v) -> mask``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CycleError, DuplicateLabel, EmptyPoset, UnknownLabel
 
@@ -160,28 +160,22 @@ class Poset:
         labels: element names, index = element id.
         down: down[i] = bitmask of {j : j <= i} (includes i).
         up:   up[i]   = bitmask of {j : i <= j} (includes i).
-        covers: set of pairs (a, b) with b covering a.
         lower_covers: lower_covers[i] = bitmask of the elements i covers.
         upper_covers: upper_covers[i] = bitmask of the elements covering i.
-            Both are the Hasse diagram of ``covers`` as masks, passed as
-            the pair ``cover_masks`` or derived from ``covers``.
+            The two are the Hasse diagram, stored nowhere else.
+        covers: (property) the set of pairs (a, b) with b covering a.
     """
 
-    __slots__ = ("n", "labels", "down", "up", "covers", "lower_covers", "upper_covers",
+    __slots__ = ("n", "labels", "down", "up", "lower_covers", "upper_covers",
                  "full_mask", "_index")
 
-    def __init__(self, labels, down, up, covers, cover_masks=None):
+    def __init__(self, labels, down, up, lower_covers, upper_covers):
         self.n = len(labels)
         self.labels = list(labels)
         self.down = list(down)
         self.up = list(up)
-        self.covers = frozenset(covers)
-        if cover_masks is None:
-            cover_masks = [0] * self.n, [0] * self.n
-            for a, b in self.covers:
-                cover_masks[0][b] |= 1 << a
-                cover_masks[1][a] |= 1 << b
-        self.lower_covers, self.upper_covers = map(list, cover_masks)
+        self.lower_covers = list(lower_covers)
+        self.upper_covers = list(upper_covers)
         self.full_mask = (1 << self.n) - 1
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
@@ -250,14 +244,12 @@ class Poset:
             upper[v] = succ[v] & ~beyond
         down = [1 << v for v in range(n)]
         lower = [0] * n
-        covers = []
         for v in order:
             for w in bits(upper[v]):
                 down[w] |= down[v]
                 lower[w] |= 1 << v
-                covers.append((v, w))
         up = [reach[v] | (1 << v) for v in range(n)]
-        return cls(labels, down, up, covers, (lower, upper))
+        return cls(labels, down, up, lower, upper)
 
     # -- basic queries --------------------------------------------------
 
@@ -266,6 +258,11 @@ class Poset:
 
     def __repr__(self):
         return f"Poset({self.n} elements, {len(self.covers)} covers)"
+
+    @property
+    def covers(self):
+        """The pairs (a, b), b covering a, read off ``upper_covers`` anew."""
+        return frozenset((a, b) for a, m in enumerate(self.upper_covers) for b in bits(m))
 
     def index(self, label):
         try:
@@ -382,8 +379,7 @@ class Poset:
 
     def dual(self):
         """The opposite poset (order reversed)."""
-        return Poset(self.labels, self.up, self.down, {(b, a) for a, b in self.covers},
-                     (self.upper_covers, self.lower_covers))
+        return Poset(self.labels, self.up, self.down, self.upper_covers, self.lower_covers)
 
     def same_order(self, other):
         """Equality of carrier and relation (same ids and labels)."""
@@ -435,13 +431,6 @@ class Preorder:
 
     def leq(self, x, y):
         return bool(self.rel[x] >> y & 1)
-
-    def is_partial_order(self):
-        return all(
-            not (self.rel[i] >> j & 1 and self.rel[j] >> i & 1)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
 
 
 def kolmogorov_quotient(q):

@@ -23,7 +23,7 @@ for a single-point step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NotABeatPoint
 from .maps import MonotoneMap
@@ -83,17 +83,19 @@ class RetractionStep:
     """One comparative retraction in a dismantling.
 
     ``domain`` is the subspace the step acts on, as a bitmask of start
-    ids.  mapping sends the moved elements, exactly the removed ones, to
-    their images and fixes every element missing from it: a single-point
-    step stores ``{x: target}``, an identity step ``{}``.  targets
-    records the absorbing element u_x or d_x for single-point removals.
+    ids.  ``mapping`` sends the moved elements, exactly the removed ones
+    (``removed`` is its key set), to their images and fixes every other
+    element: a single-point step stores ``{x: target}``, target the
+    absorbing d_x or u_x, an identity step ``{}``.
     """
 
     kind: str
     domain: int
-    removed: frozenset
     mapping: dict
-    targets: dict = field(default_factory=dict)
+
+    @property
+    def removed(self):
+        return frozenset(self.mapping)
 
     @property
     def domain_elements(self):
@@ -141,7 +143,7 @@ class DismantlingTrace:
                            tuple(comp[i] for i in range(self.start.n)))
 
     def effective_steps(self):
-        return [s for s in self.steps if s.removed]
+        return [s for s in self.steps if s.mapping]
 
 
 def remove_beat_point(p, x, basepoint=None, prefer_down=True):
@@ -152,7 +154,7 @@ def remove_beat_point(p, x, basepoint=None, prefer_down=True):
     if beat is None:
         raise NotABeatPoint(f"element {p.labels[x]!r} is not a beat point")
     kind, target = beat
-    return RetractionStep(kind, p.full_mask, frozenset({x}), {x: target}, {x: target})
+    return RetractionStep(kind, p.full_mask, {x: target})
 
 
 @dataclass
@@ -160,9 +162,12 @@ class CoreResult:
     """Core subspace, its Poset form, and the dismantling that produced it."""
 
     core: Poset
-    core_elements: frozenset
     relabel: dict  # original id -> id in core
     trace: DismantlingTrace
+
+    @property
+    def core_elements(self):  # as start ids: what the trace leaves
+        return self.trace.final
 
     @property
     def is_point(self):
@@ -225,7 +230,7 @@ def core(p, basepoint=None):
         if beat is None:
             continue
         kind, target = beat
-        steps.append(RetractionStep(kind, mask, frozenset((x,)), {x: target}, {x: target}))
+        steps.append(RetractionStep(kind, mask, {x: target}))
         mask ^= bit
         candidates |= _unlink(p, lower, upper, mask, x) & ~fixed
     keep = list(bits(mask))
@@ -237,8 +242,7 @@ def core(p, basepoint=None):
             m |= 1 << relabel[b]
         succ.append(m)
     sub = Poset._from_successors([p.labels[i] for i in keep], succ)
-    final = frozenset(keep)
-    return CoreResult(sub, final, relabel, DismantlingTrace(p, steps, final))
+    return CoreResult(sub, relabel, DismantlingTrace(p, steps, frozenset(keep)))
 
 
 def _bulk_step(covers, mask, upward, basepoint=None):
@@ -257,7 +261,7 @@ def _bulk_step(covers, mask, upward, basepoint=None):
         while v in one:
             v = one[v]
         mapping[x] = v
-    return RetractionStep(BULK_UP if upward else BULK_DOWN, mask, frozenset(mapping), mapping)
+    return RetractionStep(BULK_UP if upward else BULK_DOWN, mask, mapping)
 
 
 def bulk_up(p):
@@ -294,12 +298,12 @@ def standard_sequence(p, basepoint=None, max_rounds=None):
         step = _bulk_step(upper if upward else lower, mask, upward, basepoint)
         rounds += 1
         upward = not upward
-        if not step.removed:
+        if not step.mapping:
             idle += 1
             continue
         idle = 0
         steps.append(step)
-        for x in step.removed:
+        for x in step.mapping:
             mask &= ~(1 << x)
             _unlink(p, lower, upper, mask, x)
     return DismantlingTrace(p, steps, frozenset(bits(mask)), stabilized=idle >= 2)
@@ -334,11 +338,8 @@ def verify_strong_deformation(trace, guard=4096):
         return DeformationVerdict(False, True)
     if any(comp[x] != x for x in trace.final):
         return DeformationVerdict(False, True)
-    for step in trace.steps:
-        if not step.is_comparative(start):
-            return DeformationVerdict(False, True)
-        if step.removed & step.image_elements:
-            return DeformationVerdict(False, True)
+    if not all(step.is_comparative(start) for step in trace.steps):
+        return DeformationVerdict(False, True)
     if start.n == 0:
         return DeformationVerdict(True, True)
     try:

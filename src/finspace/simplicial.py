@@ -283,7 +283,7 @@ def homology(k, reduced=False, guard=COMPLEX_GUARD):
         pivots, factors[d] = _invariant_factors(_boundary_columns(k.simplices[d - 1], upper))
         cleared = set(pivots)
     if reduced:
-        factors[0] = _invariant_factors([{0: 1} for _ in range(counts[0] - len(cleared))])[1]
+        factors[0] = [1] if counts[0] > len(cleared) else []
     betti = []
     torsion = []
     for d in range(dim + 1):

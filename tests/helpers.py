@@ -254,8 +254,12 @@ def poset_by_closure(labels, pairs):
         for j in bits(reach[i]):
             inv[j] |= 1 << i
     covers = {(a, b) for a in range(n) for b in bits(reach[a]) if reach[a] & inv[b] == 0}
+    lower, upper = [0] * n, [0] * n
+    for a, b in covers:
+        lower[b] |= 1 << a
+        upper[a] |= 1 << b
     return Poset(labels, [inv[i] | (1 << i) for i in range(n)],
-                 [reach[i] | (1 << i) for i in range(n)], covers)
+                 [reach[i] | (1 << i) for i in range(n)], lower, upper)
 
 
 def classify_by_dfs(p, exact_limit=24):

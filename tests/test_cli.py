@@ -404,6 +404,49 @@ def test_gen_negative_size_is_input_error(argv, capsys):
     assert captured.out == "" and captured.err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "chain"], "gen chain takes 1 parameter(s) (n), got 0"),
+    (["gen", "chain", "x"], "gen chain: n must be an integer, got 'x'"),
+    (["gen", "khalimsky", "3"], "gen khalimsky takes 2 parameter(s) (a b), got 1"),
+    (["gen", "random", "5", "1.5"], "gen random: edge_prob must lie in [0, 1]"),
+    (["gen", "random", "5", "half"], "gen random: edge_prob must be a number, got 'half'"),
+    (["gen", "spider", "2", "0"], "gen spider: leg lengths must be >= 1"),
+    (["--pointed", "homotopy-eq", str(DATA / "spider22.poset"), str(DATA / "chain3.poset")],
+     "--pointed needs a basepoint in both files or in neither, but only "
+     f"{DATA / 'spider22.poset'} has one"),
+], ids=["gen-no-params", "gen-not-int", "gen-too-few", "gen-prob-range", "gen-not-number",
+        "gen-spider-leg", "pointed-one-basepoint"])
+def test_input_errors_name_the_problem(argv, message, capsys):
+    assert run(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {message}\n"
+
+
+def test_undecodable_files_are_input_errors(tmp_path, capsys):
+    binary = tmp_path / "binary.poset"
+    binary.write_bytes(b"\xff\xfe")
+    assert run(["core", str(binary)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"input error: {binary} is not UTF-8: ")
+    # an integer past the interpreter's digit limit makes json raise a bare ValueError
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"elements": [], "covers": [], "name": ' + "1" * 5000 + "}")
+    assert run(["core", str(huge)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: bad ") and str(huge) in err
+
+
+def test_internal_error_is_not_an_input_error(monkeypatch):
+    # only FinspaceError is input error; a bug surfaces as itself
+    import finspace.reduction
+
+    def broken(p, basepoint=None):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(finspace.reduction, "core", broken)
+    with pytest.raises(IndexError):
+        run(["core", str(DATA / "chain3.poset")])
+
+
 def write_poset(tmp_path, p, name):
     path = tmp_path / f"{name}.poset"
     path.write_text(dump_document(document_from_poset(p, name)))

@@ -161,7 +161,8 @@ class TestAlgebra:
                 constant(p, p, y)  # no exception
 
     def test_monotonicity_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^not monotone: 0 <= 1 but images are "
+                                             r"incomparable-or-reversed$"):
             MonotoneMap(chain(2), chain(2), (1, 0))
 
     def test_compose_fence_shifts(self):

@@ -17,6 +17,7 @@ from finspace import (
     fence,
     kolmogorov_quotient,
 )
+from finspace.poset import bits
 
 from helpers import (
     assert_same_poset, classify_by_dfs, poset_by_closure, random_pairs,
@@ -225,7 +226,12 @@ class TestBuilderAgainstClosure:
 
     def test_from_covers(self):
         for _, labels, pairs in self.cases():
-            assert_same_poset(Poset.from_covers(labels, pairs), poset_by_closure(labels, pairs))
+            p = Poset.from_covers(labels, pairs)
+            assert_same_poset(p, poset_by_closure(labels, pairs))
+            # the pair set is read off the masks, and either mask gives it
+            from_lower = {(a, b) for b, m in enumerate(p.lower_covers) for a in bits(m)}
+            from_upper = {(a, b) for a, m in enumerate(p.upper_covers) for b in bits(m)}
+            assert p.covers == from_lower == from_upper
 
     def test_restrict(self):
         for rng, labels, pairs in self.cases():
@@ -242,6 +248,7 @@ class TestBuilderAgainstClosure:
         for _, labels, pairs in self.cases():
             p = Poset.from_covers(labels, pairs)
             assert_same_poset(p.dual(), poset_by_closure(labels, [(b, a) for a, b in pairs]))
+            assert p.dual().covers == {(b, a) for a, b in p.covers}
 
     def test_kolmogorov_quotient(self):
         for rng, labels, pairs in self.cases():

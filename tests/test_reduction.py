@@ -95,7 +95,7 @@ class TestBeatQueriesMatchScan:
                     down = d is not None and (prefer_down or u is None)
                     target = d if down else u
                     assert step.kind == ("remove-down-beat" if down else "remove-up-beat")
-                    assert step.mapping == step.targets == {x: target}
+                    assert step.mapping == {x: target}
                     assert step.removed == {x} and step.domain == p.full_mask
 
 
@@ -180,7 +180,7 @@ def _core_steps(res):
     out = []
     for step in res.trace.steps:
         (x,) = step.removed
-        out.append((step.kind, x, step.targets[x]))
+        out.append((step.kind, x, step.mapping[x]))
     return out
 
 
@@ -355,8 +355,7 @@ class TestVerifyStrongDeformation:
 
     def test_non_comparative_fake_rejected(self):
         p = fence(3)  # map x2 to x0: not comparative
-        fake = RetractionStep("remove-up-beat", p.full_mask, frozenset({2}),
-                              {0: 0, 1: 1, 2: 0}, {2: 0})
+        fake = RetractionStep("remove-up-beat", p.full_mask, {2: 0})
         tr = DismantlingTrace(p, [fake], frozenset({0, 1}))
         assert not verify_strong_deformation(tr)
 
