@@ -345,18 +345,13 @@ def cmd_function_space(args):
     doc1 = load_document(args.file)
     doc2 = load_document(args.file2)
     x, y = doc1.to_poset(), doc2.to_poset()
-    c = maps.enumerate_monotone(x, y, guard=args.max_enum)
-    classes = maps.homotopy_classes(c)
-    id_class = None
-    if x.up == y.up:  # the identity is monotone X -> Y
-        idx = c.identity_index()
-        id_class = next(len(part) for part in classes if idx in part)
+    map_count, class_count, id_class = maps.function_space_counts(x, y, guard=args.max_enum)
     data = {
-        "map_count": len(c),
-        "class_count": len(classes),
+        "map_count": map_count,
+        "class_count": class_count,
         "identity_class_size": id_class,
     }
-    _report(args, data, f"{len(c)} maps in {len(classes)} homotopy classes")
+    _report(args, data, f"{map_count} maps in {class_count} homotopy classes")
     return EXIT_OK
 
 
@@ -388,7 +383,15 @@ def cmd_topology_check(args):
     doc1 = load_document(args.file)
     doc2 = load_document(args.file2)
     x, y = doc1.to_poset(), doc2.to_poset()
-    c = maps.enumerate_monotone(x, y, guard=args.max_enum)
+    # more maps than the down-set guard are counted, not listed
+    try:
+        c = maps.enumerate_monotone(x, y, guard=min(args.max_enum, topology.DOWNSET_GUARD))
+    except GuardExceeded:
+        if args.max_enum <= topology.DOWNSET_GUARD:
+            raise
+        # the count passes the down-set guard, so this raises its message
+        topology.check_downset_guard(maps.count_monotone(x, y, guard=args.max_enum))
+        raise
     check = topology.compact_open_check(x, y, c)
     data = {
         "map_count": len(c),

@@ -329,12 +329,13 @@ def brute_force_homotopy_equivalent(p, q, guard=10**6):
     """Independent oracle: search for f: P->Q, g: Q->P with g o f
     homotopic to id_P and f o g homotopic to id_Q.
 
-    Homotopy is decided through comparability components of the function
-    posets themselves, never through cores; correct for finite inputs
-    only.  Used to validate are_homotopy_equivalent in tests.  f <= f'
-    implies g o f <= g o f' and f o g <= f' o g (and likewise for g), so
-    the classes of the composites depend only on the classes of f and g,
-    and one representative of each class of C(P,Q) and of C(Q,P) is tried.
+    Homotopy is decided by the one-point cover moves of the function
+    posets themselves (``FunctionPoset.class_roots``), never through
+    cores; correct for finite inputs only.  Used to validate
+    are_homotopy_equivalent in tests.  f <= f' implies g o f <= g o f'
+    and f o g <= f' o g (and likewise for g), so the classes of the
+    composites depend only on the classes of f and g, and one
+    representative of each class of C(P,Q) and of C(Q,P) is tried.
     """
     if p.n == 0 or q.n == 0:
         return p.n == q.n
@@ -355,15 +356,15 @@ def brute_force_homotopy_equivalent(p, q, guard=10**6):
 
 
 def _class_representatives(c):
-    """The lowest-index map of each comparability component of c."""
-    return [c.assignments[min(part)] for part in c._comparability_components()]
+    """The lowest-index map of each homotopy class of c."""
+    return [c.assignments[i] for i, k in enumerate(c.class_roots()) if k == i]
 
 
 def _identity_class(c):
-    """The assignments in the comparability component of the identity."""
-    ident = c.identity_index()
-    return next({c.assignments[i] for i in part}
-                for part in c._comparability_components() if ident in part)
+    """The assignments in the homotopy class of the identity."""
+    roots = c.class_roots()
+    ident = roots[c.identity_index()]
+    return {a for a, k in zip(c.assignments, roots) if k == ident}
 
 
 def is_contractible(p):

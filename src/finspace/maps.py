@@ -17,13 +17,17 @@ larger core it runs the kernel with each point removed from its own
 domain, stops at the first map, and lifts it to X through the core
 retraction.  Its guard counts search nodes, not maps.
 ``count_monotone`` counts by a dynamic program over the cover relation
-without listing any map.
+without listing any map, placing the positions in a low-frontier order.
 
-``FunctionPoset`` builds its pointwise order (m^2 bits for m maps) only
-when it is read, and finds homotopy classes through the cores: f ~ g in
-C(X, Y) exactly when r_Y o f o i_X ~ r_Y o g o i_X in C(X_c, Y_c), since
-i o r ~ id on both sides (Stong 1966).  So only the order of the smaller
-C(X_c, Y_c) is built, unless X and Y are both cores.
+Homotopy classes come from one union-find kernel over one-point cover
+moves, ``FunctionPoset.class_roots``, which never builds the m^2
+pointwise order of m maps.  ``FunctionPoset`` runs it on the cores: f ~ g
+in C(X, Y) exactly when r_Y o f o i_X ~ r_Y o g o i_X in C(X_c, Y_c),
+since i o r ~ id on both sides (Stong 1966).  ``function_space_counts``
+describes C(X, Y) without listing it: the count of maps, the classes of
+C(X_c, Y_c), and the identity class as one more count.  The pointwise
+order is built only when read, for the topology check and for minimal
+comparability chains.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GuardExceeded
-from .poset import Poset, bits, components, shortest_path
+from .poset import Poset, bfs_layers, bits, shortest_path
 
 DEFAULT_MAP_GUARD = 10**6
 
@@ -182,17 +186,26 @@ class FunctionPoset:
     indices are reproducible.  The strict pointwise order, m^2 bits for m
     maps, is built only when it is read: ``_strict_up`` by ``leq`` and
     ``order`` (the explicit Poset over map indices that the topology
-    check uses), both masks by ``comparability_mask``.
+    check uses), both masks by ``comparability_mask``.  No class
+    computation reads it.
+
+    ``class_roots`` partitions the maps by one-point cover moves.  If
+    f <= g, a chain of maps from f to g exists in which each step raises
+    one value f(x) to an upper cover of it (raise f at a maximal point
+    where it differs from g; Barmak, LNM 2032, 1.2), so the comparability
+    components are the components of the graph joining f to f[x -> w]
+    for w an upper cover of f(x).  Such a move is monotone exactly when
+    w <= f(y) for every upper cover y of x, so the graph is read off the
+    cover masks and each neighbour is found by one lookup in ``_index``.
 
     ``components`` finds the homotopy classes through the cores.  With
     r_Y the core retraction of Y and i_X the inclusion of the core of X,
     f ~ g in C(X, Y) exactly when r_Y o f o i_X ~ r_Y o g o i_X in
     C(X_c, Y_c): composition respects homotopy, and i o r ~ id on both
     sides (Stong 1966) takes a homotopy of the composites back to one of
-    f and g.  So only the much smaller C(X_c, Y_c) is partitioned by
-    comparability, and each map is labelled by the class of its
-    composite; the order of C(X, Y) itself is built only when X and Y
-    are both cores.
+    f and g.  So the moves run on the much smaller C(X_c, Y_c), and each
+    map is labelled by the class of its composite; they run on C(X, Y)
+    itself only when X and Y are both cores.
     """
 
     def __init__(self, domain, codomain, assignments):
@@ -256,10 +269,38 @@ class FunctionPoset:
     def comparability_mask(self, i):
         return self._strict_up[i] | self._strict_down[i]
 
-    def _comparability_components(self):
-        """Components of the comparability graph of the pointwise order."""
-        return [frozenset(bits(c))
-                for c in components(self.comparability_mask, len(self.assignments))]
+    def class_roots(self):
+        """The lowest map index in the homotopy class of each map, found by
+        union-find over the one-point cover moves of C itself."""
+        above = [list(bits(c)) for c in self.domain.upper_covers]
+        y_down, y_covers = self.codomain.down, self.codomain.upper_covers
+        index = self._index
+        parent = list(range(len(self.assignments)))
+        for j, a in enumerate(self.assignments):
+            for x, v in enumerate(a):
+                moves = y_covers[v]
+                if not moves:
+                    continue
+                for b in above[x]:
+                    moves &= y_down[a[b]]
+                while moves:
+                    w = moves & -moves
+                    moves ^= w
+                    k = index[a[:x] + (w.bit_length() - 1,) + a[x + 1:]]
+                    # union of the two roots, the lower one kept
+                    while parent[k] != k:
+                        parent[k] = k = parent[parent[k]]
+                    r = j
+                    while parent[r] != r:
+                        parent[r] = r = parent[parent[r]]
+                    if r < k:
+                        parent[k] = r
+                    elif k < r:
+                        parent[r] = k
+        # parent[i] <= i, so one ascending pass reaches every root
+        for i, p in enumerate(parent):
+            parent[i] = parent[p]
+        return parent
 
     def components(self):
         """Partition of map indices into homotopy classes, ordered by
@@ -269,22 +310,20 @@ class FunctionPoset:
 
         cx, cy = core(x), core(y)
         if cx.core.n == x.n and cy.core.n == y.n:
-            return self._comparability_components()
-        small = enumerate_monotone(cx.core, cy.core, guard=len(self.assignments))
-        classes = small._comparability_components()
-        if len(classes) == 1:
-            return [frozenset(range(len(self.assignments)))]
-        label = [0] * len(small)
-        for k, part in enumerate(classes):
-            for i in part:
-                label[i] = k
-        keep = sorted(cx.core_elements)  # i_X: core id -> id in X
-        r = cy.trace.composed
-        retract = [cy.relabel[r[v]] for v in range(y.n)]  # r_Y: id in Y -> core id
-        index = small._index
+            roots = self.class_roots()
+        else:
+            small = enumerate_monotone(cx.core, cy.core, guard=len(self.assignments))
+            small_roots = small.class_roots()
+            if small_roots and not any(small_roots):  # one class
+                return [frozenset(range(len(self.assignments)))]
+            keep = sorted(cx.core_elements)  # i_X: core id -> id in X
+            r = cy.trace.composed
+            retract = [cy.relabel[r[v]] for v in range(y.n)]  # r_Y: id in Y -> core id
+            index = small._index
+            roots = [small_roots[index[tuple(retract[a[c]] for c in keep)]]
+                     for a in self.assignments]
         parts = {}  # insertion order is the order of lowest index
-        for i, a in enumerate(self.assignments):
-            k = label[index[tuple(retract[a[c]] for c in keep)]]
+        for i, k in enumerate(roots):
             parts.setdefault(k, []).append(i)
         return [frozenset(part) for part in parts.values()]
 
@@ -318,43 +357,49 @@ def enumerate_monotone(x, y, guard=DEFAULT_MAP_GUARD):
     return FunctionPoset(x, y, assignments)
 
 
-def count_monotone(x, y, guard=DEFAULT_MAP_GUARD):
-    """Number of monotone maps X -> Y, counted without listing them.
+def _frontier_order(nbrs):
+    """The vertices of the graph with neighbour masks ``nbrs`` in
+    breadth-first order, each component entered at one of its vertices of
+    lowest degree, so that few placed vertices have an unplaced neighbour."""
+    order = []
+    seen = 0
+    for s in sorted(range(len(nbrs)), key=lambda i: nbrs[i].bit_count()):
+        if not seen >> s & 1:
+            for layer in bfs_layers(nbrs.__getitem__, s):
+                order.extend(bits(layer))
+                seen |= layer
+    return order
 
-    A map is monotone when it is monotone on every cover a < b of X.  A
-    dynamic program runs over the positions in id order and keys its
-    table on the values of the open positions, the assigned ones that
-    still have a cover to a later position; each entry counts the
-    partial maps that agree with it.  Each position takes the values
-    allowed by every open position comparable to it (its covers among
-    them), so no partial map that cannot be monotone is kept.  Raises
-    GuardExceeded when the count passes ``guard``, or when the table
-    would hold more than ``guard`` entries, which bounds its memory and
-    the work of every step.
-    """
+
+def _count_partial_maps(x, y, domains, guard):
+    """The count of ``count_monotone`` with only its table bounded."""
     n = x.n
     if n == 0:
         return 1
-    last_use = [max(i, (lo | up).bit_length() - 1)
-                for i, (lo, up) in enumerate(zip(x.lower_covers, x.upper_covers))]
-    full = y.full_mask
+    nbrs = [lo | up for lo, up in zip(x.lower_covers, x.upper_covers)]
+    order = _frontier_order(nbrs)
+    rank = [0] * n
+    for k, i in enumerate(order):
+        rank[i] = k
+    last_use = [max([rank[i]] + [rank[j] for j in bits(nbrs[i])]) for i in range(n)]
     table = {(): 1}
     open_ = []  # positions in the table's keys, in key order
-    for i in range(n):
-        below, above = x.down[i], x.up[i]
-        # (key slot, cone) of every open position comparable to i
-        cones = [(k, y.up if below >> j & 1 else y.down)
-                 for k, j in enumerate(open_) if (below | above) >> j & 1]
-        kept = [k for k, j in enumerate(open_) if last_use[j] > i]
-        stays_open = last_use[i] > i
+    for k, i in enumerate(order):
+        below = x.lower_covers[i]
+        # (key slot, cone) of every open cover of i
+        cones = [(s, y.up if below >> j & 1 else y.down)
+                 for s, j in enumerate(open_) if nbrs[i] >> j & 1]
+        kept = [s for s, j in enumerate(open_) if last_use[j] > k]
+        stays_open = last_use[i] > k
+        start = y.full_mask if domains is None else domains[i]
         new = {}
         for key, c in table.items():
-            allowed = full
-            for k, cone in cones:
-                allowed &= cone[key[k]]
+            allowed = start
+            for s, cone in cones:
+                allowed &= cone[key[s]]
             if not allowed:
                 continue
-            base = tuple(key[k] for k in kept)
+            base = tuple(key[s] for s in kept)
             if stays_open:
                 for v in bits(allowed):
                     nk = base + (v,)
@@ -365,11 +410,63 @@ def count_monotone(x, y, guard=DEFAULT_MAP_GUARD):
                 raise GuardExceeded(f"more than {guard} partial-map states",
                                     count=len(new))
         table = new
-        open_ = [open_[k] for k in kept] + ([i] if stays_open else [])
-    count = sum(table.values())
+        open_ = [open_[s] for s in kept] + ([i] if stays_open else [])
+    return sum(table.values())
+
+
+def count_monotone(x, y, guard=DEFAULT_MAP_GUARD, domains=None):
+    """Number of monotone maps X -> Y, counted without listing them; with
+    ``domains``, only those with a[i] in ``domains[i]`` for every i.
+
+    A map is monotone when it is monotone on every cover a < b of X.  A
+    dynamic program places the positions in a low-frontier order
+    (breadth-first over the undirected Hasse diagram, from a lowest-degree
+    element of each component) and keys its table on the values of the
+    open positions, the placed ones that still have an unplaced cover;
+    each entry counts the partial maps that agree with it.  Each position
+    takes the values of its domain allowed by its open covers.  The table
+    is exponential in the number of open positions, which the order keeps
+    small: along a path of covers only one is open at a time.  Raises
+    GuardExceeded when the count passes ``guard``, or when the table
+    would hold more than ``guard`` entries, which bounds its memory and
+    the work of every step.
+    """
+    count = _count_partial_maps(x, y, domains, guard)
     if count > guard:
         raise GuardExceeded(f"more than {guard} monotone maps", count=count)
     return count
+
+
+def function_space_counts(x, y, guard=DEFAULT_MAP_GUARD):
+    """(map_count, class_count, identity_class_size) of C(X, Y), computed
+    without listing C(X, Y).
+
+    ``map_count`` is the dynamic program of ``count_monotone``.
+    ``class_count`` is the number of classes of C(X_c, Y_c), found by
+    ``FunctionPoset.class_roots``: f -> r_Y o f o i_X is a bijection of
+    homotopy classes (Stong 1966).  ``identity_class_size`` is None
+    unless X and Y are the same order.  Then f ~ id_X exactly when
+    r o f o i ~ id on the core, and on a core only the identity is
+    homotopic to the identity (Stong 1966), so the class is counted with
+    the domain of each core point c narrowed to r^-1(c).  ``guard``
+    bounds the work only: the maps of C(X_c, Y_c) and the table entries
+    of each count, not the maps of C(X, Y).
+    """
+    from .reduction import core
+
+    cx, cy = core(x), core(y)
+    roots = enumerate_monotone(cx.core, cy.core, guard=guard).class_roots()
+    class_count = len(set(roots))
+    map_count = _count_partial_maps(x, y, None, guard)
+    identity_class = None
+    if x.up == y.up:
+        domains = [x.full_mask] * x.n
+        for c in cx.core_elements:
+            domains[c] = 0
+        for v, c in cx.trace.composed.items():
+            domains[c] |= 1 << v
+        identity_class = _count_partial_maps(x, x, domains, guard)
+    return map_count, class_count, identity_class
 
 
 def is_homotopic(c, f, g):
@@ -387,7 +484,8 @@ def is_homotopic(c, f, g):
 
 
 def homotopy_classes(c):
-    """Partition of map indices into homotopy classes (graph components)."""
+    """Partition of map indices into homotopy classes, through the cores
+    (``FunctionPoset.components``)."""
     return c.components()
 
 

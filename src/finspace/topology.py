@@ -74,7 +74,9 @@ def is_down_set(p, mask):
     return all(p.down[x] & ~mask == 0 for x in bits(mask))
 
 
-def _check_downset_guard(n, guard):
+def check_downset_guard(n, guard=DOWNSET_GUARD):
+    """Raise GuardExceeded when the down-sets of n elements, up to 2**n of
+    them, would be listed or counted past ``guard`` elements."""
     if n > guard:
         raise GuardExceeded(
             f"down-set enumeration over {n} > {guard} elements", count=2**n
@@ -87,7 +89,7 @@ def alexandroff_topology(p, guard=DOWNSET_GUARD):
     ``guard`` bounds the elements of P, so the family held in memory has
     at most 2**guard sets.
     """
-    _check_downset_guard(p.n, guard)
+    check_downset_guard(p.n, guard)
     principals = [p.down[x] for x in range(p.n)]
     fam = {0}
     frontier = {0}
@@ -282,7 +284,7 @@ def compact_open_check(x, y, c, sub=None):
     counted, and so the count's memory; it is checked before any set
     family is built.
     """
-    _check_downset_guard(len(c), DOWNSET_GUARD)
+    check_downset_guard(len(c))
     if sub is None:
         sub = compact_open_subbasis(x, y, c)
     min_open = minimal_opens(sub)

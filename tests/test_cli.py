@@ -337,6 +337,44 @@ def test_function_space_chain4_to_chain40(tmp_path, capsys):
     assert capsys.readouterr().err == "123410 maps in 1 homotopy classes\n"
 
 
+def test_function_space_counts_past_the_map_guard(tmp_path, capsys):
+    # 2,554,364,527,963 maps, counted: --max-enum bounds the core maps and
+    # the table of the count, not C(X, Y)
+    path = _poset_file(tmp_path, fence(30), "fence30")
+    assert run(["--json", "function-space", path, path]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "map_count": 2554364527963, "class_count": 1, "identity_class_size": 2554364527963}
+
+
+@pytest.mark.parametrize("max_enum, message", [
+    (None, "down-set enumeration over 100 > 20 elements"),
+    ("50", "more than 50 monotone maps"),
+    ("10", "more than 10 monotone maps"),
+])
+def test_topology_check_stops_listing_at_the_down_set_guard(tmp_path, capsys, monkeypatch,
+                                                            max_enum, message):
+    # antichain(2) -> antichain(10) has 100 maps: past the 20-map guard
+    # they are counted, not listed
+    from finspace import maps
+
+    listed = 0
+    kernel = maps._iter_assignments
+
+    def counting_kernel(*args, **kwargs):
+        nonlocal listed
+        for a in kernel(*args, **kwargs):
+            listed += 1
+            yield a
+
+    monkeypatch.setattr(maps, "_iter_assignments", counting_kernel)
+    x = _poset_file(tmp_path, antichain(2), "antichain2")
+    y = _poset_file(tmp_path, antichain(10), "antichain10")
+    flags = [] if max_enum is None else ["--max-enum", max_enum]
+    assert run([*flags, "topology-check", x, y]) == EXIT_GUARD
+    assert capsys.readouterr() == ("", f"guard exceeded: {message}\n")
+    assert 0 < listed <= 21
+
+
 def test_function_space_matches_comparability_oracle(tmp_path, capsys):
     from helpers import components_by_comparability, crown_union, with_beat_points
 

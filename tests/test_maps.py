@@ -20,8 +20,8 @@ from finspace import (
     min_contraction_chain,
 )
 from finspace.generators import random_poset
-from finspace.maps import _iter_assignments, count_monotone
-from finspace.poset import bits
+from finspace.maps import _iter_assignments, count_monotone, function_space_counts
+from finspace.poset import Poset, bits
 from finspace.reduction import core, is_core, remove_beat_point
 
 from helpers import (
@@ -109,12 +109,18 @@ class TestEnumeration:
         assert count_monotone(antichain(6), chain(3), guard=729) == 729
         with pytest.raises(GuardExceeded, match="more than 728 monotone maps"):
             count_monotone(antichain(6), chain(3), guard=728)
-        # the open positions of antichain(3) below a top element take 4**3
-        # values before the top is assigned
+        # in id order the open positions of antichain(3) below a top element
+        # took 4**3 values before the top was assigned; the frontier order
+        # places the top second, so the table never holds more than 4 entries
         x = poset_by_closure(["a", "b", "c", "t"], [("a", "t"), ("b", "t"), ("c", "t")])
+        assert count_monotone(x, antichain(4), guard=4) == 4
+        # every order of K(3,3) keeps three positions open: 100 entries into
+        # chain(4), while the count is 442
+        mins, maxs = ["a1", "a2", "a3"], ["b1", "b2", "b3"]
+        k33 = poset_by_closure(mins + maxs, [(a, b) for a in mins for b in maxs])
         with pytest.raises(GuardExceeded, match="more than 20 partial-map states"):
-            count_monotone(x, antichain(4), guard=20)
-        assert count_monotone(x, antichain(4)) == 4
+            count_monotone(k33, chain(4), guard=20)
+        assert count_monotone(k33, chain(4)) == 442
 
     def test_order_matches_closure(self):
         posets = [chain(3), fence(4), antichain(2), crown(2)]
@@ -383,3 +389,93 @@ class TestIsRetraction:
         p = chain(2)
         kind = is_retraction(p, constant(p, p, 1), {0, 1})
         assert not kind
+
+
+def _partition(roots):
+    """Map indices grouped by class root, ordered by lowest index."""
+    parts = {}
+    for i, k in enumerate(roots):
+        parts.setdefault(k, set()).add(i)
+    return [frozenset(part) for part in parts.values()]
+
+
+def _shuffled(p, seed):
+    """p with its element ids permuted."""
+    labels = list(p.labels)
+    random.Random(seed).shuffle(labels)
+    return Poset.from_covers(labels, [(p.labels[a], p.labels[b]) for a, b in p.covers])
+
+
+class TestCountingPath:
+    def test_counts_match_the_listing_oracle(self):
+        rng = random.Random(20261018)
+        seen = {"both cores": 0, "one core": 0, "no core": 0, "self-maps": 0,
+                "several classes": 0}
+        done = 0
+        while done < 300:
+            x = random_poset(rng.randint(0, 6), rng.choice([0.2, 0.4, 0.6]),
+                             rng.randrange(1 << 30))
+            self_map = rng.random() < 0.4
+            y = x if self_map else random_poset(rng.randint(0, 6), rng.choice([0.2, 0.4, 0.6]),
+                                                rng.randrange(1 << 30))
+            if count_monotone(x, y, guard=10**6) > 1500:
+                continue
+            c = enumerate_monotone(x, y)
+            classes = components_by_comparability(c)
+            expected_id = None
+            if x.up == y.up:
+                ident = c.identity_index()
+                expected_id = len(next(part for part in classes if ident in part))
+            assert function_space_counts(x, y) == (len(c), len(classes), expected_id)
+            cores = is_core(x) + is_core(y)
+            seen[["no core", "one core", "both cores"][cores]] += 1
+            seen["self-maps"] += self_map
+            seen["several classes"] += len(classes) > 1
+            done += 1
+        assert min(seen.values()) >= 20, seen
+        assert seen["self-maps"] >= 90, seen
+
+    def test_move_kernel_matches_comparability_oracle(self):
+        rng = random.Random(20261020)
+        done = 0
+        while done < 200:
+            x, y = _class_corpus_poset(rng), _class_corpus_poset(rng)
+            if count_monotone(x, y, guard=10**6) > 1000:
+                continue
+            c = enumerate_monotone(x, y)
+            roots = c.class_roots()
+            expected = components_by_comparability(c)
+            assert _partition(roots) == expected
+            assert all(roots[i] == min(part) for part in expected for i in part)
+            done += 1
+
+    def test_count_with_domains_matches_filtered_enumeration(self):
+        rng = random.Random(11)
+        for x, y in random_pairs_of_posets(12, 200, 6):
+            domains = [rng.randrange(1 << y.n) | rng.randrange(1 << y.n) for _ in range(x.n)]
+            expected = [a for a in enumerate_monotone(x, y).assignments
+                        if all(domains[i] >> v & 1 for i, v in enumerate(a))]
+            assert count_monotone(x, y, domains=domains) == len(expected)
+
+    def test_crown6_counts_in_any_id_order(self):
+        # in id order the six minima stayed open together and the table
+        # passed 10**6 entries; the frontier order keeps four positions open
+        assert count_monotone(crown(6), crown(6)) == 64044
+        for seed in range(3):
+            assert count_monotone(_shuffled(crown(6), seed), _shuffled(crown(6), seed)) == 64044
+
+    def test_counts_past_the_map_guard(self):
+        # the guard bounds the core maps and the table, not C(X, Y)
+        assert function_space_counts(fence(30), fence(30), guard=1000) == (
+            2554364527963, 1, 2554364527963)
+        with pytest.raises(GuardExceeded, match="more than 8 monotone maps"):
+            function_space_counts(crown(2), crown(2), guard=8)
+        with pytest.raises(GuardExceeded, match="more than 10 partial-map states"):
+            function_space_counts(fence(30), fence(30), guard=10)
+
+    def test_no_pointwise_order_is_built(self):
+        # both sides are cores, so the moves run on C(X, Y) itself
+        c = enumerate_monotone(crown(3), crown_union(2, 2))
+        classes = homotopy_classes(c)
+        assert "_strict_up" not in vars(c) and "_strict_down" not in vars(c)
+        assert classes == components_by_comparability(c)
