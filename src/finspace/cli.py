@@ -389,9 +389,8 @@ def cmd_topology_check(args):
     except GuardExceeded:
         if args.max_enum <= topology.DOWNSET_GUARD:
             raise
-        # the count passes the down-set guard, so this raises its message
+        # the count is above the down-set guard, so this raises its message
         topology.check_downset_guard(maps.count_monotone(x, y, guard=args.max_enum))
-        raise
     check = topology.compact_open_check(x, y, c)
     data = {
         "map_count": len(c),

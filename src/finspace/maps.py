@@ -21,11 +21,11 @@ without listing any map, placing the positions in a low-frontier order.
 
 Homotopy classes come from one union-find kernel over one-point cover
 moves, ``FunctionPoset.class_roots``, which never builds the m^2
-pointwise order of m maps.  ``FunctionPoset`` runs it on the cores: f ~ g
-in C(X, Y) exactly when r_Y o f o i_X ~ r_Y o g o i_X in C(X_c, Y_c),
-since i o r ~ id on both sides (Stong 1966).  ``function_space_counts``
-describes C(X, Y) without listing it: the count of maps, the classes of
-C(X_c, Y_c), and the identity class as one more count.  The pointwise
+pointwise order of m maps.  ``function_space_counts`` describes C(X, Y)
+without listing it: the count of maps, the classes of C(X_c, Y_c) (f ~ g
+in C(X, Y) exactly when r_Y o f o i_X ~ r_Y o g o i_X there, since
+i o r ~ id on both sides; Stong 1966), and the identity class as one
+more count.  The pointwise
 order is built only when read, for the topology check and for minimal
 comparability chains.
 """
@@ -197,15 +197,7 @@ class FunctionPoset:
     for w an upper cover of f(x).  Such a move is monotone exactly when
     w <= f(y) for every upper cover y of x, so the graph is read off the
     cover masks and each neighbour is found by one lookup in ``_index``.
-
-    ``components`` finds the homotopy classes through the cores.  With
-    r_Y the core retraction of Y and i_X the inclusion of the core of X,
-    f ~ g in C(X, Y) exactly when r_Y o f o i_X ~ r_Y o g o i_X in
-    C(X_c, Y_c): composition respects homotopy, and i o r ~ id on both
-    sides (Stong 1966) takes a homotopy of the composites back to one of
-    f and g.  So the moves run on the much smaller C(X_c, Y_c), and each
-    map is labelled by the class of its composite; they run on C(X, Y)
-    itself only when X and Y are both cores.
+    ``components`` groups the maps by these roots.
     """
 
     def __init__(self, domain, codomain, assignments):
@@ -304,26 +296,9 @@ class FunctionPoset:
 
     def components(self):
         """Partition of map indices into homotopy classes, ordered by
-        lowest index, found through the cores of X and Y."""
-        x, y = self.domain, self.codomain
-        from .reduction import core
-
-        cx, cy = core(x), core(y)
-        if cx.core.n == x.n and cy.core.n == y.n:
-            roots = self.class_roots()
-        else:
-            small = enumerate_monotone(cx.core, cy.core, guard=len(self.assignments))
-            small_roots = small.class_roots()
-            if small_roots and not any(small_roots):  # one class
-                return [frozenset(range(len(self.assignments)))]
-            keep = sorted(cx.core_elements)  # i_X: core id -> id in X
-            r = cy.trace.composed
-            retract = [cy.relabel[r[v]] for v in range(y.n)]  # r_Y: id in Y -> core id
-            index = small._index
-            roots = [small_roots[index[tuple(retract[a[c]] for c in keep)]]
-                     for a in self.assignments]
+        lowest index, from ``class_roots``."""
         parts = {}  # insertion order is the order of lowest index
-        for i, k in enumerate(roots):
+        for i, k in enumerate(self.class_roots()):
             parts.setdefault(k, []).append(i)
         return [frozenset(part) for part in parts.values()]
 
@@ -372,7 +347,9 @@ def _frontier_order(nbrs):
 
 
 def _count_partial_maps(x, y, domains, guard):
-    """The count of ``count_monotone`` with only its table bounded."""
+    """The count of ``count_monotone``, of the maps with a[i] in
+    ``domains[i]`` for every i when ``domains`` is given, with only its
+    table bounded."""
     n = x.n
     if n == 0:
         return 1
@@ -414,9 +391,8 @@ def _count_partial_maps(x, y, domains, guard):
     return sum(table.values())
 
 
-def count_monotone(x, y, guard=DEFAULT_MAP_GUARD, domains=None):
-    """Number of monotone maps X -> Y, counted without listing them; with
-    ``domains``, only those with a[i] in ``domains[i]`` for every i.
+def count_monotone(x, y, guard=DEFAULT_MAP_GUARD):
+    """Number of monotone maps X -> Y, counted without listing them.
 
     A map is monotone when it is monotone on every cover a < b of X.  A
     dynamic program places the positions in a low-frontier order
@@ -424,14 +400,14 @@ def count_monotone(x, y, guard=DEFAULT_MAP_GUARD, domains=None):
     element of each component) and keys its table on the values of the
     open positions, the placed ones that still have an unplaced cover;
     each entry counts the partial maps that agree with it.  Each position
-    takes the values of its domain allowed by its open covers.  The table
-    is exponential in the number of open positions, which the order keeps
+    takes the values allowed by its open covers.  The table is
+    exponential in the number of open positions, which the order keeps
     small: along a path of covers only one is open at a time.  Raises
     GuardExceeded when the count passes ``guard``, or when the table
     would hold more than ``guard`` entries, which bounds its memory and
     the work of every step.
     """
-    count = _count_partial_maps(x, y, domains, guard)
+    count = _count_partial_maps(x, y, None, guard)
     if count > guard:
         raise GuardExceeded(f"more than {guard} monotone maps", count=count)
     return count
@@ -484,7 +460,7 @@ def is_homotopic(c, f, g):
 
 
 def homotopy_classes(c):
-    """Partition of map indices into homotopy classes, through the cores
+    """Partition of map indices into homotopy classes
     (``FunctionPoset.components``)."""
     return c.components()
 

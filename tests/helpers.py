@@ -109,7 +109,7 @@ def with_beat_points(p, rng, k):
 def components_by_comparability(c):
     """Homotopy classes of the function poset ``c`` as the components of
     the comparability graph of its own pointwise order: the straightforward
-    form of ``FunctionPoset.components``, without the cores."""
+    form of ``FunctionPoset.components``, without the move kernel."""
     return [frozenset(bits(part)) for part in components(c.comparability_mask, len(c))]
 
 
