@@ -42,6 +42,7 @@ from .maps import (
     is_homotopic,
     is_retraction,
     min_contraction_chain,
+    verify_strong_deformation,
 )
 from .poset import (
     ClassifyRecord,
@@ -63,7 +64,6 @@ from .reduction import (
     remove_beat_point,
     standard_sequence,
     up_beat_points,
-    verify_strong_deformation,
 )
 from .simplicial import (
     HomologyProfile,

@@ -27,7 +27,9 @@ in C(X, Y) exactly when r_Y o f o i_X ~ r_Y o g o i_X there, since
 i o r ~ id on both sides; Stong 1966), and the identity class as one
 more count.  The pointwise
 order is built only when read, for the topology check and for minimal
-comparability chains.
+comparability chains, among them the one ``verify_strong_deformation``
+asks for: a chain in C(X, X) from the identity to the composed map of a
+dismantling trace, through maps that fix the surviving subspace.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from functools import cached_property
 
 from .errors import GuardExceeded
 from .poset import Poset, bfs_layers, bits, shortest_path
+from .reduction import core
 
 DEFAULT_MAP_GUARD = 10**6
 
@@ -428,8 +431,6 @@ def function_space_counts(x, y, guard=DEFAULT_MAP_GUARD):
     bounds the work only: the maps of C(X_c, Y_c) and the table entries
     of each count, not the maps of C(X, Y).
     """
-    from .reduction import core
-
     cx, cy = core(x), core(y)
     roots = enumerate_monotone(cx.core, cy.core, guard=guard).class_roots()
     class_count = len(set(roots))
@@ -481,6 +482,52 @@ def min_contraction_chain(x, guard=DEFAULT_MAP_GUARD):
     return len(chain) - 1
 
 
+@dataclass
+class DeformationVerdict:
+    """Outcome of verify_strong_deformation; full=False means only the
+    retraction and comparativity clauses were checked."""
+
+    ok: bool
+    full: bool
+
+    def __bool__(self):
+        return self.ok
+
+
+def verify_strong_deformation(trace, guard=4096):
+    """Certify that a trace realizes a strong deformation retraction.
+
+    Checks that the composed map retracts onto the final subspace, that
+    every step is comparative, and (when C(X,X) fits in the guard) that
+    the composed map is joined to the identity by a comparability chain
+    whose every node fixes the final subspace pointwise.
+    """
+    start = trace.start
+    comp = trace.composed
+    if frozenset(comp.values()) != trace.final and trace.final:
+        return DeformationVerdict(False, True)
+    if any(comp[x] != x for x in trace.final):
+        return DeformationVerdict(False, True)
+    if not all(step.is_comparative(start) for step in trace.steps):
+        return DeformationVerdict(False, True)
+    if start.n == 0:
+        return DeformationVerdict(True, True)
+    try:
+        count_monotone(start, start, guard=guard)
+    except GuardExceeded:
+        return DeformationVerdict(True, False)
+    c = enumerate_monotone(start, start, guard=guard)
+    allowed = sum(1 << i for i, a in enumerate(c.assignments)
+                  if all(a[x] == x for x in trace.final))
+    target = c.index_of(tuple(comp[i] for i in range(start.n)))
+    ident = c.identity_index()
+    if not (allowed >> ident & 1 and allowed >> target & 1):
+        return DeformationVerdict(False, True)
+    # a chain through maps fixing the final subspace
+    chain = shortest_path(c.comparability_mask, ident, 1 << target, allowed)
+    return DeformationVerdict(chain is not None, True)
+
+
 def has_fpp(x, guard=DEFAULT_MAP_GUARD):
     """Fixed point property of X, decided on its core.
 
@@ -496,8 +543,6 @@ def has_fpp(x, guard=DEFAULT_MAP_GUARD):
     retraction: a fixed point of g o r would lie in the core and be fixed
     by g, so the witness has none.  ``guard`` bounds the search nodes.
     """
-    from .reduction import core
-
     res = core(x)
     if res.is_point:
         return True, None

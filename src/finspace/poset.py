@@ -41,10 +41,6 @@ def bits(mask):
         mask ^= lsb
 
 
-def popcount(mask):
-    return mask.bit_count()
-
-
 def bfs_layers(nbrs, start, allowed=-1):
     """Yield the BFS frontiers from ``start`` as masks.
 
@@ -95,21 +91,6 @@ def shortest_path(nbrs, start, goals_mask, allowed=-1):
             return path
         layers.append(layer)
     return None
-
-
-def _transitive_closure(adj):
-    """Warshall closure of an adjacency list of bitmasks, O(n^2) mask tests.
-
-    Only for preorders, where cycles are legal; posets use the
-    topological-order builder ``Poset._from_successors``."""
-    reach = list(adj)
-    n = len(reach)
-    for k in range(n):
-        rk = reach[k]
-        for i in range(n):
-            if reach[i] >> k & 1:
-                reach[i] |= rk
-    return reach
 
 
 def _on_cycle(succ, left):
@@ -307,7 +288,7 @@ class Poset:
         """Length of the longest chain minus one."""
         if self.n == 0:
             raise EmptyPoset("height of the empty poset is undefined")
-        order = sorted(range(self.n), key=lambda i: popcount(self.down[i]))
+        order = sorted(range(self.n), key=lambda i: self.down[i].bit_count())
         h = [0] * self.n
         for i in order:
             below = self.down[i] & ~(1 << i)
@@ -413,17 +394,26 @@ class Preorder:
 
     @classmethod
     def from_pairs(cls, labels, pairs):
+        """The preorder generated by the (lower, upper) label pairs: rel[i]
+        is everything ``bfs_layers`` reaches from i along them, since
+        cycles are legal here and no topological order exists."""
         labels = list(labels)
         index = {lab: i for i, lab in enumerate(labels)}
         if len(index) != len(labels):
             raise DuplicateLabel("duplicate labels")
         n = len(labels)
-        adj = [1 << i for i in range(n)]
+        adj = [0] * n
         for a, b in pairs:
             if a not in index or b not in index:
                 raise UnknownLabel(f"unknown label in pair ({a!r}, {b!r})")
             adj[index[a]] |= 1 << index[b]
-        return cls(labels, _transitive_closure(adj))
+        rel = []
+        for i in range(n):
+            reach = 0
+            for layer in bfs_layers(adj.__getitem__, i):
+                reach |= layer
+            rel.append(reach)
+        return cls(labels, rel)
 
     @classmethod
     def from_poset(cls, p):
@@ -461,6 +451,8 @@ def kolmogorov_quotient(q):
     return Poset._from_successors(labels, succ), proj
 
 
+# Elements up to which ``classify`` searches for the longest path at all.
+CLASSIFY_EXACT_LIMIT = 24
 CLASSIFY_STATE_BUDGET = 200_000
 
 
@@ -481,28 +473,28 @@ class ClassifyRecord:
     approximate: bool = False
 
 
-def classify(p, exact_limit=24):
+def classify(p):
     """Predicate record for a finite poset.
 
     The bounded-paths number is the length of the longest simple path in
-    the comparability graph.  It is exact for |P| <= exact_limit and
-    replaced by the trivial bound n-1 (flagged approximate) above it.
+    the comparability graph.  It is exact for |P| <= CLASSIFY_EXACT_LIMIT
+    and replaced by the trivial bound n-1 (flagged approximate) above it.
     The search is depth-first on an explicit stack over states (visited
     mask, end vertex).  How a path can go on depends only on its state,
-    and its length is popcount(visited) - 1, so each state is expanded
+    and its length is visited.bit_count() - 1, so each state is expanded
     once (``seen[visited]`` holds the ends already taken): at most
     n * 2^n states, against every simple path for a plain DFS.  It stops
     as soon as it finds a path through all n elements.  At most
     ``CLASSIFY_STATE_BUDGET`` states are pushed, which bounds the memo
     and the stack, and the work to n neighbour tests per state; past it
-    the record is the approximate one, as above ``exact_limit``.
+    the record is the approximate one, as above ``CLASSIFY_EXACT_LIMIT``.
     """
     n = p.n
-    degree = max((popcount(p.comparability_mask(x)) + 1 for x in range(n)), default=0)
+    degree = max((p.comparability_mask(x).bit_count() + 1 for x in range(n)), default=0)
     if n == 0:
         return ClassifyRecord(True, True, True, 0, 0, 0)
     approximate = ClassifyRecord(True, True, True, degree, n - 1, n, approximate=True)
-    if n > exact_limit:
+    if n > CLASSIFY_EXACT_LIMIT:
         return approximate
     adj = [p.comparability_mask(x) for x in range(n)]
     best = 0
@@ -511,7 +503,7 @@ def classify(p, exact_limit=24):
     pushed = n
     while stack and best < n - 1:  # a Hamiltonian path: no simple path is longer
         visited, x = stack.pop()
-        best = max(best, popcount(visited) - 1)
+        best = max(best, visited.bit_count() - 1)
         rest = adj[x] & ~visited
         while rest:
             bit = rest & -rest

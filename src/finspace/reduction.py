@@ -19,6 +19,11 @@ of the whole subspace after every removal, and the core is built from
 the cover masks left at the end.  Every step stores its domain as an
 int mask and in its mapping only the points it moves: ``{x: target}``
 for a single-point step.
+
+This module dismantles only, and imports nothing from the package but
+``errors`` and ``poset``.  The certificate that a trace realizes a
+strong deformation retraction needs the maps of C(X, X), so it is
+``maps.verify_strong_deformation``.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotABeatPoint
-from .maps import MonotoneMap
-from .poset import Poset, bits, shortest_path
+from .poset import Poset, bits
 
 REMOVE_DOWN = "remove-down-beat"
 REMOVE_UP = "remove-up-beat"
@@ -105,13 +109,6 @@ class RetractionStep:
     def image_elements(self):
         return self.domain_elements - self.removed
 
-    def monotone_self_map(self, start):
-        """The step as a self-map of ``start``, identity off the domain."""
-        assign = list(range(start.n))
-        for k, v in self.mapping.items():
-            assign[k] = v
-        return MonotoneMap(start, start, tuple(assign))
-
     def is_comparative(self, start):
         return all(start.comparable(k, v) for k, v in self.mapping.items())
 
@@ -136,11 +133,6 @@ class DismantlingTrace:
         for step in reversed(self.steps):  # out is the composite of the later steps
             out.update({k: out[v] for k, v in step.mapping.items()})
         return out
-
-    def composed_self_map(self):
-        comp = self.composed
-        return MonotoneMap(self.start, self.start,
-                           tuple(comp[i] for i in range(self.start.n)))
 
     def effective_steps(self):
         return [s for s in self.steps if s.mapping]
@@ -307,52 +299,3 @@ def standard_sequence(p, basepoint=None, max_rounds=None):
             mask &= ~(1 << x)
             _unlink(p, lower, upper, mask, x)
     return DismantlingTrace(p, steps, frozenset(bits(mask)), stabilized=idle >= 2)
-
-
-@dataclass
-class DeformationVerdict:
-    """Outcome of verify_strong_deformation; full=False means only the
-    retraction and comparativity clauses were checked."""
-
-    ok: bool
-    full: bool
-
-    def __bool__(self):
-        return self.ok
-
-
-def verify_strong_deformation(trace, guard=4096):
-    """Certify that a trace realizes a strong deformation retraction.
-
-    Checks that the composed map retracts onto the final subspace, that
-    every step is comparative, and (when C(X,X) fits in the guard) that
-    the composed map is joined to the identity by a comparability chain
-    whose every node fixes the final subspace pointwise.
-    """
-    from .maps import count_monotone, enumerate_monotone
-    from .errors import GuardExceeded
-
-    start = trace.start
-    comp = trace.composed
-    if frozenset(comp.values()) != trace.final and trace.final:
-        return DeformationVerdict(False, True)
-    if any(comp[x] != x for x in trace.final):
-        return DeformationVerdict(False, True)
-    if not all(step.is_comparative(start) for step in trace.steps):
-        return DeformationVerdict(False, True)
-    if start.n == 0:
-        return DeformationVerdict(True, True)
-    try:
-        count_monotone(start, start, guard=guard)
-    except GuardExceeded:
-        return DeformationVerdict(True, False)
-    c = enumerate_monotone(start, start, guard=guard)
-    allowed = sum(1 << i for i, a in enumerate(c.assignments)
-                  if all(a[x] == x for x in trace.final))
-    target = c.index_of(tuple(comp[i] for i in range(start.n)))
-    ident = c.identity_index()
-    if not (allowed >> ident & 1 and allowed >> target & 1):
-        return DeformationVerdict(False, True)
-    # a chain through maps fixing the final subspace
-    chain = shortest_path(c.comparability_mask, ident, 1 << target, allowed)
-    return DeformationVerdict(chain is not None, True)

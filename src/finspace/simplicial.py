@@ -30,11 +30,11 @@ of simplices, not the fill-in of the elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .errors import GuardExceeded
-from .poset import Poset, bits
+from .poset import bits
 from .reduction import core
 
 COMPLEX_GUARD = 100_000

@@ -74,22 +74,22 @@ def is_down_set(p, mask):
     return all(p.down[x] & ~mask == 0 for x in bits(mask))
 
 
-def check_downset_guard(n, guard=DOWNSET_GUARD):
+def check_downset_guard(n):
     """Raise GuardExceeded when the down-sets of n elements, up to 2**n of
-    them, would be listed or counted past ``guard`` elements."""
-    if n > guard:
+    them, would be listed or counted past DOWNSET_GUARD elements."""
+    if n > DOWNSET_GUARD:
         raise GuardExceeded(
-            f"down-set enumeration over {n} > {guard} elements", count=2**n
+            f"down-set enumeration over {n} > {DOWNSET_GUARD} elements", count=2**n
         )
 
 
-def alexandroff_topology(p, guard=DOWNSET_GUARD):
+def alexandroff_topology(p):
     """The family of all down-sets of P (its Alexandroff topology).
 
-    ``guard`` bounds the elements of P, so the family held in memory has
-    at most 2**guard sets.
+    DOWNSET_GUARD bounds the elements of P, so the family held in memory
+    has at most 2**DOWNSET_GUARD sets.
     """
-    check_downset_guard(p.n, guard)
+    check_downset_guard(p.n)
     principals = [p.down[x] for x in range(p.n)]
     fam = {0}
     frontier = {0}
@@ -165,20 +165,20 @@ def compact_open_subbasis(x, y, c):
     return SetFamily.of(len(c.assignments), masks)
 
 
-def generate_topology(sub, guard=GENERATE_GUARD):
+def generate_topology(sub):
     """Close a subbasis under pairwise intersection and union.
 
     The empty set and the full ground set are adjoined.  On a finite
     ground set this yields the generated topology.  Each member is
     combined with every earlier one once, new members joining the end of
-    the list.  ``guard`` bounds the ground size, and GuardExceeded is
+    the list.  GENERATE_GUARD bounds the ground size, and GuardExceeded is
     raised as soon as the family passes FAMILY_GUARD sets, as the
     discrete topology on 12 points already does; this is a test-scale
     oracle.
     """
-    if sub.ground_size > guard:
+    if sub.ground_size > GENERATE_GUARD:
         raise GuardExceeded(
-            f"ground size {sub.ground_size} exceeds guard {guard}",
+            f"ground size {sub.ground_size} exceeds guard {GENERATE_GUARD}",
             count=sub.ground_size,
         )
     fam = set(sub.sets)

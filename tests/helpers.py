@@ -6,9 +6,7 @@ import random
 from finspace.errors import CycleError, DuplicateLabel, GuardExceeded, UnknownLabel
 from finspace.homotopy import IsoWitness, are_isomorphic
 from finspace.maps import MonotoneMap, _iter_assignments
-from finspace.poset import (
-    ClassifyRecord, Poset, _transitive_closure, bits, components, popcount,
-)
+from finspace.poset import ClassifyRecord, Poset, bits, components
 from finspace.reduction import BULK_DOWN, BULK_UP, REMOVE_DOWN, REMOVE_UP
 from finspace.simplicial import (
     CERTIFIED_YES, HOMOLOGY_YES, NO, HomologyProfile, _smith_invariant_factors, order_complex,
@@ -230,6 +228,20 @@ def assert_same_poset(p, q):
     assert p.lower_covers == q.lower_covers and p.upper_covers == q.upper_covers
 
 
+def closure_by_warshall(adj):
+    """The transitive closure of the relation with successor masks
+    ``adj``, by Warshall's O(n^2) loop over mask tests: the oracle for
+    every closure the package computes by walking covers or BFS."""
+    reach = list(adj)
+    n = len(reach)
+    for k in range(n):
+        rk = reach[k]
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= rk
+    return reach
+
+
 def poset_by_closure(labels, pairs):
     """A poset from (lower, upper) label pairs by a Warshall closure and a
     scan of every comparable pair for covers: the straightforward form of
@@ -245,7 +257,7 @@ def poset_by_closure(labels, pairs):
             raise UnknownLabel(f"unknown label in ({a!r}, {b!r})")
         if a != b:
             adj[index[a]] |= 1 << index[b]
-    reach = _transitive_closure(adj)
+    reach = closure_by_warshall(adj)
     for i in range(n):
         if reach[i] >> i & 1:
             raise CycleError(f"cycle through element {labels[i]!r}")
@@ -267,7 +279,7 @@ def classify_by_dfs(p, exact_limit=24):
     comparability path.  Recurses once per element and is exponential in
     the number of paths, so keep inputs small."""
     n = p.n
-    degree = max((popcount(p.comparability_mask(x)) + 1 for x in range(n)), default=0)
+    degree = max((p.comparability_mask(x).bit_count() + 1 for x in range(n)), default=0)
     if n == 0:
         return ClassifyRecord(True, True, True, 0, 0, 0)
     if n > exact_limit:

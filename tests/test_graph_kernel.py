@@ -10,9 +10,9 @@ import pytest
 from finspace import enumerate_monotone, is_homotopic, min_contraction_chain
 from finspace.generators import random_poset
 from finspace.homotopy import contains_crown
-from finspace.maps import count_monotone
+from finspace.maps import count_monotone, verify_strong_deformation
 from finspace.poset import bits, components, shortest_path
-from finspace.reduction import core, standard_sequence, verify_strong_deformation
+from finspace.reduction import core, standard_sequence
 
 from helpers import random_height1_poset
 

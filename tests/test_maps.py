@@ -383,7 +383,7 @@ class TestIsRetraction:
     def test_beat_point_removal_is_comparative(self):
         p = fence(3)
         step = remove_beat_point(p, 0)
-        r = step.monotone_self_map(p)
+        r = MonotoneMap(p, p, tuple(step.mapping.get(i, i) for i in range(p.n)))
         kind = is_retraction(p, r, step.image_elements)
         assert kind and kind.comparative and kind.decomposes
 

@@ -20,7 +20,7 @@ from finspace import (
 from finspace.poset import bits
 
 from helpers import (
-    assert_same_poset, classify_by_dfs, poset_by_closure, random_pairs,
+    assert_same_poset, classify_by_dfs, closure_by_warshall, poset_by_closure, random_pairs,
     transitive_closure_oracle,
 )
 
@@ -185,7 +185,7 @@ class TestClassify:
         assert rec.finite_chains and rec.fp and rec.locally_finite
 
     def test_truncated_flag(self):
-        rec = classify(chain(30), exact_limit=24)
+        rec = classify(chain(30))
         assert rec.approximate and rec.bp_step_bound == 29
 
 
@@ -255,6 +255,10 @@ class TestBuilderAgainstClosure:
             # back edges make cycles, which the quotient collapses
             pairs = pairs + [(b, a) for a, b in pairs if rng.random() < 0.05]
             q = Preorder.from_pairs(labels, pairs)
+            adj = [1 << i for i in range(len(labels))]
+            for a, b in pairs:
+                adj[labels.index(a)] |= 1 << labels.index(b)
+            assert q.rel == closure_by_warshall(adj)
             p, proj = kolmogorov_quotient(q)
             reps = [proj.index(c) for c in range(p.n)]
             between = [(q.labels[a], q.labels[b]) for a in reps for b in reps
