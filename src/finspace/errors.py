@@ -22,14 +22,7 @@ class EmptyPoset(FinspaceError):
 
 
 class GuardExceeded(FinspaceError):
-    """An enumeration bound was hit.
-
-    Carries the offending count (or an estimate) in ``count``.
-    """
-
-    def __init__(self, message, count=None):
-        super().__init__(message)
-        self.count = count
+    """An enumeration bound was hit."""
 
 
 class NotDownSet(FinspaceError):
@@ -49,10 +42,9 @@ class HeightExceeded(FinspaceError):
 
 
 class ParseError(FinspaceError):
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
-        self.column = column
 
 
 class ValidationError(FinspaceError):

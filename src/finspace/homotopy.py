@@ -342,10 +342,7 @@ def brute_force_homotopy_equivalent(p, q, guard=10**6):
     cpq = enumerate_monotone(p, q, guard=guard)
     cqp = enumerate_monotone(q, p, guard=guard)
     if len(cpq.assignments) * len(cqp.assignments) > guard:
-        raise GuardExceeded(
-            "too many candidate pairs",
-            count=len(cpq.assignments) * len(cqp.assignments),
-        )
+        raise GuardExceeded("too many candidate pairs")
     id_p = _identity_class(enumerate_monotone(p, p, guard=guard))
     id_q = _identity_class(enumerate_monotone(q, q, guard=guard))
     for f in _class_representatives(cpq):

@@ -25,11 +25,11 @@ pointwise order of m maps.  ``function_space_counts`` describes C(X, Y)
 without listing it: the count of maps, the classes of C(X_c, Y_c) (f ~ g
 in C(X, Y) exactly when r_Y o f o i_X ~ r_Y o g o i_X there, since
 i o r ~ id on both sides; Stong 1966), and the identity class as one
-more count.  The pointwise
-order is built only when read, for the topology check and for minimal
-comparability chains, among them the one ``verify_strong_deformation``
-asks for: a chain in C(X, X) from the identity to the composed map of a
-dismantling trace, through maps that fix the surviving subspace.
+more count.  ``verify_strong_deformation`` runs the same kernel on the
+maps X -> X that fix the surviving subspace of a dismantling trace, and
+asks whether the identity and the composed map share a class.  The
+pointwise order is built only when read, for the topology check and for
+minimal comparability chains, and never past ``ORDER_BITS_GUARD`` bits.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ from .poset import Poset, bfs_layers, bits, shortest_path
 from .reduction import core
 
 DEFAULT_MAP_GUARD = 10**6
+# Bits of the pointwise order, m^2 for m maps, that ``FunctionPoset``
+# builds when it is read: 2**30 bits is 128 MB per table.
+ORDER_BITS_GUARD = 2**30
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,7 @@ def _iter_assignments(x, y, domains=None, node_guard=None):
     last = n - 1
     if last == 0:
         if dom[0].bit_count() > limit >= 0:
-            raise GuardExceeded(f"more than {limit} search nodes", count=dom[0].bit_count())
+            raise GuardExceeded(f"more than {limit} search nodes")
         for v in bits(dom[0]):
             yield (v,)
         return
@@ -148,14 +151,14 @@ def _iter_assignments(x, y, domains=None, node_guard=None):
                 tail &= y_down[v]
             nodes += 1 + tail.bit_count()
             if nodes > limit >= 0:
-                raise GuardExceeded(f"more than {limit} search nodes", count=nodes)
+                raise GuardExceeded(f"more than {limit} search nodes")
             for w in bits(tail):
                 assign[last] = w
                 yield tuple(assign)
             continue
         nodes += 1
         if nodes > limit >= 0:
-            raise GuardExceeded(f"more than {limit} search nodes", count=nodes)
+            raise GuardExceeded(f"more than {limit} search nodes")
         # a loop left by ``break`` has emptied a domain: try the next value
         cone = y_up[v]
         for j in later_up[i]:
@@ -189,8 +192,9 @@ class FunctionPoset:
     indices are reproducible.  The strict pointwise order, m^2 bits for m
     maps, is built only when it is read: ``_strict_up`` by ``leq`` and
     ``order`` (the explicit Poset over map indices that the topology
-    check uses), both masks by ``comparability_mask``.  No class
-    computation reads it.
+    check uses), both masks by ``comparability_mask``.  Reading it past
+    ``ORDER_BITS_GUARD`` bits raises GuardExceeded before any mask is
+    built.  No class computation reads it.
 
     ``class_roots`` partitions the maps by one-point cover moves.  If
     f <= g, a chain of maps from f to g exists in which each step raises
@@ -200,7 +204,6 @@ class FunctionPoset:
     for w an upper cover of f(x).  Such a move is monotone exactly when
     w <= f(y) for every upper cover y of x, so the graph is read off the
     cover masks and each neighbour is found by one lookup in ``_index``.
-    ``components`` groups the maps by these roots.
     """
 
     def __init__(self, domain, codomain, assignments):
@@ -222,6 +225,10 @@ class FunctionPoset:
     def _reach(self, cone):
         """Strict up-masks (``cone`` = Y's up-sets) or down-masks (Y's
         down-sets) of every map in the pointwise order."""
+        m = len(self.assignments)
+        if m * m > ORDER_BITS_GUARD:
+            raise GuardExceeded(f"pointwise order of {m} maps needs {m * m} > "
+                                f"{ORDER_BITS_GUARD} bits")
         y = self.codomain
         nx = self.domain.n
         sending = self._sending
@@ -233,7 +240,7 @@ class FunctionPoset:
                 for w in bits(cone[v]):
                     acc |= sending[x][w]
                 within[x][v] = acc
-        full = (1 << len(self.assignments)) - 1
+        full = (1 << m) - 1
         reach = []
         for i, a in enumerate(self.assignments):
             mask = full
@@ -266,7 +273,14 @@ class FunctionPoset:
 
     def class_roots(self):
         """The lowest map index in the homotopy class of each map, found by
-        union-find over the one-point cover moves of C itself."""
+        union-find over the one-point cover moves between listed maps.
+
+        Moves to unlisted maps are skipped, which keeps the comparability
+        components whenever every h with f <= h <= g, f and g listed, is
+        listed, as the chain of moves from f to g runs between them.  All
+        of C(X, Y) is such a listing, and so is one whose domains are
+        single points or all of Y: f(x) = g(x) = v forces h(x) = v.
+        """
         above = [list(bits(c)) for c in self.domain.upper_covers]
         y_down, y_covers = self.codomain.down, self.codomain.upper_covers
         index = self._index
@@ -281,7 +295,9 @@ class FunctionPoset:
                 while moves:
                     w = moves & -moves
                     moves ^= w
-                    k = index[a[:x] + (w.bit_length() - 1,) + a[x + 1:]]
+                    k = index.get(a[:x] + (w.bit_length() - 1,) + a[x + 1:])
+                    if k is None:
+                        continue
                     # union of the two roots, the lower one kept
                     while parent[k] != k:
                         parent[k] = k = parent[parent[k]]
@@ -297,19 +313,8 @@ class FunctionPoset:
             parent[i] = parent[p]
         return parent
 
-    def components(self):
-        """Partition of map indices into homotopy classes, ordered by
-        lowest index, from ``class_roots``."""
-        parts = {}  # insertion order is the order of lowest index
-        for i, k in enumerate(self.class_roots()):
-            parts.setdefault(k, []).append(i)
-        return [frozenset(part) for part in parts.values()]
-
     def __len__(self):
         return len(self.assignments)
-
-    def map(self, i):
-        return MonotoneMap(self.domain, self.codomain, self.assignments[i])
 
     def index_of(self, f):
         key = f.assignment if isinstance(f, MonotoneMap) else tuple(f)
@@ -323,15 +328,14 @@ class FunctionPoset:
                 if (y,) * self.domain.n in self._index]
 
 
-def enumerate_monotone(x, y, guard=DEFAULT_MAP_GUARD):
-    """The function poset C(X, Y); aborts past ``guard`` maps."""
+def enumerate_monotone(x, y, guard=DEFAULT_MAP_GUARD, domains=None):
+    """The function poset C(X, Y), or with ``domains`` its maps with a[i]
+    in ``domains[i]``; aborts past ``guard`` maps."""
     assignments = []
-    for a in _iter_assignments(x, y):
+    for a in _iter_assignments(x, y, domains):
         assignments.append(a)
         if len(assignments) > guard:
-            raise GuardExceeded(
-                f"more than {guard} monotone maps", count=len(assignments)
-            )
+            raise GuardExceeded(f"more than {guard} monotone maps")
     return FunctionPoset(x, y, assignments)
 
 
@@ -387,8 +391,7 @@ def _count_partial_maps(x, y, domains, guard):
             else:
                 new[base] = new.get(base, 0) + c * allowed.bit_count()
             if len(new) > guard:
-                raise GuardExceeded(f"more than {guard} partial-map states",
-                                    count=len(new))
+                raise GuardExceeded(f"more than {guard} partial-map states")
         table = new
         open_ = [open_[s] for s in kept] + ([i] if stays_open else [])
     return sum(table.values())
@@ -412,7 +415,7 @@ def count_monotone(x, y, guard=DEFAULT_MAP_GUARD):
     """
     count = _count_partial_maps(x, y, None, guard)
     if count > guard:
-        raise GuardExceeded(f"more than {guard} monotone maps", count=count)
+        raise GuardExceeded(f"more than {guard} monotone maps")
     return count
 
 
@@ -461,9 +464,12 @@ def is_homotopic(c, f, g):
 
 
 def homotopy_classes(c):
-    """Partition of map indices into homotopy classes
-    (``FunctionPoset.components``)."""
-    return c.components()
+    """Partition of map indices into homotopy classes, ordered by lowest
+    index, from ``FunctionPoset.class_roots``."""
+    parts = {}  # insertion order is the order of lowest index
+    for i, k in enumerate(c.class_roots()):
+        parts.setdefault(k, []).append(i)
+    return [frozenset(part) for part in parts.values()]
 
 
 def min_contraction_chain(x, guard=DEFAULT_MAP_GUARD):
@@ -485,7 +491,8 @@ def min_contraction_chain(x, guard=DEFAULT_MAP_GUARD):
 @dataclass
 class DeformationVerdict:
     """Outcome of verify_strong_deformation; full=False means only the
-    retraction and comparativity clauses were checked."""
+    retraction and comparativity clauses were checked, because more maps
+    than the guard fix the final subspace."""
 
     ok: bool
     full: bool
@@ -497,10 +504,11 @@ class DeformationVerdict:
 def verify_strong_deformation(trace, guard=4096):
     """Certify that a trace realizes a strong deformation retraction.
 
-    Checks that the composed map retracts onto the final subspace, that
-    every step is comparative, and (when C(X,X) fits in the guard) that
-    the composed map is joined to the identity by a comparability chain
-    whose every node fixes the final subspace pointwise.
+    Checks that the composed map retracts onto the final subspace A,
+    that every step is comparative, and (when at most ``guard`` maps
+    X -> X fix A) that ``FunctionPoset.class_roots`` puts the composed map
+    and the identity in one class of those maps: a comparability chain
+    joins them through maps fixing A pointwise.
     """
     start = trace.start
     comp = trace.composed
@@ -510,22 +518,15 @@ def verify_strong_deformation(trace, guard=4096):
         return DeformationVerdict(False, True)
     if not all(step.is_comparative(start) for step in trace.steps):
         return DeformationVerdict(False, True)
-    if start.n == 0:
-        return DeformationVerdict(True, True)
+    domains = [1 << x if x in trace.final else start.full_mask for x in range(start.n)]
     try:
-        count_monotone(start, start, guard=guard)
+        c = enumerate_monotone(start, start, guard=guard, domains=domains)
     except GuardExceeded:
         return DeformationVerdict(True, False)
-    c = enumerate_monotone(start, start, guard=guard)
-    allowed = sum(1 << i for i, a in enumerate(c.assignments)
-                  if all(a[x] == x for x in trace.final))
-    target = c.index_of(tuple(comp[i] for i in range(start.n)))
-    ident = c.identity_index()
-    if not (allowed >> ident & 1 and allowed >> target & 1):
-        return DeformationVerdict(False, True)
-    # a chain through maps fixing the final subspace
-    chain = shortest_path(c.comparability_mask, ident, 1 << target, allowed)
-    return DeformationVerdict(chain is not None, True)
+    roots = c.class_roots()
+    target = c._index.get(tuple(comp[i] for i in range(start.n)))
+    return DeformationVerdict(target is not None
+                              and roots[target] == roots[c.identity_index()], True)
 
 
 def has_fpp(x, guard=DEFAULT_MAP_GUARD):

@@ -21,8 +21,9 @@ given) bit tests plus O(covers) mask unions of n bits each: building
 ``chain(n)`` is linear in the number of mask words, not quadratic in n.
 
 ``bfs_layers``, ``components`` and ``shortest_path`` are the one BFS
-kernel behind every graph walk in the package; each takes a neighbour
-function ``nbrs(v) -> mask``.
+kernel behind every breadth-first walk in the package; each takes a
+neighbour function ``nbrs(v) -> mask``.  Homotopy classes in C(X, Y)
+come from the move kernel ``maps.FunctionPoset.class_roots`` instead.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ def bits(mask):
         mask ^= lsb
 
 
-def bfs_layers(nbrs, start, allowed=-1):
+def bfs_layers(nbrs, start):
     """Yield the BFS frontiers from ``start`` as masks.
 
     The first frontier is ``1 << start``; each later one holds the vertices
     first reached one step further out.  ``nbrs(v)`` is the neighbour mask
-    of v, and only vertices in ``allowed`` are entered after the start.
+    of v.
     """
     seen = frontier = 1 << start
     while frontier:
@@ -54,7 +55,7 @@ def bfs_layers(nbrs, start, allowed=-1):
         nxt = 0
         for u in bits(frontier):
             nxt |= nbrs(u)
-        frontier = nxt & allowed & ~seen
+        frontier = nxt & ~seen
         seen |= frontier
 
 
@@ -72,13 +73,13 @@ def components(nbrs, n):
     return parts
 
 
-def shortest_path(nbrs, start, goals_mask, allowed=-1):
-    """A shortest path from ``start`` to a vertex of ``goals_mask`` through
-    ``allowed`` as a vertex list, or None.  ``nbrs`` must be symmetric: the
-    path is rebuilt backwards from the lowest goal reached, through the
-    stored frontiers, taking the lowest neighbour in each."""
+def shortest_path(nbrs, start, goals_mask):
+    """A shortest path from ``start`` to a vertex of ``goals_mask`` as a
+    vertex list, or None.  ``nbrs`` must be symmetric: the path is rebuilt
+    backwards from the lowest goal reached, through the stored frontiers,
+    taking the lowest neighbour in each."""
     layers = []
-    for layer in bfs_layers(nbrs, start, allowed):
+    for layer in bfs_layers(nbrs, start):
         hit = layer & goals_mask
         if hit:
             v = (hit & -hit).bit_length() - 1

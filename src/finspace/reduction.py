@@ -118,14 +118,12 @@ class DismantlingTrace:
     """Ordered record of retraction steps from a start poset.
 
     composed maps every start element to its final image; final is the
-    surviving subspace.  ``stabilized`` is False only when a round limit
-    cut a standard sequence short.
+    surviving subspace.
     """
 
     start: Poset
     steps: list
     final: frozenset
-    stabilized: bool = True
 
     @property
     def composed(self):
@@ -266,29 +264,25 @@ def bulk_down(p):
     return _bulk_step(p.lower_covers, p.full_mask, upward=False)
 
 
-def standard_sequence(p, basepoint=None, max_rounds=None):
+def standard_sequence(p, basepoint=None):
     """Alternate D_X, U_X (starting with D_X) until two identity rounds.
 
-    Only non-identity steps are recorded.  When the round limit is hit
-    before stabilization the trace is returned with stabilized=False.
-    For a basepoint, the basepoint is never a beat point and so is never
-    moved or removed.  The cover masks of the current subspace are kept
-    as in ``core``: each step reads its beat points off them, and its
-    removed points then leave them one at a time.
+    Only non-identity steps are recorded.  The loop always ends within
+    2n + 2 rounds: each non-identity round removes at least one point,
+    so there are at most n of them, at most one identity round comes
+    before each of them, and two identity rounds in a row end it.  For a
+    basepoint, the basepoint is never a beat point and so is never moved
+    or removed.  The cover masks of the current subspace are kept as in
+    ``core``: each step reads its beat points off them, and its removed
+    points then leave them one at a time.
     """
-    if max_rounds is None:
-        max_rounds = 2 * max(p.n, 1) + 4
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
     lower, upper = list(p.lower_covers), list(p.upper_covers)
     mask = p.full_mask
     steps = []
     idle = 0
-    rounds = 0
     upward = False  # start with D_X
-    while rounds < max_rounds and idle < 2:
+    while idle < 2:
         step = _bulk_step(upper if upward else lower, mask, upward, basepoint)
-        rounds += 1
         upward = not upward
         if not step.mapping:
             idle += 1
@@ -298,4 +292,4 @@ def standard_sequence(p, basepoint=None, max_rounds=None):
         for x in step.mapping:
             mask &= ~(1 << x)
             _unlink(p, lower, upper, mask, x)
-    return DismantlingTrace(p, steps, frozenset(bits(mask)), stabilized=idle >= 2)
+    return DismantlingTrace(p, steps, frozenset(bits(mask)))

@@ -42,14 +42,12 @@ COMPLEX_GUARD = 100_000
 CERTIFIED_YES = "certified_yes"
 HOMOLOGY_YES = "homology_yes"
 NO = "no"
-UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Faces grouped by dimension; each simplex a sorted vertex tuple."""
 
-    vertex_count: int
     simplices: tuple  # simplices[d] = sorted tuple of d-simplices
 
     def dimension(self):
@@ -90,13 +88,13 @@ def order_complex(p, guard=COMPLEX_GUARD):
             longer = chain + (y,)
             count += 1
             if count > guard:
-                raise GuardExceeded(f"more than {guard} chains", count=count)
+                raise GuardExceeded(f"more than {guard} chains")
             by_len[len(longer)].append(tuple(sorted(longer)))
             above = allowed & up[y] & ~low
             if above:
                 stack.append((longer, above))
     simplices = tuple(tuple(sorted(faces)) for faces in by_len if faces)
-    return SimplicialComplex(p.n, simplices)
+    return SimplicialComplex(simplices)
 
 
 def _smith_invariant_factors(rows, ncols):
@@ -176,7 +174,6 @@ class HomologyProfile:
 
     betti: tuple
     torsion: tuple  # torsion[d] = tuple of invariant factors > 1
-    reduced: bool
 
     def is_acyclic(self):
         """All (reduced) groups trivial."""
@@ -266,11 +263,10 @@ def homology(k, reduced=False, guard=COMPLEX_GUARD):
     boundary maps before elimination), not the fill-in of the elimination.
     """
     if k.total() > guard:
-        raise GuardExceeded(f"complex with {k.total()} > {guard} simplices",
-                            count=k.total())
+        raise GuardExceeded(f"complex with {k.total()} > {guard} simplices")
     dim = k.dimension()
     if dim < 0:
-        return HomologyProfile((), (), reduced)
+        return HomologyProfile((), ())
     counts = [k.count(d) for d in range(dim + 1)]
     # factors[d] = invariant factors of boundary_d (d -> d-1); degree 0
     # boundary is zero unless reduced, where it maps onto the empty simplex.
@@ -291,7 +287,7 @@ def homology(k, reduced=False, guard=COMPLEX_GUARD):
         rank_up = len(factors[d + 1])
         betti.append(counts[d] - rank_d - rank_up)
         torsion.append(tuple(f for f in factors[d + 1] if f > 1))
-    return HomologyProfile(tuple(betti), tuple(torsion), reduced)
+    return HomologyProfile(tuple(betti), tuple(torsion))
 
 
 def poset_homology(p, reduced=True, guard=COMPLEX_GUARD):
@@ -312,13 +308,10 @@ def is_gamma_point(p, x, guard=COMPLEX_GUARD):
     certified_yes: the link dismantles to a point, hence is homotopically
     trivial.  no: the link has nontrivial reduced homology.  homology_yes:
     the link is acyclic but its core is larger than a point, which settles
-    homology preservation only.  unknown is reserved for acyclic links
-    whose deeper homotopical triviality could not be certified (the
-    homology_yes verdict doubles as it; never returned otherwise).
-    The link is homotopy equivalent to its core, so its homology is
-    computed on the order complex of the core, which is built only when
-    the core is larger than a point; the guard bounds the simplices of
-    that complex, not of the link's.
+    homology preservation only.  The link is homotopy equivalent to its
+    core, so its homology is computed on the order complex of the core,
+    which is built only when the core is larger than a point; the guard
+    bounds the simplices of that complex, not of the link's.
     """
     lk = link(p, x)
     if lk.n == 0:

@@ -56,9 +56,6 @@ class SetFamily:
     def __contains__(self, mask):
         return mask in self.sets
 
-    def members(self):
-        return sorted(self.sets)
-
     @property
     def full_mask(self):
         return (1 << self.ground_size) - 1
@@ -78,9 +75,7 @@ def check_downset_guard(n):
     """Raise GuardExceeded when the down-sets of n elements, up to 2**n of
     them, would be listed or counted past DOWNSET_GUARD elements."""
     if n > DOWNSET_GUARD:
-        raise GuardExceeded(
-            f"down-set enumeration over {n} > {DOWNSET_GUARD} elements", count=2**n
-        )
+        raise GuardExceeded(f"down-set enumeration over {n} > {DOWNSET_GUARD} elements")
 
 
 def alexandroff_topology(p):
@@ -177,10 +172,7 @@ def generate_topology(sub):
     oracle.
     """
     if sub.ground_size > GENERATE_GUARD:
-        raise GuardExceeded(
-            f"ground size {sub.ground_size} exceeds guard {GENERATE_GUARD}",
-            count=sub.ground_size,
-        )
+        raise GuardExceeded(f"ground size {sub.ground_size} exceeds guard {GENERATE_GUARD}")
     fam = set(sub.sets)
     fam.add(0)
     fam.add(sub.full_mask)
@@ -192,8 +184,7 @@ def generate_topology(sub):
                     fam.add(x)
                     members.append(x)
         if len(fam) > FAMILY_GUARD:
-            raise GuardExceeded(f"closure of more than {FAMILY_GUARD} sets",
-                                count=len(fam))
+            raise GuardExceeded(f"closure of more than {FAMILY_GUARD} sets")
     return SetFamily.of(sub.ground_size, fam)
 
 

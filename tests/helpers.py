@@ -171,7 +171,7 @@ def count_by_enumeration(x, y, guard=10**6):
     for _ in _iter_assignments(x, y):
         c += 1
         if c > guard:
-            raise GuardExceeded(f"more than {guard} monotone maps", count=c)
+            raise GuardExceeded(f"more than {guard} monotone maps")
     return c
 
 
@@ -183,7 +183,7 @@ def fpp_by_enumeration(x, guard=10**6):
     for a in _iter_assignments(x, x):
         c += 1
         if c > guard:
-            raise GuardExceeded(f"more than {guard} self-maps", count=c)
+            raise GuardExceeded(f"more than {guard} self-maps")
         if all(a[i] != i for i in range(x.n)):
             return False, MonotoneMap(x, x, a)
     return True, None
@@ -403,7 +403,7 @@ def homology_dense(k, reduced=False):
     its unit-pivot elimination or guard."""
     dim = k.dimension()
     if dim < 0:
-        return HomologyProfile((), (), reduced)
+        return HomologyProfile((), ())
     counts = [k.count(d) for d in range(dim + 1)]
     factors = [[] for _ in range(dim + 2)]
     if reduced:
@@ -416,7 +416,7 @@ def homology_dense(k, reduced=False):
     for d in range(dim + 1):
         betti.append(counts[d] - len(factors[d]) - len(factors[d + 1]))
         torsion.append(tuple(f for f in factors[d + 1] if f > 1))
-    return HomologyProfile(tuple(betti), tuple(torsion), reduced)
+    return HomologyProfile(tuple(betti), tuple(torsion))
 
 
 def gamma_by_full_link(p, x):

@@ -205,7 +205,6 @@ def test_09_standard_sequence():
     for seed in range(200):
         p = random_poset(10, 0.35, seed)
         tr = standard_sequence(p)
-        assert tr.stabilized
         final, _ = p.restrict(tr.final)
         assert are_isomorphic(final, core(p).core) is not None
         bound = 2 * classify(p).bp_step_bound + 2

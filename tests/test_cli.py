@@ -1,6 +1,10 @@
 import json
+import os
 import pathlib
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -344,6 +348,30 @@ def test_function_space_counts_past_the_map_guard(tmp_path, capsys):
     assert run(["--json", "function-space", path, path]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == {
         "map_count": 2554364527963, "class_count": 1, "identity_class_size": 2554364527963}
+
+
+def _limit_address_space():
+    two_gb = 2 * 1024 ** 3
+    resource.setrlimit(resource.RLIMIT_AS, (two_gb, two_gb))
+
+
+def test_topology_check_past_the_down_set_guard_in_bounded_memory(tmp_path, capsys):
+    # 2,554,364,527,963 maps are counted under the large --max-enum, and the
+    # down-set guard must refuse them without sizing their 2**count opens
+    assert run(["gen", "fence", "30"]) == EXIT_OK
+    path = tmp_path / "fence30.poset"
+    path.write_text(capsys.readouterr().out)
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "finspace.cli", "--max-enum", "10000000000000",
+         "topology-check", str(path), str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_GUARD, "",
+        "guard exceeded: down-set enumeration over 2554364527963 > 20 elements\n")
 
 
 @pytest.mark.parametrize("max_enum, message", [

@@ -21,7 +21,8 @@ from finspace import (
 )
 from finspace.generators import random_poset
 from finspace.maps import (
-    _count_partial_maps, _iter_assignments, count_monotone, function_space_counts,
+    ORDER_BITS_GUARD, _count_partial_maps, _iter_assignments, count_monotone,
+    function_space_counts,
 )
 from finspace.poset import Poset, bits
 from finspace.reduction import core, is_core, remove_beat_point
@@ -250,7 +251,6 @@ class TestClassesThroughCores:
                 continue
             c = enumerate_monotone(x, y)
             expected = components_by_comparability(c)
-            assert enumerate_monotone(x, y).components() == expected
             assert homotopy_classes(c) == expected
             cores = is_core(x) + is_core(y)
             seen[["no core", "one core", "both cores"][cores]] += 1
@@ -275,6 +275,14 @@ class TestClassesThroughCores:
         classes = homotopy_classes(c)
         assert len(classes) == len(homotopy_classes(enumerate_monotone(crown(2), crown(2))))
         assert classes == components_by_comparability(c)
+
+    def test_order_past_the_bit_guard_raises_before_building(self):
+        # 35,937 maps list at once, but their order would need 35,937**2 bits
+        c = enumerate_monotone(antichain(3), chain(33))
+        assert len(c) == 35937
+        with pytest.raises(GuardExceeded, match=f"> {ORDER_BITS_GUARD} bits"):
+            c.order
+        assert "_sending" not in vars(c)
 
     def test_order_built_only_when_read(self):
         c = enumerate_monotone(fence(7), fence(6))
@@ -450,6 +458,39 @@ class TestCountingPath:
             assert _partition(roots) == expected
             assert all(roots[i] == min(part) for part in expected for i in part)
             done += 1
+
+    def test_move_kernel_on_pinned_listings_matches_comparability_oracle(self):
+        # listings with each domain a single point or all of Y hold every map
+        # between two of theirs, so skipping unlisted moves loses no class
+        rng = random.Random(20261021)
+        seen = {"pointed core": 0, "fixed subset": 0, "pinned values": 0,
+                "restricted": 0, "several classes": 0}
+        done = 0
+        while done < 300:
+            x = random_poset(rng.randint(1, 7), rng.choice([0.2, 0.35, 0.5]),
+                             rng.randrange(1 << 30))
+            kind = rng.choice(list(seen)[:3])
+            y = x if kind != "pinned values" else random_poset(
+                rng.randint(1, 5), rng.choice([0.2, 0.4]), rng.randrange(1 << 30))
+            if kind == "pointed core":
+                pinned = {a: a for a in core(x, rng.randrange(x.n)).trace.final}
+            elif kind == "fixed subset":
+                pinned = {a: a for a in range(x.n) if rng.random() < 0.3}
+            else:
+                pinned = {a: rng.randrange(y.n) for a in range(x.n) if rng.random() < 0.3}
+            domains = [1 << pinned[a] if a in pinned else y.full_mask for a in range(x.n)]
+            if _count_partial_maps(x, y, domains, 10**6) > 1000:
+                continue
+            c = enumerate_monotone(x, y, domains=domains)
+            roots = c.class_roots()
+            expected = components_by_comparability(c)
+            assert _partition(roots) == expected
+            assert all(roots[i] == min(part) for part in expected for i in part)
+            seen[kind] += 1
+            seen["restricted"] += len(c) < count_monotone(x, y)
+            seen["several classes"] += len(expected) > 1
+            done += 1
+        assert min(seen.values()) >= 20, seen
 
     def test_count_with_domains_matches_filtered_enumeration(self):
         rng = random.Random(11)

@@ -39,14 +39,14 @@ RP2_FACETS = [
 ]
 
 
-def complex_from_facets(nverts, facets):
+def complex_from_facets(facets):
     by_dim = {}
     for f in facets:
         for r in range(1, len(f) + 1):
             for s in combinations(sorted(f), r):
                 by_dim.setdefault(r - 1, set()).add(s)
     sims = tuple(tuple(sorted(by_dim[d])) for d in sorted(by_dim))
-    return SimplicialComplex(nverts, sims)
+    return SimplicialComplex(sims)
 
 
 def face_poset(k):
@@ -151,7 +151,7 @@ class TestHomology:
             (1, 2, 3), (1, 3, 4), (1, 2, 6), (1, 4, 5), (1, 5, 6),
             (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
         ]
-        k = complex_from_facets(7, facets)
+        k = complex_from_facets(facets)
         assert k.euler_characteristic() == 1
         prof = homology(k, reduced=True)
         assert prof.betti == (0, 0, 0)
@@ -160,7 +160,7 @@ class TestHomology:
     def test_sphere(self):
         # boundary of the 3-simplex
         facets = list(combinations(range(4), 3))
-        prof = homology(complex_from_facets(4, facets), reduced=True)
+        prof = homology(complex_from_facets(facets), reduced=True)
         assert prof.betti == (0, 0, 1) and prof.torsion == ((), (), ())
 
     def test_euler_characteristic_cross_check(self):
@@ -178,7 +178,7 @@ class TestHomology:
 
 
 def rp2_face_poset():
-    return face_poset(complex_from_facets(7, RP2_FACETS))
+    return face_poset(complex_from_facets(RP2_FACETS))
 
 
 def seeded_random_poset(seed):
@@ -249,7 +249,7 @@ class TestSparseElimination:
     def test_residual_keeps_torsion(self):
         # eliminating RP2's boundary from triangles to edges leaves one
         # column of +-2 entries, whose Smith form gives the Z/2
-        k = complex_from_facets(7, RP2_FACETS)
+        k = complex_from_facets(RP2_FACETS)
         pivots, residual = _eliminate_unit_pivots(
             _boundary_columns(k.simplices[1], k.simplices[2]))
         assert len(pivots) == 9
