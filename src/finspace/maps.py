@@ -19,17 +19,18 @@ retraction.  Its guard counts search nodes, not maps.
 ``count_monotone`` counts by a dynamic program over the cover relation
 without listing any map, placing the positions in a low-frontier order.
 
-Homotopy classes come from one union-find kernel over one-point cover
-moves, ``FunctionPoset.class_roots``, which never builds the m^2
-pointwise order of m maps.  ``function_space_counts`` describes C(X, Y)
-without listing it: the count of maps, the classes of C(X_c, Y_c) (f ~ g
-in C(X, Y) exactly when r_Y o f o i_X ~ r_Y o g o i_X there, since
-i o r ~ id on both sides; Stong 1966), and the identity class as one
-more count.  ``verify_strong_deformation`` runs the same kernel on the
-maps X -> X that fix the surviving subspace of a dismantling trace, and
-asks whether the identity and the composed map share a class.  The
-pointwise order is built only when read, for the topology check and for
-minimal comparability chains, and never past ``ORDER_BITS_GUARD`` bits.
+Homotopy is read off one-point cover moves, f -> f[x -> w] for w a cover
+of f(x), and the m^2 pointwise order of m maps is never built.  The
+classes come from one union-find kernel over the moves,
+``FunctionPoset.class_roots``, and minimal comparability chains from
+layer-by-layer move floods, ``FunctionPoset.shortest_chain``.
+``function_space_counts`` describes C(X, Y) without listing it: the
+count of maps, the classes of C(X_c, Y_c) (f ~ g in C(X, Y) exactly when
+r_Y o f o i_X ~ r_Y o g o i_X there, since i o r ~ id on both sides;
+Stong 1966), and the identity class as one more count.
+``verify_strong_deformation`` runs the union-find kernel on the maps
+X -> X that fix the surviving subspace of a dismantling trace, and asks
+whether the identity and the composed map share a class.
 """
 
 from __future__ import annotations
@@ -38,13 +39,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GuardExceeded
-from .poset import Poset, bfs_layers, bits, shortest_path
+from .poset import Poset, bfs_layers, bits
 from .reduction import core
 
 DEFAULT_MAP_GUARD = 10**6
-# Bits of the pointwise order, m^2 for m maps, that ``FunctionPoset``
-# builds when it is read: 2**30 bits is 128 MB per table.
-ORDER_BITS_GUARD = 2**30
 
 
 @dataclass(frozen=True)
@@ -189,21 +187,16 @@ class FunctionPoset:
     """All monotone maps X -> Y under the pointwise order.
 
     maps are kept in lexicographic order of their assignment vectors, so
-    indices are reproducible.  The strict pointwise order, m^2 bits for m
-    maps, is built only when it is read: ``_strict_up`` by ``leq`` and
-    ``order`` (the explicit Poset over map indices that the topology
-    check uses), both masks by ``comparability_mask``.  Reading it past
-    ``ORDER_BITS_GUARD`` bits raises GuardExceeded before any mask is
-    built.  No class computation reads it.
-
-    ``class_roots`` partitions the maps by one-point cover moves.  If
-    f <= g, a chain of maps from f to g exists in which each step raises
-    one value f(x) to an upper cover of it (raise f at a maximal point
-    where it differs from g; Barmak, LNM 2032, 1.2), so the comparability
-    components are the components of the graph joining f to f[x -> w]
-    for w an upper cover of f(x).  Such a move is monotone exactly when
-    w <= f(y) for every upper cover y of x, so the graph is read off the
-    cover masks and each neighbour is found by one lookup in ``_index``.
+    indices are reproducible.  The pointwise order itself is never
+    stored: every question about it goes through one-point cover moves.
+    If f <= g, a chain of maps from f to g exists in which each step
+    raises one value f(x) to an upper cover of it (raise f at a maximal
+    point where it differs from g; Barmak, LNM 2032, 1.2), so the maps
+    above f are those that upward moves reach from it, and dually below.
+    An upward move is monotone exactly when w <= f(y) for every upper
+    cover y of x, so ``_moves`` reads the moves off the cover masks and
+    finds each by one lookup in ``_index``.  ``class_roots`` joins the
+    maps along upward moves; ``shortest_chain`` floods both ways.
     """
 
     def __init__(self, domain, codomain, assignments):
@@ -213,63 +206,34 @@ class FunctionPoset:
         self._index = {a: i for i, a in enumerate(assignments)}
 
     @cached_property
-    def _sending(self):
-        """_sending[x][v] = mask of the maps sending x to v."""
-        sending = [[0] * self.codomain.n for _ in range(self.domain.n)]
-        for j, a in enumerate(self.assignments):
-            bj = 1 << j
-            for x, v in enumerate(a):
-                sending[x][v] |= bj
-        return sending
+    def _move_tables(self):
+        """Per direction (down, up): the domain's covers on that side of
+        each point as lists, the codomain's cones on the other side, and
+        its covers on that side."""
+        x, y = self.domain, self.codomain
+        return tuple(([list(bits(c)) for c in side], cone, covers)
+                     for side, cone, covers in ((x.lower_covers, y.up, y.lower_covers),
+                                                (x.upper_covers, y.down, y.upper_covers)))
 
-    def _reach(self, cone):
-        """Strict up-masks (``cone`` = Y's up-sets) or down-masks (Y's
-        down-sets) of every map in the pointwise order."""
-        m = len(self.assignments)
-        if m * m > ORDER_BITS_GUARD:
-            raise GuardExceeded(f"pointwise order of {m} maps needs {m * m} > "
-                                f"{ORDER_BITS_GUARD} bits")
-        y = self.codomain
-        nx = self.domain.n
-        sending = self._sending
-        # within[x][v] = mask of maps sending x into cone[v]
-        within = [[0] * y.n for _ in range(nx)]
-        for x in range(nx):
-            for v in range(y.n):
-                acc = 0
-                for w in bits(cone[v]):
-                    acc |= sending[x][w]
-                within[x][v] = acc
-        full = (1 << m) - 1
-        reach = []
-        for i, a in enumerate(self.assignments):
-            mask = full
-            for x, v in enumerate(a):
-                mask &= within[x][v]
-            reach.append(mask & ~(1 << i))
-        return reach
-
-    @cached_property
-    def _strict_up(self):
-        return self._reach(self.codomain.up)
-
-    @cached_property
-    def _strict_down(self):
-        return self._reach(self.codomain.down)
-
-    @cached_property
-    def order(self):
-        labels = [f"f{i}" for i in range(len(self.assignments))]
-        # the strict up-sets are closed, so larger ones come first in a
-        # topological order
-        order = sorted(range(len(labels)), key=lambda i: -self._strict_up[i].bit_count())
-        return Poset._from_successors(labels, self._strict_up, order)
-
-    def leq(self, i, j):
-        return i == j or bool(self._strict_up[i] >> j & 1)
-
-    def comparability_mask(self, i):
-        return self._strict_up[i] | self._strict_down[i]
+    def _moves(self, j, up):
+        """Yield the listed maps f[x -> w], f the map j and w an upper
+        (``up``) or lower cover of f(x), that are monotone: w <= f(b) for
+        every upper cover b of x (w >= f(b) for every lower cover)."""
+        sides, cone, covers = self._move_tables[up]
+        index = self._index
+        a = self.assignments[j]
+        for x, v in enumerate(a):
+            moves = covers[v]
+            if not moves:
+                continue
+            for b in sides[x]:
+                moves &= cone[a[b]]
+            while moves:
+                w = moves & -moves
+                moves ^= w
+                k = index.get(a[:x] + (w.bit_length() - 1,) + a[x + 1:])
+                if k is not None:
+                    yield k
 
     def class_roots(self):
         """The lowest map index in the homotopy class of each map, found by
@@ -281,37 +245,62 @@ class FunctionPoset:
         of C(X, Y) is such a listing, and so is one whose domains are
         single points or all of Y: f(x) = g(x) = v forces h(x) = v.
         """
-        above = [list(bits(c)) for c in self.domain.upper_covers]
-        y_down, y_covers = self.codomain.down, self.codomain.upper_covers
-        index = self._index
         parent = list(range(len(self.assignments)))
-        for j, a in enumerate(self.assignments):
-            for x, v in enumerate(a):
-                moves = y_covers[v]
-                if not moves:
-                    continue
-                for b in above[x]:
-                    moves &= y_down[a[b]]
-                while moves:
-                    w = moves & -moves
-                    moves ^= w
-                    k = index.get(a[:x] + (w.bit_length() - 1,) + a[x + 1:])
-                    if k is None:
-                        continue
-                    # union of the two roots, the lower one kept
-                    while parent[k] != k:
-                        parent[k] = k = parent[parent[k]]
-                    r = j
-                    while parent[r] != r:
-                        parent[r] = r = parent[parent[r]]
-                    if r < k:
-                        parent[k] = r
-                    elif k < r:
-                        parent[r] = k
+        for j in range(len(parent)):
+            for k in self._moves(j, True):
+                # union of the two roots, the lower one kept
+                while parent[k] != k:
+                    parent[k] = k = parent[parent[k]]
+                r = j
+                while parent[r] != r:
+                    parent[r] = r = parent[parent[r]]
+                if r < k:
+                    parent[k] = r
+                elif k < r:
+                    parent[r] = k
         # parent[i] <= i, so one ascending pass reaches every root
         for i, p in enumerate(parent):
             parent[i] = parent[p]
         return parent
+
+    def shortest_chain(self, start, goals):
+        """A shortest comparability chain from map ``start`` to a map in the
+        set ``goals``, as a list of map indices, or None.
+
+        Let L_k be the maps within k comparability steps of ``start``.  As
+        every g >= f is reached from f by upward moves (``class_roots``),
+        L_{k+1} is L_k with every map that upward moves alone or downward
+        moves alone reach from it.  The moves from a map of L_{k-1} stay in
+        L_k, so each layer floods up, then down, from its new maps only.  A
+        flood stops at a map of L_k and at one its own direction has found
+        in this layer.  Each new map records the seed of the flood that
+        found it, one layer lower and comparable to it, and the seeds lead
+        back to ``start``.  The listing must be one ``class_roots`` keeps
+        the components of.
+        """
+        seed_of = {start: None}  # every map of L_k -> its seed
+        new = [start]
+        while new:
+            hit = goals.intersection(new)
+            if hit:
+                chain = [min(hit)]
+                while seed_of[chain[-1]] is not None:
+                    chain.append(seed_of[chain[-1]])
+                return chain[::-1]
+            fresh = {}  # the new maps of L_{k+1} -> their seeds
+            for up in (True, False):
+                flooded = set()
+                for s in new:
+                    stack = [s]
+                    while stack:
+                        for k in self._moves(stack.pop(), up):
+                            if k not in flooded and k not in seed_of:
+                                flooded.add(k)
+                                stack.append(k)
+                                fresh.setdefault(k, s)
+            seed_of.update(fresh)
+            new = list(fresh)
+        return None
 
     def __len__(self):
         return len(self.assignments)
@@ -453,14 +442,13 @@ def is_homotopic(c, f, g):
     """Decide homotopy of f, g in C and return a witness chain.
 
     Returns (True, chain) where chain is a minimal list of map indices
-    f = h0 ~ h1 ~ ... ~ hk = g, or (False, None).
+    f = h0 ~ h1 ~ ... ~ hk = g from ``FunctionPoset.shortest_chain``, or
+    (False, None).
     """
     i = f if isinstance(f, int) else c.index_of(f)
     j = g if isinstance(g, int) else c.index_of(g)
-    chain = shortest_path(c.comparability_mask, i, 1 << j)
-    if chain is None:
-        return False, None
-    return True, chain
+    chain = c.shortest_chain(i, {j})
+    return chain is not None, chain
 
 
 def homotopy_classes(c):
@@ -479,13 +467,8 @@ def min_contraction_chain(x, guard=DEFAULT_MAP_GUARD):
     contractible (no constant map reachable from the identity).
     """
     c = enumerate_monotone(x, x, guard=guard)
-    goals = sum(1 << k for k in c.constant_indices())
-    if not goals:
-        return None
-    chain = shortest_path(c.comparability_mask, c.identity_index(), goals)
-    if chain is None:
-        return None
-    return len(chain) - 1
+    chain = c.shortest_chain(c.identity_index(), set(c.constant_indices()))
+    return None if chain is None else len(chain) - 1
 
 
 @dataclass

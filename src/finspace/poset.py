@@ -10,20 +10,21 @@ transitive reduction, is stored once, as per-element lower- and
 upper-cover masks; ``covers``, the pair set, is read off the upper-cover
 masks when it is asked for.
 
-Posets built from pairs, restricted, quotiented, dismantled or taken as
-a function-space order all come from ``Poset._from_successors``, given a
-successor mask per element.  It walks a topological order (Kahn's, which
-is also the cycle check, unless the caller knows one) and fills the
-up-masks and upper covers in one reverse pass and the down-masks and
-lower covers in one forward pass over the covers.  When the ids follow
-a linear extension (as in every generator) the cost is O(n + pairs
-given) bit tests plus O(covers) mask unions of n bits each: building
-``chain(n)`` is linear in the number of mask words, not quadratic in n.
+Posets built from pairs, restricted, quotiented or dismantled all come
+from ``Poset._from_successors``, given a successor mask per element.  It
+walks a topological order (Kahn's, which is also the cycle check, unless
+the caller knows one) and fills the up-masks and upper covers in one
+reverse pass and the down-masks and lower covers in one forward pass
+over the covers.  When the ids follow a linear extension (as in every
+generator) the cost is O(n + pairs given) bit tests plus O(covers) mask
+unions of n bits each: building ``chain(n)`` is linear in the number of
+mask words, not quadratic in n.
 
 ``bfs_layers``, ``components`` and ``shortest_path`` are the one BFS
 kernel behind every breadth-first walk in the package; each takes a
-neighbour function ``nbrs(v) -> mask``.  Homotopy classes in C(X, Y)
-come from the move kernel ``maps.FunctionPoset.class_roots`` instead.
+neighbour function ``nbrs(v) -> mask``.  Homotopy classes and minimal
+chains in C(X, Y) come from one-point cover moves instead
+(``maps.FunctionPoset.class_roots`` and ``shortest_chain``).
 """
 
 from __future__ import annotations

@@ -270,16 +270,27 @@ def compact_open_check(x, y, c, sub=None):
     ``sub`` defaults to ``compact_open_subbasis(x, y, c)``.  The two
     topologies are equal exactly when every map has the same minimal
     open in both: the intersection of the subbasis members around it,
-    and its down-set ``c.order.down``.  Both open counts come from
-    ``count_down_sets``.  DOWNSET_GUARD bounds the maps whose opens are
-    counted, and so the count's memory; it is checked before any set
-    family is built.
+    and its down-set in the pointwise order.  The down-set of f is the
+    intersection over e of low[e][f(e)], the maps g with g(e) <= f(e).
+    Both open counts come from ``count_down_sets``.  DOWNSET_GUARD
+    bounds the maps whose opens are counted, and so the count's memory;
+    it is checked before any set family is built.
     """
     check_downset_guard(len(c))
     if sub is None:
         sub = compact_open_subbasis(x, y, c)
     min_open = minimal_opens(sub)
-    down = c.order.down
+    low = [[0] * y.n for _ in range(x.n)]
+    for i, a in enumerate(c.assignments):
+        for e, w in enumerate(a):
+            for v in bits(y.up[w]):
+                low[e][v] |= 1 << i
+    down = []
+    for a in c.assignments:
+        mask = (1 << len(c)) - 1
+        for e, v in enumerate(a):
+            mask &= low[e][v]
+        down.append(mask)
     alexandroff = count_down_sets(down)
     equal = min_open == down
     compact_open = alexandroff if equal else count_down_sets(min_open)

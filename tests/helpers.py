@@ -104,11 +104,57 @@ def with_beat_points(p, rng, k):
     return Poset.from_covers(labels, covers)
 
 
+def pointwise_strict_up(c):
+    """The strict up-mask of every map of the function poset ``c`` in the
+    pointwise order, m^2 bits for m maps: one mask of the maps sending x
+    into the up-set of v for each (x, v), and for each map the
+    intersection of those of its values.  The oracle for every order
+    question that ``FunctionPoset`` answers by one-point moves."""
+    y = c.codomain
+    sending = [[0] * y.n for _ in range(c.domain.n)]  # maps sending x to v
+    for j, a in enumerate(c.assignments):
+        for x, v in enumerate(a):
+            sending[x][v] |= 1 << j
+    within = [[0] * y.n for _ in range(c.domain.n)]  # maps sending x above v
+    for x, row in enumerate(sending):
+        for v in range(y.n):
+            for w in bits(y.up[v]):
+                within[x][v] |= row[w]
+    reach = []
+    for i, a in enumerate(c.assignments):
+        mask = (1 << len(c)) - 1
+        for x, v in enumerate(a):
+            mask &= within[x][v]
+        reach.append(mask & ~(1 << i))
+    return reach
+
+
+def pointwise_comparability(c):
+    """The strict comparability mask of every map of ``c``, from
+    ``pointwise_strict_up`` and its transpose."""
+    up = pointwise_strict_up(c)
+    comp = list(up)
+    for i, mask in enumerate(up):
+        for j in bits(mask):
+            comp[j] |= 1 << i
+    return comp
+
+
+def pointwise_order(c):
+    """The pointwise order of ``c`` as a Poset on labels f0, f1, ... by
+    ``poset_by_closure`` of every strict pair of ``pointwise_strict_up``."""
+    labels = [f"f{i}" for i in range(len(c))]
+    return poset_by_closure(labels, [(labels[i], labels[j])
+                                     for i, up in enumerate(pointwise_strict_up(c))
+                                     for j in bits(up)])
+
+
 def components_by_comparability(c):
     """Homotopy classes of the function poset ``c`` as the components of
     the comparability graph of its own pointwise order: the straightforward
-    form of ``FunctionPoset.components``, without the move kernel."""
-    return [frozenset(bits(part)) for part in components(c.comparability_mask, len(c))]
+    form of ``FunctionPoset.class_roots``, without the move kernel."""
+    return [frozenset(bits(part))
+            for part in components(pointwise_comparability(c).__getitem__, len(c))]
 
 
 def brute_force_down_sets(p):

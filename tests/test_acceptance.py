@@ -42,7 +42,7 @@ from finspace.maps import count_monotone
 from finspace.simplicial import homology_invariant_under_reduction
 from finspace.topology import is_down_set
 
-from helpers import posets_up_to_iso, random_height1_poset
+from helpers import pointwise_order, posets_up_to_iso, random_height1_poset
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -109,7 +109,7 @@ def test_03_function_space_topology():
         for y in gens:
             c = enumerate_monotone(x, y)
             got = generate_topology(compact_open_subbasis(x, y, c))
-            want = alexandroff_topology(c.order)
+            want = alexandroff_topology(pointwise_order(c))
             assert families_equal(got, want)
             pairs += 1
     dt = time.perf_counter() - t0
