@@ -11,6 +11,12 @@ File format (``.poset``): line oriented, ``#`` comments, UTF-8::
 A JSON mirror {"name", "elements", "covers", "basepoint"} is accepted
 and produced for ``.json`` paths.
 
+Each file verb (``cmd_*``) takes the parsed args and one (poset,
+basepoint id or None) per input file, and returns its report ``(data,
+summary, verdict)``, or None once it has written its own output (``dot``;
+``gen`` reads no file).  ``run()`` alone reads the files, resolves
+``--pointed`` basepoints, prints the report and picks the exit code.
+
 Exit codes: 0 success, 1 negative decision, 2 input error, 3 guard
 exceeded.
 """
@@ -48,9 +54,6 @@ class PosetDocument:
         if self.basepoint is not None and self.basepoint not in self.elements:
             raise ValidationError(f"basepoint {self.basepoint!r} is not an element")
         return p
-
-    def basepoint_id(self, p):
-        return None if self.basepoint is None else p.index(self.basepoint)
 
 
 def parse_poset(text):
@@ -203,10 +206,6 @@ def _report(args, data, summary):
     print(summary, file=sys.stderr)
 
 
-def _basepoint(args, doc, p):
-    return doc.basepoint_id(p) if args.pointed else None
-
-
 GEN_FAMILIES = {  # family -> (generator, parameter names); spider takes any number
     "chain": (generators.chain, ("n",)), "antichain": (generators.antichain, ("n",)),
     "fence": (generators.fence, ("n",)), "crown": (generators.crown, ("n",)),
@@ -243,13 +242,11 @@ def cmd_gen(args):
     except ValueError as e:  # a value out of the family's range
         raise ValidationError(f"gen {family}: {e}") from e
     sys.stdout.write(dump_document(document_from_poset(p, name, base), args.json))
-    return EXIT_OK
 
 
-def cmd_core(args):
-    doc = load_document(args.file)
-    p = doc.to_poset()
-    res = reduction.core(p, _basepoint(args, doc, p))
+def cmd_core(args, first):
+    p, base = first
+    res = reduction.core(p, base)
     steps = [
         {
             "kind": s.kind,
@@ -264,15 +261,12 @@ def cmd_core(args):
         "core_elements": sorted(p.labels[x] for x in res.core_elements),
         "steps": steps if args.json else len(steps),
     }
-    _report(args, data, f"core has {res.core.n} of {p.n} elements "
-                        f"after {len(steps)} removals")
-    return EXIT_OK
+    return data, f"core has {res.core.n} of {p.n} elements after {len(steps)} removals", True
 
 
-def cmd_dismantle(args):
-    doc = load_document(args.file)
-    p = doc.to_poset()
-    trace = reduction.standard_sequence(p, _basepoint(args, doc, p))
+def cmd_dismantle(args, first):
+    p, base = first
+    trace = reduction.standard_sequence(p, base)
     data = {
         "input_size": p.n,
         "final_size": len(trace.final),
@@ -281,16 +275,12 @@ def cmd_dismantle(args):
         "stabilized": True,  # the standard sequence always stabilizes
         "kinds": [s.kind for s in trace.steps],
     }
-    _report(args, data, f"standard sequence left {len(trace.final)} elements "
-                        f"in {len(trace.effective_steps())} effective steps")
-    return EXIT_OK
+    return data, (f"standard sequence left {len(trace.final)} elements "
+                  f"in {len(trace.effective_steps())} effective steps"), True
 
 
-def cmd_homotopy_eq(args):
-    doc1 = load_document(args.file)
-    doc2 = load_document(args.file2)
-    p, q = doc1.to_poset(), doc2.to_poset()
-    base_p, base_q = _basepoint(args, doc1, p), _basepoint(args, doc2, q)
+def cmd_homotopy_eq(args, first, second):
+    (p, base_p), (q, base_q) = first, second
     if (base_p is None) != (base_q is None):
         raise ValidationError(f"--pointed needs a basepoint in both files or in neither, "
                               f"but only {args.file if base_q is None else args.file2} has one")
@@ -305,23 +295,18 @@ def cmd_homotopy_eq(args):
             ev.core_p.core.labels[i]: ev.core_q.core.labels[v]
             for i, v in enumerate(ev.iso.mapping)
         }
-    _report(args, data, "homotopy equivalent" if ev.equivalent
-            else f"not equivalent (core sizes {ev.core_p.core.n}, {ev.core_q.core.n})")
-    return EXIT_OK if ev.equivalent else EXIT_NEGATIVE
+    summary = ("homotopy equivalent" if ev.equivalent
+               else f"not equivalent (core sizes {ev.core_p.core.n}, {ev.core_q.core.n})")
+    return data, summary, ev.equivalent
 
 
-def cmd_contractible(args):
-    doc = load_document(args.file)
-    p = doc.to_poset()
-    verdict = homotopy.is_contractible(p)
-    _report(args, {"contractible": verdict},
-            "contractible" if verdict else "not contractible")
-    return EXIT_OK if verdict else EXIT_NEGATIVE
+def cmd_contractible(args, first):
+    verdict = homotopy.is_contractible(first[0])
+    return {"contractible": verdict}, "contractible" if verdict else "not contractible", verdict
 
 
-def cmd_homology(args):
-    doc = load_document(args.file)
-    p = doc.to_poset()
+def cmd_homology(args, first):
+    p = first[0]
     k = simplicial.order_complex(p, guard=args.max_enum)
     # P is homotopy equivalent to its core, whose complex is a subcomplex of
     # k; its groups above the core's dimension are zero
@@ -337,52 +322,41 @@ def cmd_homology(args):
         "torsion": [list(t) for _, t in degrees],
         "acyclic": prof.is_acyclic(),
     }
-    _report(args, data, f"reduced betti {betti}")
-    return EXIT_OK
+    return data, f"reduced betti {betti}", True
 
 
-def cmd_function_space(args):
-    doc1 = load_document(args.file)
-    doc2 = load_document(args.file2)
-    x, y = doc1.to_poset(), doc2.to_poset()
-    map_count, class_count, id_class = maps.function_space_counts(x, y, guard=args.max_enum)
+def cmd_function_space(args, first, second):
+    map_count, class_count, id_class = maps.function_space_counts(first[0], second[0],
+                                                                  guard=args.max_enum)
     data = {
         "map_count": map_count,
         "class_count": class_count,
         "identity_class_size": id_class,
     }
-    _report(args, data, f"{map_count} maps in {class_count} homotopy classes")
-    return EXIT_OK
+    return data, f"{map_count} maps in {class_count} homotopy classes", True
 
 
-def cmd_gamma(args):
-    doc = load_document(args.file)
-    p = doc.to_poset()
+def cmd_gamma(args, first):
+    p = first[0]
     verdicts = {p.labels[x]: simplicial.is_gamma_point(p, x, guard=args.max_enum)
                 for x in range(p.n)}
-    _report(args, {"verdicts": verdicts},
-            f"{sum(v == simplicial.CERTIFIED_YES for v in verdicts.values())} "
-            f"certified gamma-points of {p.n}")
-    return EXIT_OK
+    certified = sum(v == simplicial.CERTIFIED_YES for v in verdicts.values())
+    return {"verdicts": verdicts}, f"{certified} certified gamma-points of {p.n}", True
 
 
-def cmd_fpp(args):
-    doc = load_document(args.file)
-    p = doc.to_poset()
+def cmd_fpp(args, first):
+    p = first[0]
     ok, witness = maps.has_fpp(p, guard=args.max_enum)
     data = {"fixed_point_property": ok}
     if witness is not None:
         data["witness"] = {p.labels[i]: p.labels[v]
                            for i, v in enumerate(witness.assignment)}
-    _report(args, data, "has the fixed point property" if ok
-            else "fixed-point-free self-map found")
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return data, ("has the fixed point property" if ok
+                  else "fixed-point-free self-map found"), ok
 
 
-def cmd_topology_check(args):
-    doc1 = load_document(args.file)
-    doc2 = load_document(args.file2)
-    x, y = doc1.to_poset(), doc2.to_poset()
+def cmd_topology_check(args, first, second):
+    x, y = first[0], second[0]
     # more maps than the down-set guard are counted, not listed
     try:
         c = maps.enumerate_monotone(x, y, guard=min(args.max_enum, topology.DOWNSET_GUARD))
@@ -398,19 +372,14 @@ def cmd_topology_check(args):
         "alexandroff_opens": check.alexandroff_opens,
         "topologies_equal": check.topologies_equal,
     }
-    _report(args, data, "compact-open = Alexandroff" if check.topologies_equal
-            else "topologies differ")
-    return EXIT_OK if check.topologies_equal else EXIT_NEGATIVE
+    return data, ("compact-open = Alexandroff" if check.topologies_equal
+                  else "topologies differ"), check.topologies_equal
 
 
-def cmd_dot(args):
-    doc = load_document(args.file)
-    p = doc.to_poset()
-    trace = None
-    if args.core_trace:
-        trace = reduction.core(p, _basepoint(args, doc, p)).trace
+def cmd_dot(args, first):
+    p, base = first
+    trace = reduction.core(p, base).trace if args.core_trace else None
     sys.stdout.write(emit_dot(p, trace))
-    return EXIT_OK
 
 
 def build_parser():
@@ -429,30 +398,30 @@ def build_parser():
     sp = sub.add_parser("gen", help="emit a generated poset document")
     sp.add_argument("family")
     sp.add_argument("params", nargs="*")
-    sp.set_defaults(fn=cmd_gen)
+    sp.set_defaults(fn=cmd_gen, files=())
 
-    for name, fn, two in [
-        ("core", cmd_core, False),
-        ("dismantle", cmd_dismantle, False),
-        ("homotopy-eq", cmd_homotopy_eq, True),
-        ("contractible", cmd_contractible, False),
-        ("homology", cmd_homology, False),
-        ("function-space", cmd_function_space, True),
-        ("gamma", cmd_gamma, False),
-        ("fpp", cmd_fpp, False),
-        ("topology-check", cmd_topology_check, True),
+    one, two = ("file",), ("file", "file2")  # each verb's input files, in reading order
+    for name, fn, files in [
+        ("core", cmd_core, one),
+        ("dismantle", cmd_dismantle, one),
+        ("homotopy-eq", cmd_homotopy_eq, two),
+        ("contractible", cmd_contractible, one),
+        ("homology", cmd_homology, one),
+        ("function-space", cmd_function_space, two),
+        ("gamma", cmd_gamma, one),
+        ("fpp", cmd_fpp, one),
+        ("topology-check", cmd_topology_check, two),
     ]:
         sp = sub.add_parser(name)
-        sp.add_argument("file")
-        if two:
-            sp.add_argument("file2")
-        sp.set_defaults(fn=fn)
+        for dest in files:
+            sp.add_argument(dest)
+        sp.set_defaults(fn=fn, files=files)
 
     sp = sub.add_parser("dot", help="emit a DOT Hasse diagram")
     sp.add_argument("file")
     sp.add_argument("--core-trace", action="store_true",
                     help="gray out elements removed by core reduction")
-    sp.set_defaults(fn=cmd_dot)
+    sp.set_defaults(fn=cmd_dot, files=one)
     return ap
 
 
@@ -462,12 +431,27 @@ def _parser():
     return build_parser()
 
 
+def _input(args, doc):
+    """The (poset, basepoint id or None) that a verb gets for one document."""
+    p = doc.to_poset()
+    return p, p.index(doc.basepoint) if args.pointed and doc.basepoint is not None else None
+
+
 def run(argv=None):
+    """Parse ``argv``, read the verb's files, run it, print its report and
+    return the exit code."""
     args = _parser().parse_args(argv)
     try:
         if args.max_enum < 0:
             raise ValidationError(f"--max-enum must be non-negative, got {args.max_enum}")
-        return args.fn(args)
+        # every file is read before any poset is built
+        docs = [load_document(getattr(args, dest)) for dest in args.files]
+        report = args.fn(args, *[_input(args, doc) for doc in docs])
+        if report is None:
+            return EXIT_OK
+        data, summary, verdict = report
+        _report(args, data, summary)
+        return EXIT_OK if verdict else EXIT_NEGATIVE
     except GuardExceeded as e:
         print(f"guard exceeded: {e}", file=sys.stderr)
         return EXIT_GUARD

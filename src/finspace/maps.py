@@ -10,6 +10,9 @@ incomplete; nothing here is correct beyond finite inputs.)
 Every search for maps goes through one kernel, ``_iter_assignments``: a
 depth-first search over per-position domain masks with forward checking
 and an undo trail, yielding assignment tuples in lexicographic order.
+Each position carries one list of the later positions comparable to it,
+each paired with the cone table of Y (up-sets above it, down-sets below)
+that an assignment cuts that position's domain to.
 ``enumerate_monotone`` runs it with full domains.  ``has_fpp`` first
 reduces X to its core, since removing beat points preserves the fixed
 point property (Rival 1976), so a dismantlable X answers at once; on a
@@ -115,12 +118,12 @@ def _iter_assignments(x, y, domains=None, node_guard=None):
         for v in bits(dom[0]):
             yield (v,)
         return
-    later_up = [list(bits(x.up[i] >> (i + 1) << (i + 1))) for i in range(last)]
-    later_down = [list(bits(x.down[i] >> (i + 1) << (i + 1))) for i in range(last)]
+    # the later positions comparable to x_i, each with the cone table of Y
+    # that an assignment to x_i cuts its domain to
+    later = [[(j, y.up) for j in bits(x.up[i] >> (i + 1) << (i + 1))]
+             + [(j, y.down) for j in bits(x.down[i] >> (i + 1) << (i + 1))]
+             for i in range(last)]
     penult = last - 1
-    tail_up = x.up[penult] >> last & 1
-    tail_down = x.down[penult] >> last & 1
-    y_up, y_down = y.up, y.down
     nodes = 0
     assign = [0] * n
     untried = [dom[0]] + [0] * last
@@ -143,10 +146,8 @@ def _iter_assignments(x, y, domains=None, node_guard=None):
         if i == penult:
             # the last position takes every value its domain leaves
             tail = dom[last]
-            if tail_up:
-                tail &= y_up[v]
-            if tail_down:
-                tail &= y_down[v]
+            for _, cones in later[penult]:
+                tail &= cones[v]
             nodes += 1 + tail.bit_count()
             if nodes > limit >= 0:
                 raise GuardExceeded(f"more than {limit} search nodes")
@@ -158,9 +159,9 @@ def _iter_assignments(x, y, domains=None, node_guard=None):
         if nodes > limit >= 0:
             raise GuardExceeded(f"more than {limit} search nodes")
         # a loop left by ``break`` has emptied a domain: try the next value
-        cone = y_up[v]
-        for j in later_up[i]:
+        for j, cones in later[i]:
             d = dom[j]
+            cone = cones[v]
             if d & ~cone:
                 trail.append((j, d))
                 d &= cone
@@ -168,19 +169,9 @@ def _iter_assignments(x, y, domains=None, node_guard=None):
                 if not d:
                     break
         else:
-            cone = y_down[v]
-            for j in later_down[i]:
-                d = dom[j]
-                if d & ~cone:
-                    trail.append((j, d))
-                    d &= cone
-                    dom[j] = d
-                    if not d:
-                        break
-            else:
-                i += 1
-                marks[i] = len(trail)
-                untried[i] = dom[i]
+            i += 1
+            marks[i] = len(trail)
+            untried[i] = dom[i]
 
 
 class FunctionPoset:

@@ -235,33 +235,34 @@ def core(p, basepoint=None):
     return CoreResult(sub, relabel, DismantlingTrace(p, steps, frozenset(keep)))
 
 
-def _bulk_step(covers, mask, upward, basepoint=None):
+def _bulk_step(covers, ranks, mask, upward, basepoint=None):
     """The U_X (upward) or D_X step on the subspace ``mask``.
 
     ``covers`` holds the upper (upward) or lower cover masks of the
     subspace: x is a beat point exactly when its mask has a single bit,
     which is then its target.  The basepoint, if given, is never a beat
     point and so never moves.  Only the beat points enter the mapping,
-    each sent to the end of its chain of targets.
+    each sent to the end of its chain of targets.  ``ranks`` are the
+    start poset's ``up`` (upward) or ``down`` masks: a target's mask is
+    a proper subset of its beat point's, so in order of popcount every
+    target's chain is resolved before the beat points that reach it.
     """
     one = {x: t for x in bits(mask)
            if x != basepoint and (t := _sole(covers[x])) is not None}
-    mapping = {}
-    for x, v in one.items():
-        while v in one:
-            v = one[v]
-        mapping[x] = v
-    return RetractionStep(BULK_UP if upward else BULK_DOWN, mask, mapping)
+    for x in sorted(one, key=lambda x: ranks[x].bit_count()):
+        t = one[x]
+        one[x] = one.get(t, t)
+    return RetractionStep(BULK_UP if upward else BULK_DOWN, mask, one)
 
 
 def bulk_up(p):
     """The U_X retraction: iterate one-step up-beat absorption to a fixpoint."""
-    return _bulk_step(p.upper_covers, p.full_mask, upward=True)
+    return _bulk_step(p.upper_covers, p.up, p.full_mask, upward=True)
 
 
 def bulk_down(p):
     """The D_X retraction, dual to bulk_up."""
-    return _bulk_step(p.lower_covers, p.full_mask, upward=False)
+    return _bulk_step(p.lower_covers, p.down, p.full_mask, upward=False)
 
 
 def standard_sequence(p, basepoint=None):
@@ -282,7 +283,8 @@ def standard_sequence(p, basepoint=None):
     idle = 0
     upward = False  # start with D_X
     while idle < 2:
-        step = _bulk_step(upper if upward else lower, mask, upward, basepoint)
+        covers, ranks = (upper, p.up) if upward else (lower, p.down)
+        step = _bulk_step(covers, ranks, mask, upward, basepoint)
         upward = not upward
         if not step.mapping:
             idle += 1

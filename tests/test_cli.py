@@ -188,6 +188,14 @@ class TestRun:
         bad.write_text("poset cyc\nel a\nel b\ncov a b\ncov b a\n")
         assert run(["core", str(bad)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("verb", ["homotopy-eq", "function-space", "topology-check"])
+    def test_every_file_is_read_before_any_order_is_checked(self, tmp_path, capsys, verb):
+        cyclic = tmp_path / "cyc.poset"
+        cyclic.write_text("poset cyc\nel a\nel b\ncov a b\ncov b a\n")
+        missing = tmp_path / "missing.poset"
+        assert run([verb, str(cyclic), str(missing)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"input error: cannot read {missing}: ")
+
 
 @pytest.fixture(scope="module")
 def chain1100(tmp_path_factory):

@@ -101,6 +101,21 @@ class TestEnumeration:
         with pytest.raises(GuardExceeded, match="more than 3 search nodes"):
             next(_iter_assignments(p, p, domains, node_guard=3))
 
+    @pytest.mark.parametrize("x, y, own_point_removed, nodes, count", [
+        (crown(3), crown(3), False, 690, 234),
+        (fence(6), fence(6), False, 495, 275),
+        (crown(4), crown(4), True, 320, 3),
+        (chain(1), chain(4), False, 4, 4),
+        (antichain(3), chain(5), False, 155, 125),
+    ], ids=["crown3-self", "fence6-self", "crown4-fixed-point-free", "point-chain4",
+            "antichain3-chain5"])
+    def test_kernel_node_count(self, x, y, own_point_removed, nodes, count):
+        # the smallest node_guard that lets the search finish is its node count
+        domains = [x.full_mask & ~(1 << i) for i in range(x.n)] if own_point_removed else None
+        assert len(list(_iter_assignments(x, y, domains, node_guard=nodes))) == count
+        with pytest.raises(GuardExceeded):
+            list(_iter_assignments(x, y, domains, node_guard=nodes - 1))
+
     def test_count_matches_enumeration(self):
         for x, y in random_pairs_of_posets(9, 400, 7):
             assert count_monotone(x, y) == count_by_enumeration(x, y)

@@ -293,6 +293,28 @@ class TestStandardSequence:
             final, _ = p.restrict(tr.final)
             assert are_isomorphic(final, core(p).core) is not None
 
+    def test_long_chain_in_linear_time(self):
+        # each D_X target chain is resolved once, from the bottom up; chasing
+        # every chain to its end walks n^2 / 2 steps (about 4 s at n = 10^4)
+        import signal
+
+        if not hasattr(signal, "setitimer"):
+            pytest.skip("needs signal.setitimer")
+        p = chain(10000)
+
+        def expire(signum, frame):
+            raise TimeoutError("standard_sequence(chain(10000)) took over 2 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 2)
+        try:
+            tr = standard_sequence(p)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [s.kind for s in tr.steps] == ["bulk-down"] and tr.final == {0}
+        assert tr.steps[0].mapping == dict.fromkeys(range(1, 10000), 0)
+
 
 class TestStandardSequenceMatchesScan:
     """The cover-mask standard sequence against the punctured-set scan it
@@ -302,6 +324,7 @@ class TestStandardSequenceMatchesScan:
         tr = standard_sequence(p, basepoint)
         steps, final = standard_sequence_by_scan(p, basepoint)
         assert [(s.kind, s.domain, s.removed, s.mapping) for s in tr.steps] == steps
+        assert all(list(s.mapping) == sorted(s.mapping) for s in tr.steps)
         assert tr.final == final
 
     def test_random_posets(self):
