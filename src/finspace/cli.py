@@ -16,6 +16,8 @@ basepoint id or None) per input file, and returns its report ``(data,
 summary, verdict)``, or None once it has written its own output (``dot``;
 ``gen`` reads no file).  ``run()`` alone reads the files, resolves
 ``--pointed`` basepoints, prints the report and picks the exit code.
+Under ``--pointed`` a verb that takes no basepoint refuses a file that
+declares one, and a ``.poset`` parse error names its line.
 
 Exit codes: 0 success, 1 negative decision, 2 input error, 3 guard
 exceeded.
@@ -47,10 +49,7 @@ class PosetDocument:
     basepoint: str | None = None
 
     def to_poset(self):
-        try:
-            p = Poset.from_covers(self.elements, self.covers)
-        except FinspaceError as e:
-            raise ValidationError(str(e)) from e
+        p = Poset.from_covers(self.elements, self.covers)
         if self.basepoint is not None and self.basepoint not in self.elements:
             raise ValidationError(f"basepoint {self.basepoint!r} is not an element")
         return p
@@ -68,23 +67,23 @@ def parse_poset(text):
         kw = parts[0]
         if kw == "poset":
             if len(parts) != 2:
-                raise ParseError("expected: poset <name>", line=lineno)
+                raise ParseError(f"line {lineno}: expected: poset <name>")
             doc.name = parts[1]
             have_header = True
         elif kw == "el":
             if len(parts) != 2:
-                raise ParseError("expected: el <label>", line=lineno)
+                raise ParseError(f"line {lineno}: expected: el <label>")
             doc.elements.append(parts[1])
         elif kw == "cov":
             if len(parts) != 3:
-                raise ParseError("expected: cov <a> <b>", line=lineno)
+                raise ParseError(f"line {lineno}: expected: cov <a> <b>")
             doc.covers.append((parts[1], parts[2]))
         elif kw == "base":
             if len(parts) != 2:
-                raise ParseError("expected: base <label>", line=lineno)
+                raise ParseError(f"line {lineno}: expected: base <label>")
             doc.basepoint = parts[1]
         else:
-            raise ParseError(f"unknown directive {kw!r}", line=lineno)
+            raise ParseError(f"line {lineno}: unknown directive {kw!r}")
     if not have_header:
         raise ParseError("missing 'poset <name>' header")
     return doc
@@ -143,16 +142,16 @@ def load_document(path):
         raise ValidationError(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise ParseError(f"{path} is not UTF-8: {e}") from e
-    if str(path).endswith(".json"):
+    is_json = str(path).endswith(".json")
+    if is_json:
         try:
             data = json.loads(text)
         except (ValueError, RecursionError) as e:  # ValueError: bad syntax or a huge int
             raise ParseError(f"bad JSON in {path}: {e}") from e
-        try:
-            return parse_json_document(data)
-        except ParseError as e:
-            raise ParseError(f"bad poset document in {path}: {e}") from e
-    return parse_poset(text)
+    try:
+        return parse_json_document(data) if is_json else parse_poset(text)
+    except ParseError as e:
+        raise ParseError(f"bad poset document in {path}: {e}") from e
 
 
 def dump_document(doc, json_mode=False):
@@ -271,12 +270,12 @@ def cmd_dismantle(args, first):
         "input_size": p.n,
         "final_size": len(trace.final),
         "final_elements": sorted(p.labels[x] for x in trace.final),
-        "effective_steps": len(trace.effective_steps()),
+        "effective_steps": len(trace.steps),
         "stabilized": True,  # the standard sequence always stabilizes
         "kinds": [s.kind for s in trace.steps],
     }
     return data, (f"standard sequence left {len(trace.final)} elements "
-                  f"in {len(trace.effective_steps())} effective steps"), True
+                  f"in {len(trace.steps)} effective steps"), True
 
 
 def cmd_homotopy_eq(args, first, second):
@@ -401,27 +400,28 @@ def build_parser():
     sp.set_defaults(fn=cmd_gen, files=())
 
     one, two = ("file",), ("file", "file2")  # each verb's input files, in reading order
-    for name, fn, files in [
-        ("core", cmd_core, one),
-        ("dismantle", cmd_dismantle, one),
-        ("homotopy-eq", cmd_homotopy_eq, two),
-        ("contractible", cmd_contractible, one),
-        ("homology", cmd_homology, one),
-        ("function-space", cmd_function_space, two),
-        ("gamma", cmd_gamma, one),
-        ("fpp", cmd_fpp, one),
-        ("topology-check", cmd_topology_check, two),
+    # name, verb, input files, whether the verb takes a basepoint under --pointed
+    for name, fn, files, pointed in [
+        ("core", cmd_core, one, True),
+        ("dismantle", cmd_dismantle, one, True),
+        ("homotopy-eq", cmd_homotopy_eq, two, True),
+        ("contractible", cmd_contractible, one, False),
+        ("homology", cmd_homology, one, False),
+        ("function-space", cmd_function_space, two, False),
+        ("gamma", cmd_gamma, one, False),
+        ("fpp", cmd_fpp, one, False),
+        ("topology-check", cmd_topology_check, two, False),
     ]:
         sp = sub.add_parser(name)
         for dest in files:
             sp.add_argument(dest)
-        sp.set_defaults(fn=fn, files=files)
+        sp.set_defaults(fn=fn, files=files, takes_basepoint=pointed)
 
     sp = sub.add_parser("dot", help="emit a DOT Hasse diagram")
     sp.add_argument("file")
     sp.add_argument("--core-trace", action="store_true",
                     help="gray out elements removed by core reduction")
-    sp.set_defaults(fn=cmd_dot, files=one)
+    sp.set_defaults(fn=cmd_dot, files=one, takes_basepoint=True)
     return ap
 
 
@@ -431,10 +431,15 @@ def _parser():
     return build_parser()
 
 
-def _input(args, doc):
+def _input(args, path, doc):
     """The (poset, basepoint id or None) that a verb gets for one document."""
     p = doc.to_poset()
-    return p, p.index(doc.basepoint) if args.pointed and doc.basepoint is not None else None
+    if not args.pointed or doc.basepoint is None:
+        return p, None
+    if not args.takes_basepoint:
+        raise ValidationError(f"--pointed: {args.command} takes no basepoint, "
+                              f"but {path} declares one")
+    return p, p.index(doc.basepoint)
 
 
 def run(argv=None):
@@ -445,8 +450,9 @@ def run(argv=None):
         if args.max_enum < 0:
             raise ValidationError(f"--max-enum must be non-negative, got {args.max_enum}")
         # every file is read before any poset is built
-        docs = [load_document(getattr(args, dest)) for dest in args.files]
-        report = args.fn(args, *[_input(args, doc) for doc in docs])
+        paths = [getattr(args, dest) for dest in args.files]
+        docs = [load_document(path) for path in paths]
+        report = args.fn(args, *[_input(args, path, doc) for path, doc in zip(paths, docs)])
         if report is None:
             return EXIT_OK
         data, summary, verdict = report

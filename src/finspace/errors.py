@@ -42,9 +42,7 @@ class HeightExceeded(FinspaceError):
 
 
 class ParseError(FinspaceError):
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
+    pass
 
 
 class ValidationError(FinspaceError):

@@ -150,7 +150,7 @@ class Poset:
     """
 
     __slots__ = ("n", "labels", "down", "up", "lower_covers", "upper_covers",
-                 "full_mask", "_index")
+                 "full_mask")
 
     def __init__(self, labels, down, up, lower_covers, upper_covers):
         self.n = len(labels)
@@ -160,7 +160,6 @@ class Poset:
         self.lower_covers = list(lower_covers)
         self.upper_covers = list(upper_covers)
         self.full_mask = (1 << self.n) - 1
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
 
     # -- construction ---------------------------------------------------
 
@@ -176,12 +175,10 @@ class Poset:
         O(covers) mask unions when the ids follow a linear extension.
         """
         labels = list(labels)
-        seen = set()
-        for lab in labels:
-            if lab in seen:
+        index = {}
+        for i, lab in enumerate(labels):
+            if index.setdefault(lab, i) != i:
                 raise DuplicateLabel(f"duplicate label {lab!r}")
-            seen.add(lab)
-        index = {lab: i for i, lab in enumerate(labels)}
         succ = [0] * len(labels)
         for a, b in cover_pairs:
             if a not in index:
@@ -248,9 +245,10 @@ class Poset:
         return frozenset((a, b) for a, m in enumerate(self.upper_covers) for b in bits(m))
 
     def index(self, label):
+        """The id of ``label``, by a scan of ``labels``."""
         try:
-            return self._index[label]
-        except KeyError:
+            return self.labels.index(label)
+        except ValueError:
             raise UnknownLabel(f"unknown label {label!r}") from None
 
     def leq(self, x, y):

@@ -117,8 +117,8 @@ class RetractionStep:
 class DismantlingTrace:
     """Ordered record of retraction steps from a start poset.
 
-    composed maps every start element to its final image; final is the
-    surviving subspace.
+    Every recorded step moves at least one point.  composed maps every
+    start element to its final image; final is the surviving subspace.
     """
 
     start: Poset
@@ -131,9 +131,6 @@ class DismantlingTrace:
         for step in reversed(self.steps):  # out is the composite of the later steps
             out.update({k: out[v] for k, v in step.mapping.items()})
         return out
-
-    def effective_steps(self):
-        return [s for s in self.steps if s.mapping]
 
 
 def remove_beat_point(p, x, basepoint=None, prefer_down=True):

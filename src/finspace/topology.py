@@ -7,9 +7,13 @@ opens are the sets that contain the minimal open of each of their points.
 ``compact_open_check`` uses this to compare the topology generated by the
 compact-open subbasis [x, y-down] on C(X, Y) with the Alexandroff
 topology of the pointwise order: one mask per map, in O(|subbasis| * m)
-mask operations, with no set family closed.  ``count_down_sets`` counts
-the opens of either topology without listing them, and
-``specialization_order`` validates its input with the same two steps.
+mask operations, with no set family closed.  One table, the maps with
+f(x) <= y for each pair (x, y), made in a single pass over the maps,
+holds both the subbasis members and, intersected along each map, the
+pointwise down-sets.  ``count_down_sets`` counts the opens of either
+topology without listing them, and ``specialization_order`` validates
+its input with the same two steps.  ``hom_set_interval`` gives [K, U]
+for any K; for a down-set U it equals [max K, U], which the tests check.
 
 ``alexandroff_topology`` and ``generate_topology`` still materialize whole
 families, so equalities can also be checked literally at test scale.
@@ -120,44 +124,31 @@ def is_compact_shape(p):
 def hom_set_interval(c, k, u_mask):
     """[K, U] = {f in C : f(K) subseteq U}, as a set of map indices.
 
-    U must be a down-set of the codomain.  The equality [K, U] =
-    [max(K), U] is asserted on the way out.
+    U must be a down-set of the codomain, and then [K, U] = [max(K), U].
     """
-    y = c.codomain
-    x = c.domain
-    if not is_down_set(y, u_mask):
+    if not is_down_set(c.codomain, u_mask):
         raise NotDownSet("U is not a down-set of the codomain")
     k = frozenset(k)
-    result = frozenset(
+    return frozenset(
         i for i, a in enumerate(c.assignments)
         if all(u_mask >> a[e] & 1 for e in k)
     )
-    max_k = frozenset(
-        e for e in k if not any(o != e and x.lt(e, o) for o in k)
-    )
-    via_max = frozenset(
-        i for i, a in enumerate(c.assignments)
-        if all(u_mask >> a[e] & 1 for e in max_k)
-    )
-    if result != via_max:
-        raise AssertionError("[K,U] != [max(K),U]; invariant violated")
-    return result
+
+
+def _below(x, y, c):
+    """below[e][v]: the maps f of C = C(X, Y) with f(e) <= v, as a bitmask
+    of map indices, from one pass over the maps."""
+    below = [[0] * y.n for _ in range(x.n)]
+    for i, a in enumerate(c.assignments):
+        for e, w in enumerate(a):
+            for v in bits(y.up[w]):
+                below[e][v] |= 1 << i
+    return below
 
 
 def compact_open_subbasis(x, y, c):
     """The family {[x, y-down]} over C = C(X, Y), as map-index bitmasks."""
-    masks = set()
-    for e in range(x.n):
-        for v in range(y.n):
-            down_v = y.down[v]
-            m = 0
-            for i, a in enumerate(c.assignments):
-                if down_v >> a[e] & 1:
-                    m |= 1 << i
-            masks.add(m)
-    if x.n == 0:
-        masks = set()
-    return SetFamily.of(len(c.assignments), masks)
+    return SetFamily.of(len(c), {m for row in _below(x, y, c) for m in row})
 
 
 def generate_topology(sub):
@@ -267,29 +258,26 @@ def compact_open_check(x, y, c, sub=None):
     """Compare the topology generated by a subbasis on C = C(X, Y) with
     the Alexandroff topology of the pointwise order.
 
-    ``sub`` defaults to ``compact_open_subbasis(x, y, c)``.  The two
-    topologies are equal exactly when every map has the same minimal
-    open in both: the intersection of the subbasis members around it,
-    and its down-set in the pointwise order.  The down-set of f is the
-    intersection over e of low[e][f(e)], the maps g with g(e) <= f(e).
+    ``sub`` defaults to the compact-open subbasis {[e, v-down]}.  Both
+    it and the pointwise down-sets are read off one table ``_below``:
+    [e, v-down] is below[e][v], and the down-set of f is the
+    intersection over e of below[e][f(e)].  The two topologies are equal
+    exactly when every map has the same minimal open in both: the
+    intersection of the subbasis members around it, and its down-set.
     Both open counts come from ``count_down_sets``.  DOWNSET_GUARD
     bounds the maps whose opens are counted, and so the count's memory;
-    it is checked before any set family is built.
+    it is checked before the table is built.
     """
     check_downset_guard(len(c))
+    below = _below(x, y, c)
     if sub is None:
-        sub = compact_open_subbasis(x, y, c)
+        sub = SetFamily.of(len(c), {m for row in below for m in row})
     min_open = minimal_opens(sub)
-    low = [[0] * y.n for _ in range(x.n)]
-    for i, a in enumerate(c.assignments):
-        for e, w in enumerate(a):
-            for v in bits(y.up[w]):
-                low[e][v] |= 1 << i
     down = []
     for a in c.assignments:
         mask = (1 << len(c)) - 1
         for e, v in enumerate(a):
-            mask &= low[e][v]
+            mask &= below[e][v]
         down.append(mask)
     alexandroff = count_down_sets(down)
     equal = min_open == down

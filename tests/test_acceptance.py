@@ -208,7 +208,7 @@ def test_09_standard_sequence():
         final, _ = p.restrict(tr.final)
         assert are_isomorphic(final, core(p).core) is not None
         bound = 2 * classify(p).bp_step_bound + 2
-        assert len(tr.effective_steps()) <= bound
+        assert len(tr.steps) <= bound
     report("standard sequence",
            "200 random posets: stabilizes, matches core, within 2n+2 bound")
 

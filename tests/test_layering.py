@@ -3,7 +3,8 @@
 Every module imports at module level only, the relative imports between
 modules run one way (``poset`` -> ``reduction`` -> ``maps`` ->
 ``homotopy``, with ``simplicial`` on ``reduction`` and ``topology`` on
-``poset``), and no module but ``__init__`` imports a name it never uses.
+``poset``), no module but ``__init__`` imports a name it never uses, and
+no check in the package is an ``assert`` that ``python -O`` would strip.
 """
 
 import ast
@@ -81,3 +82,15 @@ def test_no_unused_imports():
         if unused:
             found[name] = unused
     assert not found, [f"{name} imports {unused} unused" for name, unused in found.items()]
+
+
+def test_no_assert_and_no_assertion_error():
+    # every check in the package raises a FinspaceError or is a test
+    found = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assert):
+                found.append(f"{name}:{node.lineno} assert")
+            elif isinstance(node, ast.Name) and node.id == "AssertionError":
+                found.append(f"{name}:{node.lineno} AssertionError")
+    assert not found, found

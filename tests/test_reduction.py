@@ -270,8 +270,8 @@ class TestBulkRetractions:
 class TestStandardSequence:
     def test_chain_one_effective_step(self):
         tr = standard_sequence(chain(5))
-        assert len(tr.effective_steps()) == 1
-        assert tr.effective_steps()[0].kind == "bulk-down"
+        assert len(tr.steps) == 1
+        assert tr.steps[0].kind == "bulk-down"
         assert tr.final == {0}
 
     def test_crown_stabilizes_immediately(self):
@@ -284,7 +284,7 @@ class TestStandardSequence:
         tr = standard_sequence(sp.poset, sp.basepoint)
         assert tr.final == {sp.basepoint}
         max_len = 2
-        assert len(tr.effective_steps()) <= 2 * max_len + 2
+        assert len(tr.steps) <= 2 * max_len + 2
 
     def test_agrees_with_core_up_to_iso(self):
         for seed in range(15):

@@ -121,6 +121,19 @@ class TestHomSetInterval:
         with pytest.raises(NotDownSet):
             hom_set_interval(c, [0], 1 << 1)  # {top} is not a down-set
 
+    def test_maxima_suffice(self):
+        # [K, U] = [max K, U] for every down-set U: f(e) <= f(o) for e < o
+        cases = 0
+        for x, y, c in oracle_pairs():
+            downs = alexandroff_topology(y).sets
+            for r in range(x.n + 1):
+                for k in itertools.combinations(range(x.n), r):
+                    maxima = [e for e in k if not any(x.lt(e, o) for o in k)]
+                    for u in downs:
+                        assert hom_set_interval(c, k, u) == hom_set_interval(c, maxima, u)
+                        cases += 1
+        assert cases > 1000
+
 
 class TestCompactOpenSubbasis:
     def test_singleton(self):
@@ -285,11 +298,11 @@ class TestCompactOpenCheck:
 
     def test_guard_fires_before_subbasis(self, monkeypatch):
         def unreachable(*args):
-            raise AssertionError("subbasis built past the guard")
+            raise AssertionError("subbasis table built past the guard")
 
         x, y = antichain(1), antichain(21)
         c = enumerate_monotone(x, y)
-        monkeypatch.setattr(topology, "compact_open_subbasis", unreachable)
+        monkeypatch.setattr(topology, "_below", unreachable)
         with pytest.raises(GuardExceeded, match="21 > 20"):
             compact_open_check(x, y, c)
         monkeypatch.undo()
