@@ -377,7 +377,7 @@ def cmd_topology_check(args, first, second):
 
 def cmd_dot(args, first):
     p, base = first
-    trace = reduction.core(p, base).trace if args.core_trace else None
+    trace = reduction.core(p, base).trace if args.takes_basepoint else None
     sys.stdout.write(emit_dot(p, trace))
 
 
@@ -419,9 +419,10 @@ def build_parser():
 
     sp = sub.add_parser("dot", help="emit a DOT Hasse diagram")
     sp.add_argument("file")
-    sp.add_argument("--core-trace", action="store_true",
+    # only the core trace reads a basepoint, so the flag is what takes one
+    sp.add_argument("--core-trace", dest="takes_basepoint", action="store_true",
                     help="gray out elements removed by core reduction")
-    sp.set_defaults(fn=cmd_dot, files=one, takes_basepoint=True)
+    sp.set_defaults(fn=cmd_dot, files=one)
     return ap
 
 

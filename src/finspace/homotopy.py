@@ -6,15 +6,25 @@ then search for an isomorphism of the cores.
 
 The isomorphism search is individualisation-refinement (McKay and
 Piperno, Practical graph isomorphism II, 2014) on the cover graphs of
-the two posets taken together.  Refinement splits one shared partition
-of both element sets by the numbers of lower and upper covers that each
-element has in each cell, re-refining only from cells that have just
-split; a cell with unequal numbers of elements from the two posets ends
-the branch.  The search individualises one element of the smallest
-undecided cell against each candidate in turn, depth first on an
-explicit stack, undoing splits through a trail.  At a discrete
-partition the cells give a bijection, which is accepted only after every
-up-set image is compared with the matching up-set mask.
+the two posets taken together, with a colour per element and a set per
+colour.  Refinement splits each class by the number of covers its
+elements have in one colour at a time; the largest part keeps the old
+colour and every other part takes a fresh one, so a split costs the
+elements the counts touched and only fresh colours are processed again
+(Hopcroft's rule).  The first colours are the down-set and up-set
+sizes, and a cover joins a smaller down-set to a larger one, so all
+covers between two colours point the same way and one count per colour
+suffices.  A class with unequal numbers of elements from
+the two posets ends the branch.  The search individualises the lowest
+element of the smallest undecided class against each candidate in
+turn, depth first on an explicit stack, and backtracks through an undo
+log of the colour each fresh colour split from.  At a discrete
+colouring every class has the same cover count into every other, so
+the bijection the classes give preserves and reflects covers and is
+returned as it is.  The package does not re-check it; the tests check
+every witness (``_assert_witness``, the networkx differential and the
+``iso_by_backtrack`` oracle in ``tests/test_homotopy.py``), and so does
+the benchmark's ``oracle.iso_certificate_ok``.
 
 A brute-force oracle that searches directly for maps f, g with g o f
 and f o g chain-connected to the identities is provided for
@@ -23,12 +33,11 @@ cross-validation in tests.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import GuardExceeded, HeightExceeded
 from .maps import enumerate_monotone
-from .poset import shortest_path
+from .poset import bits, shortest_path
 from .reduction import core
 
 
@@ -46,203 +55,108 @@ class IsoWitness:
         return IsoWitness(tuple(inv))
 
 
-class _JointPartition:
-    """An ordered partition of the disjoint union of two equal-sized posets,
-    refined on their cover graphs, with an undo trail.
+class _Colouring:
+    """A colouring of the disjoint union of two equal-sized posets, refined
+    on their cover graphs, with an undo log.
 
     Elements of p keep their ids 0..n-1 and those of q become n..2n-1.
-    A cell is a range of ``elems`` named by its start index: ``cell[v]``
-    is the start of v's cell and ``end[s]`` the end of the cell starting
-    at s.  Every split is logged on ``trail`` as (parent start, new
-    start, parent end before the split), so ``undo`` restores the cell
-    of every element; the order of elements inside a cell is not
-    restored and nothing depends on it.  ``open`` holds the start of
-    every cell with more than one element of each poset.
-
-    Refinement never reads element ids, only cells and cover counts, so
-    an isomorphism p -> q that respects the cells keeps respecting them:
-    a cell with unequal numbers of p and q elements rules out every
-    isomorphism that extends the individualised pairs.
+    ``color[v]`` is v's colour, ``cells[c]`` the set of elements of colour
+    c, ``log[c]`` the colour that c was split from and ``open`` the
+    colours with more than two elements.  Refinement never reads element
+    ids, only colours and cover counts, so an isomorphism p -> q that
+    respects the colours keeps respecting them: a class with unequal
+    numbers of p and q elements rules out every isomorphism that extends
+    the individualised pairs.
     """
 
     def __init__(self, p, q):
         n = self.n = p.n
-        self.upper = [[] for _ in range(2 * n)]
-        self.lower = [[] for _ in range(2 * n)]
-        for shift, x in ((0, p), (n, q)):
-            for a, m in enumerate(x.upper_covers, shift):
-                while m:
-                    low = m & -m
-                    m ^= low
-                    b = low.bit_length() - 1 + shift
-                    self.upper[a].append(b)
-                    self.lower[b].append(a)
-        self.elems = list(range(2 * n))
-        self.pos = list(range(2 * n))
-        self.cell = [0] * (2 * n)
-        self.end = [2 * n] * (2 * n)
+        self.adj = [[b + shift for b in bits(lo | up)] for shift, x in ((0, p), (n, q))
+                    for lo, up in zip(x.lower_covers, x.upper_covers)]
+        self.color = [0] * (2 * n)
+        self.cells = [set(range(2 * n))]
+        self.log = [0]
         self.open = {0} if n > 1 else set()
-        self.trail = []
 
-    def start(self, p, q):
-        """Split the one initial cell by down-set and up-set size and
-        refine; False if the two posets' profiles differ."""
-        n = self.n
-        size = {i + shift: (x.down[i].bit_count(), x.up[i].bit_count())
-                for shift, x in ((0, p), (n, q)) for i in range(n)}
-        parts = self._split(0, list(range(2 * n)), size)
-        return parts is not None and self.refine(parts)
+    def refine(self, s):
+        """Split classes by their cover counts into each colour from s on
+        until the colouring is equitable; False as soon as a part is
+        unbalanced.
 
-    def refine(self, splitters):
-        """Split cells by their numbers of lower and upper covers in each
-        splitter cell until the partition is equitable.
-
-        A split cell queues all its parts when it was itself still queued,
-        and all but its largest part otherwise: the counts into that part
-        follow from the counts into the whole cell.  Returns False as soon
-        as a part holds unequal numbers of p and q elements.
+        Fresh colours are appended, so s and the colours after it are
+        exactly those still to be processed: a split of a queued colour
+        leaves it queued, and a processed colour keeps its largest part,
+        whose counts follow from those into the old class and into the
+        other parts (Hopcroft's rule).
         """
-        elems, cell = self.elems, self.cell
-        # a vertex has fewer than 2n lower covers, so this weight keeps the
-        # numbers of lower and upper covers in a splitter apart in one count
-        weight = 2 * self.n
-        work = deque(splitters)
-        queued = set(splitters)
-        while work:
-            s = work.popleft()
-            queued.discard(s)
+        cells, color, adj = self.cells, self.color, self.adj
+        while s < len(cells):
             count = {}
-            for u in elems[s:self.end[s]]:
-                for v in self.upper[u]:
+            for u in cells[s]:
+                for v in adj[u]:
                     count[v] = count.get(v, 0) + 1
-                for v in self.lower[u]:
-                    count[v] = count.get(v, 0) + weight
             touched = {}
             for v in count:
-                touched.setdefault(cell[v], []).append(v)
+                touched.setdefault(color[v], []).append(v)
             for c in sorted(touched):
-                parts = self._split(c, touched[c], count)
-                if parts is None:
+                if not self.split(c, touched[c], count):
                     return False
-                if len(parts) == 1:
-                    continue
-                if c in queued:
-                    new = parts[1:]
-                else:
-                    sizes = [self.end[f] - f for f in parts]
-                    new = parts[:]
-                    del new[sizes.index(max(sizes))]
-                work.extend(new)
-                queued.update(new)
+            s += 1
         return True
 
-    def _split(self, c, vs, count):
-        """Split cell c into its untouched elements (kept first, at c) and
-        the elements of ``vs`` grouped by ascending count; the list of
-        part starts, or None if a part is unbalanced."""
-        elems, pos, n = self.elems, self.pos, self.n
-        e = self.end[c]
-        vs.sort(key=count.__getitem__)
-        if len(vs) == e - c and count[vs[0]] == count[vs[-1]]:
-            return [c]
-        bounds = [i for i in range(1, len(vs)) if count[vs[i]] != count[vs[i - 1]]]
-        for a, b in zip([0] + bounds, bounds + [len(vs)]):
-            if sum(v < n for v in vs[a:b]) * 2 != b - a:
-                return None
-        tail = e - len(vs)
-        holes = [pos[v] for v in vs if pos[v] < tail]
-        movers = [w for w in elems[tail:e] if w not in count]
-        for i, w in zip(holes, movers):
-            elems[i] = w
-            pos[w] = i
-        for i, v in enumerate(vs, tail):
-            elems[i] = v
-            pos[v] = i
-        parts = ([c] if tail > c else []) + [tail + b for b in [0] + bounds]
-        ends = parts[1:] + [e]
-        for f, fe in zip(parts[1:], ends[1:]):
-            for v in elems[f:fe]:
-                self.cell[v] = f
-            self.end[f] = fe
-            self.trail.append((c, f, e))
-            if fe - f > 2:
-                self.open.add(f)
-        self.end[c] = ends[0]
-        if ends[0] - c <= 2:
+    def split(self, c, vs, count):
+        """Split class c into the elements of ``vs`` grouped by count and
+        the untouched rest; False if a group is unbalanced.
+
+        The largest part keeps colour c and every other part moves to a
+        fresh one, so the split costs O(len(vs)) unless a group of ``vs``
+        outnumbers the rest.
+        """
+        cells, n = self.cells, self.n
+        groups = {}
+        for v in vs:
+            groups.setdefault(count[v], []).append(v)
+        rest = len(cells[c]) - len(vs)
+        if not rest and len(groups) == 1:
+            return True
+        parts = [groups[k] for k in sorted(groups)]
+        if any(sum(v < n for v in part) * 2 != len(part) for part in parts):
+            return False
+        big = max(range(len(parts)), key=lambda i: len(parts[i]))
+        if len(parts[big]) > rest:
+            if rest:
+                parts.append(cells[c].difference(vs))
+            del parts[big]
+        for part in parts:
+            cells[c].difference_update(part)
+            if len(part) > 2:
+                self.open.add(len(cells))
+            for v in part:
+                self.color[v] = len(cells)
+            cells.append(set(part))
+            self.log.append(c)
+        if len(cells[c]) <= 2:
             self.open.discard(c)
-        return parts
+        return True
 
     def individualise(self, v, w):
-        """Split the pair (v, w) off their common cell and refine from it;
-        False if the refinement rules the pair out."""
-        elems, pos = self.elems, self.pos
-        c = self.cell[v]
-        e = self.end[c]
-        if e - c == 2:
-            return True
-        for x, i in ((v, e - 1), (w, e - 2)):
-            y = elems[i]
-            elems[pos[x]], elems[i] = y, x
-            pos[y], pos[x] = pos[x], i
-        self.cell[v] = self.cell[w] = e - 2
-        self.end[e - 2] = e
-        self.end[c] = e - 2
-        self.trail.append((c, e - 2, e))
-        if e - 2 - c <= 2:
-            self.open.discard(c)
-        return self.refine([e - 2])
+        """Move the pair (v, w) off their common class to a fresh colour
+        and refine from it alone; False if v and w differ in colour or
+        the refinement rules the pair out."""
+        c, f = self.color[v], len(self.cells)
+        return self.color[w] == c and self.split(c, [v, w], {v: 0, w: 0}) and self.refine(f)
 
     def undo(self, mark):
-        """Merge back every split logged after ``mark``."""
-        trail, cell, end = self.trail, self.cell, self.end
-        while len(trail) > mark:
-            c, f, e = trail.pop()
-            for v in self.elems[f:end[f]]:
-                cell[v] = c
-            self.open.discard(f)
-            end[c] = e
-            if e - c > 2:
+        """Merge every colour from ``mark`` on back into its parent."""
+        cells, color, log = self.cells, self.color, self.log
+        while len(cells) > mark:
+            moved, c = cells.pop(), log.pop()
+            self.open.discard(len(cells))
+            cells[c] |= moved
+            if len(cells[c]) > 2:
                 self.open.add(c)
-
-    def branches(self):
-        """The smallest open cell's first p element and the q elements it
-        may be matched with."""
-        c = min(self.open, key=lambda s: (self.end[s] - s, s))
-        members = self.elems[c:self.end[c]]
-        n = self.n
-        return next(v for v in members if v < n), [w for w in members if w >= n]
-
-    def bijection(self):
-        """At a discrete partition (every cell one p and one q element),
-        the map p -> q that the cells define."""
-        n = self.n
-        m = [0] * n
-        for s in range(0, 2 * n, 2):
-            a, b = sorted(self.elems[s:s + 2])
-            m[a] = b - n
-        return tuple(m)
-
-
-def _is_isomorphism(p, q, m, fix, upper):
-    """m is a bijection p -> q that sends every up-set of p onto the
-    up-set of the image (so it preserves and reflects the order) and
-    respects ``fix``.
-
-    The image of up(a) is assembled from a and the images of the up-sets
-    of a's upper covers ``upper[a]``, which are smaller and so come
-    first; each image is one mask comparison against q.
-    """
-    if len(set(m)) != q.n or (fix is not None and m[fix[0]] != fix[1]):
-        return False
-    image = [0] * p.n
-    for a in sorted(range(p.n), key=lambda a: p.up[a].bit_count()):
-        mask = 1 << m[a]
-        for b in upper[a]:
-            mask |= image[b]
-        if mask != q.up[m[a]]:
-            return False
-        image[a] = mask
-    return True
+            for v in moved:
+                color[v] = c
 
 
 def are_isomorphic(p, q, fix=None):
@@ -254,49 +168,51 @@ def are_isomorphic(p, q, fix=None):
     After cheap invariants (sizes, cover counts, the multiset of component
     sizes), the elements of both posets are coloured together by
     down-set and up-set size and refined on the cover graphs until
-    every cell has the same numbers of lower and upper covers in every
-    other cell; ``fix`` is individualised first.  The search then walks
-    depth first on an explicit stack: at each node the first p element
-    of the smallest undecided cell is individualised against each q
-    element of that cell in turn, the partition is re-refined from the
-    new pair alone, and the branch is pruned as soon as a cell holds
-    unequal numbers of p and q elements.  At a discrete partition the
-    cells define a bijection, returned once its up-set images and the
-    basepoint check out; a failed check moves on to the next branch.
+    every class has the same number of covers in every other class; ``fix`` is individualised first.  The search then walks
+    depth first on an explicit stack: at each node the lowest p element
+    of the smallest class with more than two elements is individualised
+    against each q element of that class in ascending order, the
+    colouring is re-refined from the new pair alone, and the branch is
+    pruned as soon as a class holds unequal numbers of p and q elements.
+    The first discrete colouring reached is returned as the witness;
+    where the cores have automorphisms, it is one of several.
     """
-    if p.n != q.n or _cover_count(p) != _cover_count(q):
+    n = p.n
+    if n != q.n or _cover_count(p) != _cover_count(q):
         return None
-    if p.n == 0:
+    if n == 0:
         return IsoWitness(())
     if sorted(map(len, p.components())) != sorted(map(len, q.components())):
         return None
-    part = _JointPartition(p, q)
-    if not part.start(p, q):
+    col = _Colouring(p, q)
+    # the down-set sizes also give every cover between two colours one direction
+    size = {i + shift: (x.down[i].bit_count(), x.up[i].bit_count())
+            for shift, x in ((0, p), (n, q)) for i in range(n)}
+    if not (col.split(0, list(range(2 * n)), size) and col.refine(0)):
         return None
-    if fix is not None:
-        x, y = fix[0], fix[1] + p.n
-        if part.cell[x] != part.cell[y] or not part.individualise(x, y):
-            return None
+    if fix is not None and not col.individualise(fix[0], fix[1] + n):
+        return None
     frames = []
     ok = True
     while True:
-        if ok and not part.open:
-            m = part.bijection()
-            if _is_isomorphism(p, q, m, fix, part.upper):
-                return IsoWitness(m)
-        elif ok:
-            v, targets = part.branches()
-            frames.append((len(part.trail), v, iter(targets)))
+        if ok and not col.open:
+            # every class is one p and one q element
+            return IsoWitness(tuple(b - n for _, b in sorted(map(sorted, col.cells))))
+        if ok:
+            c = min(col.open, key=lambda c: (len(col.cells[c]), c))
+            # the class is balanced and every p id is below every q id
+            members = sorted(col.cells[c])
+            frames.append((len(col.cells), members[0], iter(members[len(members) // 2:])))
         while frames:
             mark, v, targets = frames[-1]
-            part.undo(mark)
+            col.undo(mark)
             w = next(targets, None)
             if w is not None:
                 break
             frames.pop()
         else:
             return None
-        ok = part.individualise(v, w)
+        ok = col.individualise(v, w)
 
 
 @dataclass

@@ -1,7 +1,11 @@
 """Shared oracles and enumeration utilities for the test suite."""
 
+import contextlib
 import itertools
 import random
+import signal
+
+import pytest
 
 from finspace.errors import CycleError, DuplicateLabel, GuardExceeded, UnknownLabel
 from finspace.homotopy import IsoWitness, are_isomorphic
@@ -540,3 +544,23 @@ def iso_by_backtrack(p, q, fix=None):
         return False
 
     return IsoWitness(tuple(assigned)) if backtrack(0) else None
+
+
+@contextlib.contextmanager
+def time_limit(seconds, what):
+    """Raise TimeoutError when the block runs for more than ``seconds`` of
+    wall time, naming ``what``; skip the test where ``signal.setitimer``
+    is missing."""
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("needs signal.setitimer")
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{what} took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

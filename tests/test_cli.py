@@ -494,11 +494,13 @@ def test_gen_negative_size_is_input_error(argv, capsys):
      f"{DATA / 'spider22.poset'} has one"),
     (["--pointed", "function-space", str(DATA / "spider22.poset"), str(DATA / "crown2.poset")],
      f"--pointed: function-space takes no basepoint, but {DATA / 'spider22.poset'} declares one"),
+    (["--pointed", "dot", str(DATA / "spider22.poset")],
+     f"--pointed: dot takes no basepoint, but {DATA / 'spider22.poset'} declares one"),
     (["core", str(DATA / "bare_el.poset")],
      f"bad poset document in {DATA / 'bare_el.poset'}: line 3: expected: el <label>"),
 ], ids=["gen-no-params", "gen-not-int", "gen-too-few", "gen-prob-range", "gen-not-number",
         "gen-spider-leg", "pointed-one-basepoint", "pointed-verb-without-basepoint",
-        "poset-line-number"])
+        "pointed-dot-without-core-trace", "poset-line-number"])
 def test_input_errors_name_the_problem(argv, message, capsys):
     assert run(argv) == EXIT_INPUT
     captured = capsys.readouterr()

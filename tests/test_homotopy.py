@@ -3,6 +3,7 @@ import random
 import pytest
 
 from finspace import (
+    GuardExceeded,
     HeightExceeded,
     Poset,
     antichain,
@@ -22,7 +23,7 @@ from finspace import (
 from finspace.generators import random_poset
 
 from helpers import (
-    crown_union, iso_by_backtrack, layered, random_height1_poset, with_beat_points,
+    crown_union, iso_by_backtrack, layered, random_height1_poset, time_limit, with_beat_points,
 )
 
 
@@ -221,9 +222,20 @@ class TestIsomorphismDifferential:
             _assert_witness(whole, copy, w)
 
     def test_large_antichains(self):
-        w = are_isomorphic(antichain(1200), antichain(1200))
+        # antichain(1200) takes one search node per pair and crown(1500)
+        # two; a kernel with quadratic work per node runs past the limit
+        whole = crown(1500)
+        copy, _ = _relabelled(whole, random.Random(1500))
+        with time_limit(5, "isomorphisms of antichain(1200) and crown(1500)"):
+            w = are_isomorphic(antichain(1200), antichain(1200))
+            pinned = are_isomorphic(antichain(1200), antichain(1200), fix=(5, 700))
+            c = are_isomorphic(whole, copy)
         assert w is not None and sorted(w.mapping) == list(range(1200))
-        assert are_isomorphic(antichain(1200), antichain(1200), fix=(5, 700)).mapping[5] == 700
+        assert pinned.mapping[5] == 700
+        # a bijection onto the covers of the copy is an order isomorphism
+        m = c.mapping
+        assert sorted(m) == list(range(copy.n))
+        assert {(m[a], m[b]) for a, b in whole.covers} == copy.covers
 
     def test_basepoint_orbits_of_a_fence(self):
         # the ends of fence(5) are swapped by its one symmetry; its middle
@@ -284,6 +296,12 @@ class TestBruteForce:
     def test_empty(self):
         assert brute_force_homotopy_equivalent(chain(0), chain(0))
         assert not brute_force_homotopy_equivalent(chain(0), chain(1))
+
+    def test_candidate_pair_guard(self):
+        # C(chain(3), chain(3)) has 10 maps, each under the guard of 50,
+        # but the 10 x 10 candidate pairs are not
+        with pytest.raises(GuardExceeded, match="too many candidate pairs"):
+            brute_force_homotopy_equivalent(chain(3), chain(3), guard=50)
 
     def test_independent_of_core(self, monkeypatch):
         import finspace.reduction

@@ -21,7 +21,7 @@ from finspace.poset import bits
 
 from helpers import (
     assert_same_poset, classify_by_dfs, closure_by_warshall, poset_by_closure, random_pairs,
-    transitive_closure_oracle,
+    time_limit, transitive_closure_oracle,
 )
 
 
@@ -344,21 +344,8 @@ class TestClassifyAgainstDFS:
         # A Hamiltonian path exists, but the plain DFS from element 0 runs
         # for minutes before it finds one; with each state expanded once
         # the search takes well under a second.
-        import signal
-
         from finspace.generators import random_poset
 
-        if not hasattr(signal, "setitimer"):
-            pytest.skip("needs signal.setitimer")
-
-        def expire(signum, frame):
-            raise TimeoutError("classify(random_poset(16, 0.3, 1)) took over 30 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, 30)
-        try:
+        with time_limit(30, "classify(random_poset(16, 0.3, 1))"):
             rec = classify(random_poset(16, 0.3, 1))
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
         assert (rec.comparability_degree, rec.bp_step_bound) == (14, 15)

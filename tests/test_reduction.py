@@ -26,7 +26,7 @@ from finspace.reduction import DismantlingTrace, RetractionStep
 
 from helpers import (
     assert_same_poset, beat_points_by_scan, beat_target_by_scan, core_by_rescan,
-    poset_by_closure, random_pairs, standard_sequence_by_scan,
+    poset_by_closure, random_pairs, standard_sequence_by_scan, time_limit,
 )
 
 
@@ -296,22 +296,9 @@ class TestStandardSequence:
     def test_long_chain_in_linear_time(self):
         # each D_X target chain is resolved once, from the bottom up; chasing
         # every chain to its end walks n^2 / 2 steps (about 4 s at n = 10^4)
-        import signal
-
-        if not hasattr(signal, "setitimer"):
-            pytest.skip("needs signal.setitimer")
         p = chain(10000)
-
-        def expire(signum, frame):
-            raise TimeoutError("standard_sequence(chain(10000)) took over 2 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, 2)
-        try:
+        with time_limit(2, "standard_sequence(chain(10000))"):
             tr = standard_sequence(p)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
         assert [s.kind for s in tr.steps] == ["bulk-down"] and tr.final == {0}
         assert tr.steps[0].mapping == dict.fromkeys(range(1, 10000), 0)
 
@@ -392,6 +379,18 @@ class TestVerifyStrongDeformation:
         fake = RetractionStep("remove-down-beat", p.full_mask, {c: b})
         v = verify_strong_deformation(DismantlingTrace(p, [fake], frozenset({a, b, d})))
         assert not v.ok and v.full
+
+    def test_composite_not_onto_final_rejected(self):
+        # no step, so the composed map is the identity, onto all of fence(3)
+        v = verify_strong_deformation(DismantlingTrace(fence(3), [], frozenset({0})))
+        assert v.ok is False and v.full is True
+
+    def test_final_point_moved_rejected(self):
+        # the swap of chain(2) is onto final = {0, 1} but moves both points
+        p = chain(2)
+        swap = RetractionStep("remove-down-beat", p.full_mask, {0: 1, 1: 0})
+        v = verify_strong_deformation(DismantlingTrace(p, [swap], frozenset({0, 1})))
+        assert v.ok is False and v.full is True
 
     def test_partial_when_guarded(self):
         v = verify_strong_deformation(core(fence(5)).trace, guard=3)
