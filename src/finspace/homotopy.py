@@ -252,6 +252,8 @@ def brute_force_homotopy_equivalent(p, q, guard=10**6):
     and f o g <= f' o g (and likewise for g), so the classes of the
     composites depend only on the classes of f and g, and one
     representative of each class of C(P,Q) and of C(Q,P) is tried.
+    ``guard`` bounds the maps of each function poset listed (C(P,Q),
+    C(Q,P), C(P,P), C(Q,Q)) and the candidate pairs |C(P,Q)| * |C(Q,P)|.
     """
     if p.n == 0 or q.n == 0:
         return p.n == q.n
@@ -300,8 +302,8 @@ def _is_tree(p):
 def _check_height1(p):
     if p.n == 0:
         raise HeightExceeded("empty poset has no height")
-    if p.height() > 1:
-        raise HeightExceeded(f"height {p.height()} > 1")
+    if (h := p.height()) > 1:
+        raise HeightExceeded(f"height {h} > 1")
 
 
 def contractible_height1(p):

@@ -45,6 +45,9 @@ from .errors import GuardExceeded
 from .poset import Poset, bfs_layers, bits
 from .reduction import core
 
+# bounds the maps listed (enumerate_monotone, min_contraction_chain), the
+# search nodes (has_fpp), the count and table entries (count_monotone), and
+# the maps between the cores and table entries (function_space_counts)
 DEFAULT_MAP_GUARD = 10**6
 
 

@@ -11,14 +11,14 @@ upper-cover masks; ``covers``, the pair set, is read off the upper-cover
 masks when it is asked for.
 
 Posets built from pairs, restricted, quotiented or dismantled all come
-from ``Poset._from_successors``, given a successor mask per element.  It
-walks a topological order (Kahn's, which is also the cycle check, unless
-the caller knows one) and fills the up-masks and upper covers in one
-reverse pass and the down-masks and lower covers in one forward pass
-over the covers.  When the ids follow a linear extension (as in every
-generator) the cost is O(n + pairs given) bit tests plus O(covers) mask
-unions of n bits each: building ``chain(n)`` is linear in the number of
-mask words, not quadratic in n.
+from ``Poset._from_successors``, given a successor mask per element.  One
+iterative depth-first search orders the relation, checks it for cycles
+and fills the up-masks and upper covers as each element finishes; one
+pass over the reversed finishing order fills the down-masks and lower
+covers.  When the ids follow a linear extension (as in every generator)
+the cost is O(n + pairs given) bit tests plus O(covers) mask unions of n
+bits each: building ``chain(n)`` is linear in the number of mask words,
+not quadratic in n.
 
 ``bfs_layers``, ``components`` and ``shortest_path`` are the one BFS
 kernel behind every breadth-first walk in the package; each takes a
@@ -95,46 +95,6 @@ def shortest_path(nbrs, start, goals_mask):
     return None
 
 
-def _on_cycle(succ, left):
-    """An element on a directed cycle among ``left``, the elements that
-    Kahn's algorithm could not order.  Each of them has a predecessor
-    among them, so walking predecessors must repeat an element, and the
-    first repeated one lies on a cycle."""
-    inside = 0
-    for v in left:
-        inside |= 1 << v
-    pred = dict.fromkeys(left, 0)
-    for v in left:
-        for w in bits(succ[v] & inside):
-            pred[w] |= 1 << v
-    x, walked = left[0], 0
-    while not walked >> x & 1:
-        walked |= 1 << x
-        x = (pred[x] & -pred[x]).bit_length() - 1
-    return x
-
-
-def _topological_order(labels, succ):
-    """Kahn's topological order of the relation ``succ``.  Elements it
-    cannot order lie on or above a cycle; CycleError names one on it."""
-    n = len(succ)
-    outs = [list(bits(s)) for s in succ]
-    indeg = [0] * n
-    for ws in outs:
-        for w in ws:
-            indeg[w] += 1
-    order = [v for v in range(n) if not indeg[v]]
-    for v in order:  # grows while it is walked
-        for w in outs[v]:
-            indeg[w] -= 1
-            if not indeg[w]:
-                order.append(w)
-    if len(order) < n:
-        x = _on_cycle(succ, [v for v in range(n) if indeg[v]])
-        raise CycleError(f"cycle through element {labels[x]!r}")
-    return order
-
-
 class Poset:
     """An immutable finite poset.
 
@@ -191,40 +151,60 @@ class Poset:
         return cls._from_successors(labels, succ)
 
     @classmethod
-    def _from_successors(cls, labels, succ, order=None):
+    def _from_successors(cls, labels, succ):
         """The poset generated by ``succ[v]``, a mask of elements above v.
 
         ``succ`` may hold any relation whose transitive closure is
-        antisymmetric: covers, comparable pairs or anything between.
-        ``order`` is a topological order of it if the caller has one;
-        otherwise Kahn's algorithm finds one and checks for cycles.
-        Walking the order backwards, the strict up-set of v is the union
-        of ``reach[w] | w`` over its successors w, and the upper covers
-        of v are the successors that no successor's reach contains.
-        Successors are visited lowest id first, skipping any already
-        reached, so when the ids follow a linear extension only the
-        covers are expanded.  A forward pass pushes each down-mask to
-        the upper covers and fills the lower-cover masks.
+        antisymmetric: covers, comparable pairs or anything between.  One
+        depth-first search orders, checks and closes it: roots and
+        successors lowest id first, on an explicit stack of (v, successors
+        not yet looked at).  A successor still open reaches v, so it lies
+        on a cycle, and CycleError names it.  When v finishes, so have its
+        successors: its strict up-set is the union of ``reach[w] | w`` over
+        them, skipping any already reached (so when the ids follow a linear
+        extension only the covers are expanded), and its upper covers are
+        the successors that no successor's reach holds.  A pass over the
+        reversed finishing order pushes each down-mask to the upper covers.
         """
         n = len(labels)
-        if order is None:
-            order = _topological_order(labels, succ)
         reach = [0] * n
         upper = [0] * n
-        for v in reversed(order):
-            rest = succ[v]
-            strict = beyond = 0
-            while rest:
-                bit = rest & -rest
-                r = reach[bit.bit_length() - 1]
-                beyond |= r
-                strict |= r | bit
-                rest &= ~strict
-            reach[v] = strict
-            upper[v] = succ[v] & ~beyond
+        state = [0] * n  # 0 unseen, 1 open, 2 finished
+        finished = []
+        for root in range(n):
+            if state[root]:
+                continue
+            state[root] = 1
+            stack = [(root, succ[root])]
+            while stack:
+                v, rest = stack.pop()
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    w = bit.bit_length() - 1
+                    if not state[w]:
+                        state[w] = 1
+                        stack.append((v, rest))
+                        stack.append((w, succ[w]))
+                        break
+                    if state[w] == 1:
+                        raise CycleError(f"cycle through element {labels[w]!r}")
+                else:
+                    rest = succ[v]
+                    strict = beyond = 0
+                    while rest:
+                        bit = rest & -rest
+                        r = reach[bit.bit_length() - 1]
+                        beyond |= r
+                        strict |= r | bit
+                        rest &= ~strict
+                    reach[v] = strict
+                    upper[v] = succ[v] & ~beyond
+                    state[v] = 2
+                    finished.append(v)
         down = [1 << v for v in range(n)]
         lower = [0] * n
-        for v in order:
+        for v in reversed(finished):
             for w in bits(upper[v]):
                 down[w] |= down[v]
                 lower[w] |= 1 << v
@@ -285,14 +265,13 @@ class Poset:
         return True
 
     def height(self):
-        """Length of the longest chain minus one."""
+        """Length of the longest chain minus one, by a pass over the
+        covers, through which every longest chain runs."""
         if self.n == 0:
             raise EmptyPoset("height of the empty poset is undefined")
-        order = sorted(range(self.n), key=lambda i: self.down[i].bit_count())
         h = [0] * self.n
-        for i in order:
-            below = self.down[i] & ~(1 << i)
-            h[i] = max((h[j] + 1 for j in bits(below)), default=0)
+        for i in sorted(range(self.n), key=lambda i: self.down[i].bit_count()):
+            h[i] = max((h[j] + 1 for j in bits(self.lower_covers[i])), default=0)
         return max(h)
 
     # -- connectivity ---------------------------------------------------
@@ -327,7 +306,7 @@ class Poset:
         every element between two kept ones, the kept elements it first
         reaches through removed ones; on the kept elements these are
         successor masks that generate the induced order, and
-        ``_from_successors`` reduces them to covers.  Cost: sorting the
+        ``_from_successors`` orders and reduces them.  Cost: sorting the
         elements between kept ones plus a mask union per cover among
         them, with no n^2 closure scan.
         """
@@ -344,7 +323,6 @@ class Poset:
         # up lies above a kept one, so nothing kept lies above it
         first = {}
         succ = [0] * len(keep)
-        order = []
         for v in sorted(bits(above & below), key=lambda i: up[i].bit_count()):
             m = upper[v] & kept
             for c in bits(upper[v] ^ m):
@@ -352,11 +330,9 @@ class Poset:
             first[v] = m
             if kept >> v & 1:
                 new = old_to_new[v]
-                order.append(new)
                 for c in bits(m):
                     succ[new] |= 1 << old_to_new[c]
-        order.reverse()
-        return Poset._from_successors(labels, succ, order), old_to_new
+        return Poset._from_successors(labels, succ), old_to_new
 
     def dual(self):
         """The opposite poset (order reversed)."""

@@ -37,6 +37,9 @@ from .errors import GuardExceeded
 from .poset import bits
 from .reduction import core
 
+# bounds the chains of P listed (order_complex) and the simplices whose
+# homology is computed (homology, poset_homology, is_gamma_point on the
+# link's core, homology_invariant_under_reduction)
 COMPLEX_GUARD = 100_000
 
 CERTIFIED_YES = "certified_yes"

@@ -353,6 +353,11 @@ class TestHeightOneCriterion:
         with pytest.raises(HeightExceeded):
             contractible_height1(chain(3))
 
+    def test_height_exceeded_on_a_long_chain_in_linear_time(self):
+        with time_limit(2, "contractible_height1(chain(3000))"):
+            with pytest.raises(HeightExceeded, match="height 2999 > 1"):
+                contractible_height1(chain(3000))
+
     def test_agrees_with_core_criterion(self):
         import random
 

@@ -95,6 +95,10 @@ class TestOrderQueries:
         with pytest.raises(EmptyPoset):
             chain(0).height()
 
+    def test_height_of_a_long_chain_in_linear_time(self):
+        with time_limit(2, "chain(5000).height()"):
+            assert chain(5000).height() == 4999
+
 
 class TestConnectivity:
     def test_components(self):
@@ -210,8 +214,8 @@ def test_invariants_random(n, seed):
 
 
 class TestBuilderAgainstClosure:
-    """The topological-order builder and everything built on it against
-    the Warshall closure and full cover scan."""
+    """The depth-first builder and everything built on it against the
+    Warshall closure and full cover scan."""
 
     CASES = 300
 
@@ -276,8 +280,16 @@ class TestBuilderAgainstClosure:
             try:
                 expected = poset_by_closure(labels, pairs)
             except CycleError:
-                with pytest.raises(CycleError):
+                with pytest.raises(CycleError) as err:
                     Poset.from_covers(labels, pairs)
+                # the named element x has some other y with x <= y <= x
+                x = labels.index(str(err.value).split("'")[1])
+                adj = [1 << i for i in range(n)]
+                for a, b in pairs:
+                    adj[labels.index(a)] |= 1 << labels.index(b)
+                reach = closure_by_warshall(adj)
+                assert any(y != x and reach[x] >> y & 1 and reach[y] >> x & 1
+                           for y in range(n)), (seed, labels[x])
             else:
                 assert_same_poset(Poset.from_covers(labels, pairs), expected)
 
