@@ -28,7 +28,6 @@ from .homotopy import (
     contains_crown,
     contractible_height1,
     is_contractible,
-    unique_spath_condition,
 )
 from .maps import (
     FunctionPoset,
@@ -42,7 +41,6 @@ from .maps import (
     is_homotopic,
     is_retraction,
     min_contraction_chain,
-    verify_strong_deformation,
 )
 from .poset import (
     ClassifyRecord,
@@ -64,6 +62,7 @@ from .reduction import (
     remove_beat_point,
     standard_sequence,
     up_beat_points,
+    verify_strong_deformation,
 )
 from .simplicial import (
     HomologyProfile,
@@ -85,8 +84,6 @@ from .topology import (
     families_equal,
     generate_topology,
     hom_set_interval,
-    is_compact_shape,
-    minimal_nbhd,
     specialization_order,
 )
 

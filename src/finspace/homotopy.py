@@ -294,11 +294,6 @@ def _cover_count(p):
     return sum(map(int.bit_count, p.upper_covers))
 
 
-def _is_tree(p):
-    """True iff the cover graph is connected and acyclic."""
-    return _cover_count(p) == p.n - 1 and len(p.components()) == 1
-
-
 def _check_height1(p):
     if p.n == 0:
         raise HeightExceeded("empty poset has no height")
@@ -313,7 +308,7 @@ def contractible_height1(p):
     acyclic, so the check is: connected with a tree cover graph.
     """
     _check_height1(p)
-    return _is_tree(p)
+    return _cover_count(p) == p.n - 1 and len(p.components()) == 1
 
 
 def contains_crown(p):
@@ -333,12 +328,3 @@ def contains_crown(p):
         if path is not None and (best is None or len(path) < len(best)):
             best = path
     return best
-
-
-def unique_spath_condition(p, x):
-    """True iff every y is reached from x by exactly one cover-step s-path,
-    i.e. the cover graph is a tree.  When true, x is a strong deformation
-    retract of P (so P is contractible)."""
-    if not 0 <= x < p.n:
-        raise ValueError("x out of range")
-    return _is_tree(p)

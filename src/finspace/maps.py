@@ -31,9 +31,6 @@ layer-by-layer move floods, ``FunctionPoset.shortest_chain``.
 count of maps, the classes of C(X_c, Y_c) (f ~ g in C(X, Y) exactly when
 r_Y o f o i_X ~ r_Y o g o i_X there, since i o r ~ id on both sides;
 Stong 1966), and the identity class as one more count.
-``verify_strong_deformation`` runs the union-find kernel on the maps
-X -> X that fix the surviving subspace of a dismantling trace, and asks
-whether the identity and the composed map share a class.
 """
 
 from __future__ import annotations
@@ -311,11 +308,10 @@ class FunctionPoset:
                 if (y,) * self.domain.n in self._index]
 
 
-def enumerate_monotone(x, y, guard=DEFAULT_MAP_GUARD, domains=None):
-    """The function poset C(X, Y), or with ``domains`` its maps with a[i]
-    in ``domains[i]``; aborts past ``guard`` maps."""
+def enumerate_monotone(x, y, guard=DEFAULT_MAP_GUARD):
+    """The function poset C(X, Y); aborts past ``guard`` maps."""
     assignments = []
-    for a in _iter_assignments(x, y, domains):
+    for a in _iter_assignments(x, y):
         assignments.append(a)
         if len(assignments) > guard:
             raise GuardExceeded(f"more than {guard} monotone maps")
@@ -463,47 +459,6 @@ def min_contraction_chain(x, guard=DEFAULT_MAP_GUARD):
     c = enumerate_monotone(x, x, guard=guard)
     chain = c.shortest_chain(c.identity_index(), set(c.constant_indices()))
     return None if chain is None else len(chain) - 1
-
-
-@dataclass
-class DeformationVerdict:
-    """Outcome of verify_strong_deformation; full=False means only the
-    retraction and comparativity clauses were checked, because more maps
-    than the guard fix the final subspace."""
-
-    ok: bool
-    full: bool
-
-    def __bool__(self):
-        return self.ok
-
-
-def verify_strong_deformation(trace, guard=4096):
-    """Certify that a trace realizes a strong deformation retraction.
-
-    Checks that the composed map retracts onto the final subspace A,
-    that every step is comparative, and (when at most ``guard`` maps
-    X -> X fix A) that ``FunctionPoset.class_roots`` puts the composed map
-    and the identity in one class of those maps: a comparability chain
-    joins them through maps fixing A pointwise.
-    """
-    start = trace.start
-    comp = trace.composed
-    if frozenset(comp.values()) != trace.final and trace.final:
-        return DeformationVerdict(False, True)
-    if any(comp[x] != x for x in trace.final):
-        return DeformationVerdict(False, True)
-    if not all(step.is_comparative(start) for step in trace.steps):
-        return DeformationVerdict(False, True)
-    domains = [1 << x if x in trace.final else start.full_mask for x in range(start.n)]
-    try:
-        c = enumerate_monotone(start, start, guard=guard, domains=domains)
-    except GuardExceeded:
-        return DeformationVerdict(True, False)
-    roots = c.class_roots()
-    target = c._index.get(tuple(comp[i] for i in range(start.n)))
-    return DeformationVerdict(target is not None
-                              and roots[target] == roots[c.identity_index()], True)
 
 
 def has_fpp(x, guard=DEFAULT_MAP_GUARD):

@@ -104,23 +104,6 @@ def alexandroff_topology(p):
     return SetFamily.of(p.n, fam)
 
 
-def minimal_nbhd(p, x):
-    """U_x: the intersection of all open sets containing x; equals x-down."""
-    return p.down_set(x)
-
-
-def is_compact_shape(p):
-    """max(P) finite and every element below some maximal element.
-
-    On a finite poset both clauses hold automatically; the check spells
-    out the characterization rather than adding information.
-    """
-    max_mask = 0
-    for x in p.max_elements():
-        max_mask |= 1 << x
-    return all(p.up[x] & max_mask for x in range(p.n))
-
-
 def hom_set_interval(c, k, u_mask):
     """[K, U] = {f in C : f(K) subseteq U}, as a set of map indices.
 

@@ -18,7 +18,6 @@ from finspace import (
     homotopy,
     is_contractible,
     spider,
-    unique_spath_condition,
 )
 from finspace.generators import random_poset
 
@@ -393,21 +392,12 @@ class TestContainsCrown:
 
 
 class TestUniqueSpath:
-    def test_fence(self):
-        p = fence(5)
-        assert all(unique_spath_condition(p, x) for x in range(p.n))
-
-    def test_crown(self):
-        assert not unique_spath_condition(crown(2), 0)
-
-    def test_chain_bottom(self):
-        assert unique_spath_condition(chain(3), 0)
+    """The unique s-path condition, a tree cover graph, which
+    ``contractible_height1`` tests, implies contractibility."""
 
     def test_implies_contractible(self):
-        import random
-
         rng = random.Random(3)
         for _ in range(60):
             p = random_height1_poset(rng, 7)
-            if p.n and unique_spath_condition(p, 0):
+            if p.n and contractible_height1(p):
                 assert is_contractible(p)

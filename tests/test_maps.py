@@ -3,6 +3,7 @@ import random
 import pytest
 
 from finspace import (
+    FunctionPoset,
     GuardExceeded,
     MonotoneMap,
     antichain,
@@ -482,7 +483,7 @@ class TestCountingPath:
             domains = [1 << pinned[a] if a in pinned else y.full_mask for a in range(x.n)]
             if _count_partial_maps(x, y, domains, 10**6) > 1000:
                 continue
-            c = enumerate_monotone(x, y, domains=domains)
+            c = FunctionPoset(x, y, list(_iter_assignments(x, y, domains)))
             roots = c.class_roots()
             expected = components_by_comparability(c)
             assert _partition(roots) == expected

@@ -172,7 +172,7 @@ class TestCore:
             p = random_poset(7, 0.4, seed)
             res = core(p)
             for step in res.trace.steps:
-                assert step.is_comparative(p)
+                assert all(p.comparable(k, v) for k, v in step.mapping.items())
             comp = res.trace.composed
             m = MonotoneMap(p, p, tuple(comp[i] for i in range(p.n)))  # raises if not monotone
             assert all(m(x) == x for x in res.core_elements)
@@ -351,14 +351,9 @@ class TestIsCore:
 
 class TestVerifyStrongDeformation:
     def test_core_trace_of_fence(self):
-        v = verify_strong_deformation(core(fence(4)).trace)
-        assert v and v.full
-
-    def test_full_when_the_maps_fixing_the_core_fit(self):
-        # C(fence(9), fence(9)) has 6,187 maps, past the guard of 4,096;
-        # only 450 of them fix the core point, and only they are listed
-        v = verify_strong_deformation(core(fence(9)).trace)
-        assert v.ok and v.full
+        # C(fence(9), fence(9)) has 6,187 maps; the certificate lists none
+        for n in (4, 9):
+            assert verify_strong_deformation(core(fence(n)).trace) is True
 
     def test_empty_trace(self):
         p = crown(2)
@@ -377,24 +372,53 @@ class TestVerifyStrongDeformation:
         p = Poset.from_covers(["a", "b", "c", "d"], [("a", "c"), ("b", "c"), ("b", "d")])
         a, b, c, d = (p.index(s) for s in "abcd")
         fake = RetractionStep("remove-down-beat", p.full_mask, {c: b})
-        v = verify_strong_deformation(DismantlingTrace(p, [fake], frozenset({a, b, d})))
-        assert not v.ok and v.full
+        assert verify_strong_deformation(DismantlingTrace(p, [fake], frozenset({a, b, d}))) is False
+        # the dual: c < a and c < b, so c -> b breaks c < a on an upper cover
+        q = Poset.from_covers(["a", "b", "c", "d"], [("c", "a"), ("c", "b"), ("d", "b")])
+        a, b, c, d = (q.index(s) for s in "abcd")
+        fake = RetractionStep("remove-up-beat", q.full_mask, {c: b})
+        assert verify_strong_deformation(DismantlingTrace(q, [fake], frozenset({a, b, d}))) is False
+
+    def test_point_outside_domain_rejected(self):
+        # the second step moves 1 again, after the first has removed it
+        p = chain(2)
+        steps = [RetractionStep("remove-down-beat", 0b11, {1: 0}),
+                 RetractionStep("remove-down-beat", 0b01, {1: 0})]
+        assert verify_strong_deformation(DismantlingTrace(p, steps, frozenset({0, 1}))) is False
 
     def test_composite_not_onto_final_rejected(self):
         # no step, so the composed map is the identity, onto all of fence(3)
-        v = verify_strong_deformation(DismantlingTrace(fence(3), [], frozenset({0})))
-        assert v.ok is False and v.full is True
+        assert verify_strong_deformation(DismantlingTrace(fence(3), [], frozenset({0}))) is False
+
+    def test_empty_final_rejected(self):
+        # no step retracts a non-empty space onto the empty set
+        for p in (chain(2), crown(2)):
+            assert verify_strong_deformation(DismantlingTrace(p, [], frozenset())) is False
 
     def test_final_point_moved_rejected(self):
         # the swap of chain(2) is onto final = {0, 1} but moves both points
         p = chain(2)
         swap = RetractionStep("remove-down-beat", p.full_mask, {0: 1, 1: 0})
-        v = verify_strong_deformation(DismantlingTrace(p, [swap], frozenset({0, 1})))
-        assert v.ok is False and v.full is True
+        assert verify_strong_deformation(DismantlingTrace(p, [swap], frozenset({0, 1}))) is False
 
-    def test_partial_when_guarded(self):
-        v = verify_strong_deformation(core(fence(5)).trace, guard=3)
-        assert v.ok and not v.full
+    def test_step_against_its_kind_rejected(self):
+        # 1 -> 0 is a down move, recorded under an up kind or an unknown one
+        p = chain(2)
+        for kind in ("remove-up-beat", "bulk-up", "retract"):
+            step = RetractionStep(kind, p.full_mask, {1: 0})
+            assert verify_strong_deformation(DismantlingTrace(p, [step], frozenset({0}))) is False
+
+    def test_stale_domain_rejected(self):
+        # every step but the first acts on the previous image, not on all of X
+        tr = core(fence(5)).trace
+        stale = [RetractionStep(s.kind, tr.start.full_mask, s.mapping) for s in tr.steps]
+        assert len(stale) > 1
+        assert verify_strong_deformation(DismantlingTrace(tr.start, stale, tr.final)) is False
+
+    def test_long_core_traces_within_time_limit(self):
+        traces = [core(family(3200)).trace for family in (fence, chain)]
+        with time_limit(2, "verify_strong_deformation on the core traces of n = 3200"):
+            assert all(verify_strong_deformation(tr) is True for tr in traces)
 
     def test_standard_sequence_traces(self):
         for seed in range(6):

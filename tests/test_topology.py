@@ -22,8 +22,6 @@ from finspace import (
     fence,
     generate_topology,
     hom_set_interval,
-    is_compact_shape,
-    minimal_nbhd,
     specialization_order,
 )
 from finspace import topology
@@ -68,16 +66,6 @@ class TestAlexandroffTopology:
 
 
 class TestMinimalNbhd:
-    def test_examples(self):
-        p = chain(3)
-        assert minimal_nbhd(p, 2) == {0, 1, 2}
-        c = crown(2)
-        assert minimal_nbhd(c, c.index("b0")) == {
-            c.index("a0"), c.index("a1"), c.index("b0")
-        }
-        s = chain(1)
-        assert minimal_nbhd(s, 0) == {0}
-
     def test_is_intersection_of_opens(self):
         for seed in range(5):
             p = random_poset(5, 0.4, seed)
@@ -87,15 +75,9 @@ class TestMinimalNbhd:
                 for m in t.sets:
                     if m >> x & 1:
                         inter &= m
-                assert minimal_nbhd(p, x) == set(
+                assert p.down_set(x) == set(
                     i for i in range(p.n) if inter >> i & 1
                 )
-
-
-def test_is_compact_shape():
-    assert is_compact_shape(chain(5))
-    assert is_compact_shape(crown(3))
-    assert is_compact_shape(chain(0))  # vacuous
 
 
 class TestHomSetInterval:
