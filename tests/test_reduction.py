@@ -351,9 +351,12 @@ class TestIsCore:
 
 class TestVerifyStrongDeformation:
     def test_core_trace_of_fence(self):
+        assert verify_strong_deformation(core(fence(4)).trace) is True
+
+    def test_full_when_the_maps_fixing_the_core_fit(self):
         # C(fence(9), fence(9)) has 6,187 maps; the certificate lists none
-        for n in (4, 9):
-            assert verify_strong_deformation(core(fence(n)).trace) is True
+        # and gives a complete answer, with no guard on the class size
+        assert verify_strong_deformation(core(fence(9)).trace) is True
 
     def test_empty_trace(self):
         p = crown(2)
