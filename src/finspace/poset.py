@@ -434,15 +434,14 @@ CLASSIFY_STATE_BUDGET = 200_000
 
 @dataclass
 class ClassifyRecord:
-    """Finiteness predicates, trivially true on finite inputs, with witnesses.
+    """The comparability degree and the bounded-paths number of a finite
+    poset.  Its finite-chains, finite-paths and local-finiteness
+    predicates hold on every finite input, so they are not recorded.
 
     The bound on simple comparability paths is reported both as a step
     count and as an element count, since both conventions are in use.
     """
 
-    finite_chains: bool
-    fp: bool
-    locally_finite: bool
     comparability_degree: int
     bp_step_bound: int
     bp_element_bound: int
@@ -468,8 +467,8 @@ def classify(p):
     n = p.n
     degree = max((p.comparability_mask(x).bit_count() + 1 for x in range(n)), default=0)
     if n == 0:
-        return ClassifyRecord(True, True, True, 0, 0, 0)
-    approximate = ClassifyRecord(True, True, True, degree, n - 1, n, approximate=True)
+        return ClassifyRecord(0, 0, 0)
+    approximate = ClassifyRecord(degree, n - 1, n, approximate=True)
     if n > CLASSIFY_EXACT_LIMIT:
         return approximate
     adj = [p.comparability_mask(x) for x in range(n)]
@@ -492,4 +491,4 @@ def classify(p):
                 pushed += 1
         if pushed > CLASSIFY_STATE_BUDGET:
             return approximate
-    return ClassifyRecord(True, True, True, degree, best, best + 1)
+    return ClassifyRecord(degree, best, best + 1)

@@ -16,14 +16,16 @@ copies that follow the current subspace in ``core`` and
 neighbours (``_unlink``), so only they are tested again: a dismantling
 costs O(covers + removals * deg^2) mask operations instead of a rescan
 of the whole subspace after every removal, and the core is built from
-the cover masks left at the end.  Every step stores its domain as an
-int mask and in its mapping only the points it moves: ``{x: target}``
-for a single-point step.
+the cover masks left at the end.  A step stores only its kind and the
+points it moves, in its mapping: ``{x: target}`` for a single-point
+step.  Each step acts on the image of the one before it, so a trace
+stores only its start and steps, and its domains and final subspace
+are read off the walk.
 
 ``verify_strong_deformation`` certifies a trace by the same walk: it
-checks each step on the cover masks of the step's domain, then drops
-the moved points with ``_unlink``.  This module imports nothing from
-the package but ``errors`` and ``poset``.
+checks each step on the cover masks of its domain, then drops the moved
+points with ``_unlink``.  This module imports nothing from the package
+but ``errors`` and ``poset``.
 """
 
 from __future__ import annotations
@@ -87,41 +89,37 @@ def is_core(p, basepoint=None):
 class RetractionStep:
     """One comparative retraction in a dismantling.
 
-    ``domain`` is the subspace the step acts on, as a bitmask of start
-    ids.  ``mapping`` sends the moved elements, exactly the removed ones
-    (``removed`` is its key set), to their images and fixes every other
-    element: a single-point step stores ``{x: target}``, target the
-    absorbing d_x or u_x, an identity step ``{}``.
+    ``mapping`` sends the moved elements, exactly the removed ones
+    (``removed`` is its key set), to their images and fixes the rest of
+    the domain, the image of the step before it: a single-point step
+    stores ``{x: target}``, target the absorbing d_x or u_x, an identity
+    step ``{}``.
     """
 
     kind: str
-    domain: int
     mapping: dict
 
     @property
     def removed(self):
         return frozenset(self.mapping)
 
-    @property
-    def domain_elements(self):
-        return frozenset(bits(self.domain))
-
-    @property
-    def image_elements(self):
-        return self.domain_elements - self.removed
-
 
 @dataclass
 class DismantlingTrace:
     """Ordered record of retraction steps from a start poset.
 
-    Every recorded step moves at least one point.  composed maps every
-    start element to its final image; final is the surviving subspace.
+    Every recorded step moves at least one point, and acts on the image
+    of the step before it (the whole start for the first).  final, the
+    surviving subspace, is the start minus every moved point; composed
+    maps every start element to its final image.
     """
 
     start: Poset
     steps: list
-    final: frozenset
+
+    @property
+    def final(self):
+        return frozenset(range(self.start.n)).difference(*(s.mapping for s in self.steps))
 
     @property
     def composed(self):
@@ -139,7 +137,7 @@ def remove_beat_point(p, x, basepoint=None, prefer_down=True):
     if beat is None:
         raise NotABeatPoint(f"element {p.labels[x]!r} is not a beat point")
     kind, target = beat
-    return RetractionStep(kind, p.full_mask, {x: target})
+    return RetractionStep(kind, {x: target})
 
 
 @dataclass
@@ -199,8 +197,7 @@ def core(p, basepoint=None):
     diagram of the core, which is built from them after relabelling
     without an induced-order scan.  The cost is O(covers) for the start
     and the core plus, per removal, (lower covers x upper covers) mask
-    tests.  Each step stores its domain as a mask and its mapping as
-    ``{x: target}``.
+    tests.
     """
     lower, upper = list(p.lower_covers), list(p.upper_covers)
     fixed = 0 if basepoint is None else 1 << basepoint
@@ -215,7 +212,7 @@ def core(p, basepoint=None):
         if beat is None:
             continue
         kind, target = beat
-        steps.append(RetractionStep(kind, mask, {x: target}))
+        steps.append(RetractionStep(kind, {x: target}))
         mask ^= bit
         candidates |= _unlink(p, lower, upper, mask, x) & ~fixed
     keep = list(bits(mask))
@@ -227,7 +224,7 @@ def core(p, basepoint=None):
             m |= 1 << relabel[b]
         succ.append(m)
     sub = Poset._from_successors([p.labels[i] for i in keep], succ)
-    return CoreResult(sub, relabel, DismantlingTrace(p, steps, frozenset(keep)))
+    return CoreResult(sub, relabel, DismantlingTrace(p, steps))
 
 
 def _bulk_step(covers, ranks, mask, upward, basepoint=None):
@@ -247,7 +244,7 @@ def _bulk_step(covers, ranks, mask, upward, basepoint=None):
     for x in sorted(one, key=lambda x: ranks[x].bit_count()):
         t = one[x]
         one[x] = one.get(t, t)
-    return RetractionStep(BULK_UP if upward else BULK_DOWN, mask, one)
+    return RetractionStep(BULK_UP if upward else BULK_DOWN, one)
 
 
 def bulk_up(p):
@@ -289,25 +286,26 @@ def standard_sequence(p, basepoint=None):
         for x in step.mapping:
             mask &= ~(1 << x)
             _unlink(p, lower, upper, mask, x)
-    return DismantlingTrace(p, steps, frozenset(bits(mask)))
+    return DismantlingTrace(p, steps)
 
 
 def verify_strong_deformation(trace):
     """Certify that a trace realizes a strong deformation retraction of
     its start onto ``final`` (Stong 1966; Barmak, LNM 2032, ch. 1).
 
-    Each step is checked alone, on the cover masks of its domain kept as
-    in ``core``.  Its domain must be the image of the step before it (the
-    whole start for the first), its kind one of the four defined here,
-    and every moved point k must go to a point v of its image, v < k for
-    a down kind and v > k for an up kind.  The map must be monotone on
-    every cover with a moved end: r(y) <= r(k) for a lower cover y of k
-    and dually; a finite map is monotone exactly when it is monotone on
-    the covers.  Such a step is a retraction of its domain onto its image
-    on one side of the identity, so one comparability joins it to the
-    identity through maps fixing the image, and the composite is joined
-    to the identity rel ``final`` when the last image is ``final``.  The
-    cost is O(covers + moved points * deg^2) mask operations.
+    Each step is checked alone, on the cover masks of its domain (the
+    image of the step before it, the whole start for the first) kept as
+    in ``core``.  Its kind must be one of the four defined here, its
+    moved points must lie in its domain, and every moved point k must go
+    to a point v of its image, v < k for a down kind and v > k for an up
+    kind, so no step empties a non-empty space.  The map must be
+    monotone on every cover with a moved end: r(y) <= r(k) for a lower
+    cover y of k and dually; a finite map is monotone exactly when it is
+    monotone on the covers.  Such a step is a retraction of its domain
+    onto its image on one side of the identity, so one comparability
+    joins it to the identity through maps fixing the image, and the
+    composite is joined to the identity rel the last image, ``final``.
+    The cost is O(covers + moved points * deg^2) mask operations.
     """
     p = trace.start
     lower, upper = list(p.lower_covers), list(p.upper_covers)
@@ -315,7 +313,7 @@ def verify_strong_deformation(trace):
     for step in trace.steps:
         r = step.mapping
         moved = sum(1 << k for k in r)
-        if step.domain != mask or step.kind not in _UPWARD or moved & ~mask:
+        if step.kind not in _UPWARD or moved & ~mask:
             return False
         image = mask ^ moved
         cone = p.up if _UPWARD[step.kind] else p.down
@@ -329,4 +327,4 @@ def verify_strong_deformation(trace):
         for k in r:
             mask ^= 1 << k
             _unlink(p, lower, upper, mask, k)
-    return mask == sum(1 << x for x in trace.final)
+    return True

@@ -331,9 +331,9 @@ def classify_by_dfs(p, exact_limit=24):
     n = p.n
     degree = max((p.comparability_mask(x).bit_count() + 1 for x in range(n)), default=0)
     if n == 0:
-        return ClassifyRecord(True, True, True, 0, 0, 0)
+        return ClassifyRecord(0, 0, 0)
     if n > exact_limit:
-        return ClassifyRecord(True, True, True, degree, n - 1, n, approximate=True)
+        return ClassifyRecord(degree, n - 1, n, approximate=True)
     adj = [p.comparability_mask(x) for x in range(n)]
     best = 0
 
@@ -350,7 +350,7 @@ def classify_by_dfs(p, exact_limit=24):
         if best == n - 1:
             break
         dfs(s, 1 << s, 0)
-    return ClassifyRecord(True, True, True, degree, best, best + 1)
+    return ClassifyRecord(degree, best, best + 1)
 
 
 def beat_target_by_scan(p, x, mask, upward):

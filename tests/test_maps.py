@@ -394,7 +394,7 @@ class TestIsRetraction:
         p = fence(3)
         step = remove_beat_point(p, 0)
         r = MonotoneMap(p, p, tuple(step.mapping.get(i, i) for i in range(p.n)))
-        kind = is_retraction(p, r, step.image_elements)
+        kind = is_retraction(p, r, set(range(p.n)) - step.removed)
         assert kind and kind.comparative and kind.decomposes
 
     def test_wrong_image_rejected(self):

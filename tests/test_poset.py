@@ -186,7 +186,7 @@ class TestClassify:
         assert classify(crown(2)).bp_step_bound == 3
         rec = classify(antichain(5))
         assert rec.bp_step_bound == 0 and rec.bp_element_bound == 1
-        assert rec.finite_chains and rec.fp and rec.locally_finite
+        assert rec.comparability_degree == 1 and not rec.approximate
 
     def test_truncated_flag(self):
         rec = classify(chain(30))

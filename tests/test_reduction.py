@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from finspace import (
@@ -97,7 +99,7 @@ class TestBeatQueriesMatchScan:
                     target = d if down else u
                     assert step.kind == ("remove-down-beat" if down else "remove-up-beat")
                     assert step.mapping == {x: target}
-                    assert step.removed == {x} and step.domain == p.full_mask
+                    assert step.removed == {x}
 
 
 class TestRemoveBeatPoint:
@@ -237,12 +239,26 @@ class TestCoreMatchesRescan:
         assert all(len(s.mapping) == 1 for s in res.trace.steps)
         assert res.core_elements == {1999}
 
+    def test_trace_memory_is_linear(self):
+        # a step stores only its kind and moved points; a domain mask stored
+        # per step made the trace of a chain quadratic (ratio about 3.1)
+        def peak(n):
+            p = chain(n)
+            tracemalloc.start()
+            try:
+                core(p)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8000) / peak(4000) < 2.5
+
 
 class TestBulkRetractions:
     def test_chain_bulk_up_to_top(self):
         step = bulk_up(chain(3))
         assert step.mapping == {0: 2, 1: 2}
-        assert step.image_elements == {2}
+        assert set(range(3)) - step.removed == {2}
 
     def test_crown_bulk_up_identity(self):
         step = bulk_up(crown(2))
@@ -262,7 +278,7 @@ class TestBulkRetractions:
             p = random_poset(7, 0.4, seed)
             for step, want_up in [(bulk_up(p), True), (bulk_down(p), False)]:
                 r = MonotoneMap(p, p, tuple(step.mapping.get(i, i) for i in range(p.n)))
-                kind = is_retraction(p, r, step.image_elements)
+                kind = is_retraction(p, r, set(range(p.n)) - step.removed)
                 assert kind and kind.comparative
                 assert (kind.up if want_up else kind.down)
 
@@ -305,14 +321,20 @@ class TestStandardSequence:
 
 class TestStandardSequenceMatchesScan:
     """The cover-mask standard sequence against the punctured-set scan it
-    replaced: the same (kind, domain, removed, mapping) for every step."""
+    replaced: the same (kind, domain, removed, mapping) for every step,
+    the domain of a trace step being the running image of the steps
+    before it (the full mask minus the points removed so far)."""
 
     def assert_same(self, p, basepoint=None):
         tr = standard_sequence(p, basepoint)
         steps, final = standard_sequence_by_scan(p, basepoint)
-        assert [(s.kind, s.domain, s.removed, s.mapping) for s in tr.steps] == steps
+        image, walked = p.full_mask, []
+        for s in tr.steps:
+            walked.append((s.kind, image, s.removed, s.mapping))
+            image &= ~sum(1 << x for x in s.removed)
+        assert walked == steps
         assert all(list(s.mapping) == sorted(s.mapping) for s in tr.steps)
-        assert tr.final == final
+        assert tr.final == final == {x for x in range(p.n) if image >> x & 1}
 
     def test_random_posets(self):
         import random
@@ -360,63 +382,58 @@ class TestVerifyStrongDeformation:
 
     def test_empty_trace(self):
         p = crown(2)
-        tr = DismantlingTrace(p, [], frozenset(range(p.n)))
+        tr = DismantlingTrace(p, [])
+        assert tr.final == set(range(p.n))
         assert verify_strong_deformation(tr)
 
     def test_non_comparative_fake_rejected(self):
         p = fence(3)  # map x2 to x0: not comparative
-        fake = RetractionStep("remove-up-beat", p.full_mask, {2: 0})
-        tr = DismantlingTrace(p, [fake], frozenset({0, 1}))
+        fake = RetractionStep("remove-up-beat", {2: 0})
+        tr = DismantlingTrace(p, [fake])
         assert not verify_strong_deformation(tr)
 
     def test_non_monotone_fake_rejected(self):
         # c -> b is comparative and retracts onto {a, b, d}, but a < c while
         # a and b are incomparable, so the composed map is no map of C(X, X)
         p = Poset.from_covers(["a", "b", "c", "d"], [("a", "c"), ("b", "c"), ("b", "d")])
-        a, b, c, d = (p.index(s) for s in "abcd")
-        fake = RetractionStep("remove-down-beat", p.full_mask, {c: b})
-        assert verify_strong_deformation(DismantlingTrace(p, [fake], frozenset({a, b, d}))) is False
+        b, c = p.index("b"), p.index("c")
+        fake = RetractionStep("remove-down-beat", {c: b})
+        assert verify_strong_deformation(DismantlingTrace(p, [fake])) is False
         # the dual: c < a and c < b, so c -> b breaks c < a on an upper cover
         q = Poset.from_covers(["a", "b", "c", "d"], [("c", "a"), ("c", "b"), ("d", "b")])
-        a, b, c, d = (q.index(s) for s in "abcd")
-        fake = RetractionStep("remove-up-beat", q.full_mask, {c: b})
-        assert verify_strong_deformation(DismantlingTrace(q, [fake], frozenset({a, b, d}))) is False
+        b, c = q.index("b"), q.index("c")
+        fake = RetractionStep("remove-up-beat", {c: b})
+        assert verify_strong_deformation(DismantlingTrace(q, [fake])) is False
 
     def test_point_outside_domain_rejected(self):
         # the second step moves 1 again, after the first has removed it
         p = chain(2)
-        steps = [RetractionStep("remove-down-beat", 0b11, {1: 0}),
-                 RetractionStep("remove-down-beat", 0b01, {1: 0})]
-        assert verify_strong_deformation(DismantlingTrace(p, steps, frozenset({0, 1}))) is False
-
-    def test_composite_not_onto_final_rejected(self):
-        # no step, so the composed map is the identity, onto all of fence(3)
-        assert verify_strong_deformation(DismantlingTrace(fence(3), [], frozenset({0}))) is False
+        steps = [RetractionStep("remove-down-beat", {1: 0}),
+                 RetractionStep("remove-down-beat", {1: 0})]
+        assert verify_strong_deformation(DismantlingTrace(p, steps)) is False
 
     def test_empty_final_rejected(self):
-        # no step retracts a non-empty space onto the empty set
-        for p in (chain(2), crown(2)):
-            assert verify_strong_deformation(DismantlingTrace(p, [], frozenset())) is False
+        # no step retracts a non-empty space onto the empty set: once 1 is
+        # gone, the step moving 0 has no image point to send it to
+        steps = [RetractionStep("remove-down-beat", {1: 0}),
+                 RetractionStep("remove-down-beat", {0: 0})]
+        tr = DismantlingTrace(chain(2), steps)
+        assert tr.final == frozenset()
+        assert verify_strong_deformation(tr) is False
 
     def test_final_point_moved_rejected(self):
-        # the swap of chain(2) is onto final = {0, 1} but moves both points
+        # the swap of chain(2) maps onto {0, 1} but moves both points, so
+        # its image in the trace is empty
         p = chain(2)
-        swap = RetractionStep("remove-down-beat", p.full_mask, {0: 1, 1: 0})
-        assert verify_strong_deformation(DismantlingTrace(p, [swap], frozenset({0, 1}))) is False
+        swap = RetractionStep("remove-down-beat", {0: 1, 1: 0})
+        assert verify_strong_deformation(DismantlingTrace(p, [swap])) is False
 
     def test_step_against_its_kind_rejected(self):
         # 1 -> 0 is a down move, recorded under an up kind or an unknown one
         p = chain(2)
         for kind in ("remove-up-beat", "bulk-up", "retract"):
-            step = RetractionStep(kind, p.full_mask, {1: 0})
-            assert verify_strong_deformation(DismantlingTrace(p, [step], frozenset({0}))) is False
-
-    def test_stale_domain_rejected(self):
-        # every step but the first acts on the previous image, not on all of X
-        tr = core(fence(5)).trace
-        stale = [RetractionStep(s.kind, tr.start.full_mask, s.mapping) for s in tr.steps]
-        assert len(stale) > 1
-        assert verify_strong_deformation(DismantlingTrace(tr.start, stale, tr.final)) is False
+            step = RetractionStep(kind, {1: 0})
+            assert verify_strong_deformation(DismantlingTrace(p, [step])) is False
 
     def test_long_core_traces_within_time_limit(self):
         traces = [core(family(3200)).trace for family in (fence, chain)]
