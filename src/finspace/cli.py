@@ -266,15 +266,16 @@ def cmd_core(args, first):
 def cmd_dismantle(args, first):
     p, base = first
     trace = reduction.standard_sequence(p, base)
+    final = trace.final
     data = {
         "input_size": p.n,
-        "final_size": len(trace.final),
-        "final_elements": sorted(p.labels[x] for x in trace.final),
+        "final_size": len(final),
+        "final_elements": sorted(p.labels[x] for x in final),
         "effective_steps": len(trace.steps),
         "stabilized": True,  # the standard sequence always stabilizes
         "kinds": [s.kind for s in trace.steps],
     }
-    return data, (f"standard sequence left {len(trace.final)} elements "
+    return data, (f"standard sequence left {len(final)} elements "
                   f"in {len(trace.steps)} effective steps"), True
 
 

@@ -13,14 +13,15 @@ query is a one-bit test of a cover mask (``_sole``): on the poset's own
 ``lower_covers`` and ``upper_covers`` for the public queries, and on
 copies that follow the current subspace in ``core`` and
 ``standard_sequence``.  Removing x only changes the covers of its
-neighbours (``_unlink``), so only they are tested again: a dismantling
-costs O(covers + removals * deg^2) mask operations instead of a rescan
-of the whole subspace after every removal, and the core is built from
-the cover masks left at the end.  A step stores only its kind and the
-points it moves, in its mapping: ``{x: target}`` for a single-point
-step.  Each step acts on the image of the one before it, so a trace
-stores only its start and steps, and its domains and final subspace
-are read off the walk.
+neighbours (``_unlink``), so only they are tested again, as ``core``'s
+candidates or against ``standard_sequence``'s down and up beat sets:
+either costs O(covers + removals * deg^2) mask operations instead of a
+rescan of the subspace after every removal or round, and the core is
+built from the cover masks left at the end.  A step stores only its
+kind and the points it moves, in its mapping: ``{x: target}`` for a
+single-point step.  Each step acts on the image of the one before it,
+so a trace stores only its start and steps, and its domains and final
+subspace are read off the walk.
 
 ``verify_strong_deformation`` certifies a trace by the same walk: it
 checks each step on the cover masks of its domain, then drops the moved
@@ -59,21 +60,21 @@ def _one_point(lower, upper, x, prefer_down=True):
     return None
 
 
-def _single_covered(covers, basepoint):
-    return frozenset(x for x, c in enumerate(covers)
-                     if x != basepoint and _sole(c) is not None)
+def _single_covered(covers, candidates):
+    """The candidates with a single lower (upper) cover: the down (up) beat points."""
+    return {x for x in candidates if _sole(covers[x]) is not None}
 
 
 def up_beat_points(p, basepoint=None):
     """Elements with a single upper cover, the smallest element of their
     punctured up-set."""
-    return _single_covered(p.upper_covers, basepoint)
+    return frozenset(_single_covered(p.upper_covers, range(p.n))) - {basepoint}
 
 
 def down_beat_points(p, basepoint=None):
     """Elements with a single lower cover, the largest element of their
     punctured down-set."""
-    return _single_covered(p.lower_covers, basepoint)
+    return frozenset(_single_covered(p.lower_covers, range(p.n))) - {basepoint}
 
 
 def beat_points(p, basepoint=None):
@@ -227,20 +228,20 @@ def core(p, basepoint=None):
     return CoreResult(sub, relabel, DismantlingTrace(p, steps))
 
 
-def _bulk_step(covers, ranks, mask, upward, basepoint=None):
-    """The U_X (upward) or D_X step on the subspace ``mask``.
+def _bulk_step(covers, ranks, beats, upward):
+    """The U_X (upward) or D_X step on a subspace whose up (upward) or
+    down beat points are the set ``beats``.
 
     ``covers`` holds the upper (upward) or lower cover masks of the
-    subspace: x is a beat point exactly when its mask has a single bit,
-    which is then its target.  The basepoint, if given, is never a beat
-    point and so never moves.  Only the beat points enter the mapping,
-    each sent to the end of its chain of targets.  ``ranks`` are the
-    start poset's ``up`` (upward) or ``down`` masks: a target's mask is
-    a proper subset of its beat point's, so in order of popcount every
-    target's chain is resolved before the beat points that reach it.
+    subspace, so a beat point's mask has a single bit, its target.  Only
+    the beat points enter the mapping, in ascending id order, each sent
+    to the end of its chain of targets.  ``ranks`` are the start poset's
+    ``up`` (upward) or ``down`` masks: a target's mask is a proper subset
+    of its beat point's, so in order of popcount every target's chain is
+    resolved before the beat points that reach it.  The cost is that of
+    two sorts of the beat points; the rest of the subspace is not read.
     """
-    one = {x: t for x in bits(mask)
-           if x != basepoint and (t := _sole(covers[x])) is not None}
+    one = {x: _sole(covers[x]) for x in sorted(beats)}
     for x in sorted(one, key=lambda x: ranks[x].bit_count()):
         t = one[x]
         one[x] = one.get(t, t)
@@ -249,12 +250,12 @@ def _bulk_step(covers, ranks, mask, upward, basepoint=None):
 
 def bulk_up(p):
     """The U_X retraction: iterate one-step up-beat absorption to a fixpoint."""
-    return _bulk_step(p.upper_covers, p.up, p.full_mask, upward=True)
+    return _bulk_step(p.upper_covers, p.up, up_beat_points(p), upward=True)
 
 
 def bulk_down(p):
     """The D_X retraction, dual to bulk_up."""
-    return _bulk_step(p.lower_covers, p.down, p.full_mask, upward=False)
+    return _bulk_step(p.lower_covers, p.down, down_beat_points(p), upward=False)
 
 
 def standard_sequence(p, basepoint=None):
@@ -266,26 +267,34 @@ def standard_sequence(p, basepoint=None):
     before each of them, and two identity rounds in a row end it.  For a
     basepoint, the basepoint is never a beat point and so is never moved
     or removed.  The cover masks of the current subspace are kept as in
-    ``core``: each step reads its beat points off them, and its removed
-    points then leave them one at a time.
+    ``core``, and so are its down and up beat sets: a round reads its
+    beat points off its set, its removed points leave the cover masks one
+    at a time, and only the points whose covers that changed (what
+    ``_unlink`` returns) are tested again.  So a round costs O(beat points
+    + touched points) and a run O(covers + removals * deg^2), as ``core``.
     """
     lower, upper = list(p.lower_covers), list(p.upper_covers)
     mask = p.full_mask
+    beats = [down_beat_points(p, basepoint), up_beat_points(p, basepoint)]
     steps = []
     idle = 0
     upward = False  # start with D_X
     while idle < 2:
         covers, ranks = (upper, p.up) if upward else (lower, p.down)
-        step = _bulk_step(covers, ranks, mask, upward, basepoint)
+        step = _bulk_step(covers, ranks, beats[upward], upward)
         upward = not upward
         if not step.mapping:
             idle += 1
             continue
         idle = 0
         steps.append(step)
+        touched = 0
         for x in step.mapping:
-            mask &= ~(1 << x)
-            _unlink(p, lower, upper, mask, x)
+            mask ^= 1 << x
+            touched |= _unlink(p, lower, upper, mask, x)
+        touched = set(bits(touched & mask)) - {basepoint}
+        for w, c in enumerate((lower, upper)):
+            beats[w] = beats[w].difference(step.mapping, touched) | _single_covered(c, touched)
     return DismantlingTrace(p, steps)
 
 

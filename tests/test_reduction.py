@@ -318,6 +318,15 @@ class TestStandardSequence:
         assert [s.kind for s in tr.steps] == ["bulk-down"] and tr.final == {0}
         assert tr.steps[0].mapping == dict.fromkeys(range(1, 10000), 0)
 
+    def test_long_fence_in_linear_time(self):
+        # a fence loses only its two ends per round, so it takes n / 2 rounds;
+        # rescanning the subspace each round is quadratic (about 5 s here)
+        p = fence(6400)
+        with time_limit(1, "standard_sequence(fence(6400))"):
+            tr = standard_sequence(p)
+        assert len(tr.steps) == 3200 and tr.final == {3199}
+        assert all(len(s.mapping) == 2 for s in tr.steps[1:])
+
 
 class TestStandardSequenceMatchesScan:
     """The cover-mask standard sequence against the punctured-set scan it
@@ -353,8 +362,11 @@ class TestStandardSequenceMatchesScan:
     def test_families(self):
         for n in range(1, 14):
             self.assert_same(chain(n))
+        # a basepoint inside a fence splits the run into two shrinking ends
+        for n in range(1, 41):
             self.assert_same(fence(n))
-            self.assert_same(fence(n), basepoint=n // 2)
+            for basepoint in range(n):
+                self.assert_same(fence(n), basepoint)
         for n in range(2, 7):
             self.assert_same(crown(n))
         for legs in ([1], [2, 2], [3, 1, 4], [2, 3, 4, 5]):
