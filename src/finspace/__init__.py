@@ -75,10 +75,9 @@ from .simplicial import (
     poset_homology,
 )
 from .topology import (
-    CompactOpenCheck,
     SetFamily,
     alexandroff_topology,
-    compact_open_check,
+    compact_open_opens,
     compact_open_subbasis,
     count_down_sets,
     families_equal,

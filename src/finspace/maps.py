@@ -497,7 +497,6 @@ class RetractionKind:
     comparative: bool = False
     up: bool = False
     down: bool = False
-    decomposes: bool = False
 
     def __bool__(self):
         return self.retraction
@@ -507,9 +506,9 @@ def is_retraction(x, r, target):
     """Check that r: X -> X retracts onto ``target`` and classify it.
 
     comparative: r(x) ~ x for every x; up: r >= id; down: r <= id.
-    For comparative retractions also checks the up/down factorization
-    r = r_d o r_u with r_u(x) = max(x, r(x)) and r_d(x) = min(x, r(x))
-    along the comparability, both monotone.
+    A comparative retraction always factors as r = r_d o r_u with
+    r_u = max(id, r) and r_d = min(id, r), both monotone; the tests
+    check this identity.
     """
     target = frozenset(target)
     a = r.assignment
@@ -520,14 +519,4 @@ def is_retraction(x, r, target):
     comparative = all(x.comparable(i, v) for i, v in enumerate(a))
     up = all(x.leq(i, v) for i, v in enumerate(a))
     down = all(x.leq(v, i) for i, v in enumerate(a))
-    decomposes = False
-    if comparative:
-        ru = tuple(v if x.leq(i, v) else i for i, v in enumerate(a))
-        rd = tuple(v if x.leq(v, i) else i for i, v in enumerate(a))
-        try:
-            fu = MonotoneMap(x, x, ru)
-            fd = MonotoneMap(x, x, rd)
-            decomposes = compose(fd, fu).assignment == a
-        except ValueError:
-            decomposes = False
-    return RetractionKind(True, comparative, up, down, decomposes)
+    return RetractionKind(True, comparative, up, down)

@@ -4,16 +4,17 @@ Open sets of a finite poset, viewed as an Alexandroff space, are exactly
 its down-sets.  A finite topology is fixed by its minimal open sets, the
 intersection of the opens around each point (Alexandroff 1937), and its
 opens are the sets that contain the minimal open of each of their points.
-``compact_open_check`` uses this to compare the topology generated by the
-compact-open subbasis [x, y-down] on C(X, Y) with the Alexandroff
-topology of the pointwise order: one mask per map, in O(|subbasis| * m)
-mask operations, with no set family closed.  One table, the maps with
-f(x) <= y for each pair (x, y), made in a single pass over the maps,
-holds both the subbasis members and, intersected along each map, the
-pointwise down-sets.  ``count_down_sets`` counts the opens of either
-topology without listing them, and ``specialization_order`` validates
-its input with the same two steps.  ``hom_set_interval`` gives [K, U]
-for any K; for a down-set U it equals [max K, U], which the tests check.
+
+For finite X and Y the compact-open topology on C(X, Y) is the
+Alexandroff topology of the pointwise order (Stong 1966; Barmak, LNM
+2032, ch. 1): the subbasis members around a map f are the sets
+[e, v-down] with v >= f(e), each contains [e, f(e)-down], so the minimal
+open of f is the intersection of those, its pointwise down-set.
+``compact_open_opens`` therefore only counts the down-sets of C(X, Y);
+``TestCompactOpenCheck`` in ``tests/test_topology.py`` checks the theorem.
+``specialization_order`` validates its input by its minimal opens and
+``count_down_sets``.  ``hom_set_interval`` gives [K, U] for any K; for a
+down-set U it equals [max K, U], which the tests check.
 
 ``alexandroff_topology`` and ``generate_topology`` still materialize whole
 families, so equalities can also be checked literally at test scale.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GuardExceeded, NotATopology, NotDownSet
+from .errors import GuardExceeded, NotATopology, NotDownSet, UnknownLabel
 from .poset import Preorder, bits
 
 # Elements whose down-sets are listed or counted.  It bounds the memory:
@@ -72,7 +73,7 @@ def families_equal(a, b):
 
 
 def is_down_set(p, mask):
-    return all(p.down[x] & ~mask == 0 for x in bits(mask))
+    return mask >> p.n == 0 and all(p.down[x] & ~mask == 0 for x in bits(mask))
 
 
 def check_downset_guard(n):
@@ -107,20 +108,24 @@ def alexandroff_topology(p):
 def hom_set_interval(c, k, u_mask):
     """[K, U] = {f in C : f(K) subseteq U}, as a set of map indices.
 
-    U must be a down-set of the codomain, and then [K, U] = [max(K), U].
+    K must be a set of points of the domain and U a down-set of the
+    codomain, and then [K, U] = [max(K), U].
     """
+    k = frozenset(k)
+    if any(not 0 <= e < c.domain.n for e in k):
+        raise UnknownLabel("K has a point outside the domain")
     if not is_down_set(c.codomain, u_mask):
         raise NotDownSet("U is not a down-set of the codomain")
-    k = frozenset(k)
     return frozenset(
         i for i, a in enumerate(c.assignments)
         if all(u_mask >> a[e] & 1 for e in k)
     )
 
 
-def _below(x, y, c):
+def _below(c):
     """below[e][v]: the maps f of C = C(X, Y) with f(e) <= v, as a bitmask
     of map indices, from one pass over the maps."""
+    x, y = c.domain, c.codomain
     below = [[0] * y.n for _ in range(x.n)]
     for i, a in enumerate(c.assignments):
         for e, w in enumerate(a):
@@ -129,9 +134,9 @@ def _below(x, y, c):
     return below
 
 
-def compact_open_subbasis(x, y, c):
-    """The family {[x, y-down]} over C = C(X, Y), as map-index bitmasks."""
-    return SetFamily.of(len(c), {m for row in _below(x, y, c) for m in row})
+def compact_open_subbasis(c):
+    """The family {[e, v-down]} over C = C(X, Y), as map-index bitmasks."""
+    return SetFamily.of(len(c), {m for row in _below(c) for m in row})
 
 
 def generate_topology(sub):
@@ -228,44 +233,22 @@ def count_down_sets(down, limit=None):
     return memo[(1 << m) - 1]
 
 
-@dataclass(frozen=True)
-class CompactOpenCheck:
-    """The compact-open topology on C(X, Y) against the Alexandroff one."""
-
-    topologies_equal: bool
-    compact_open_opens: int
-    alexandroff_opens: int
-
-
-def compact_open_check(x, y, c, sub=None):
-    """Compare the topology generated by a subbasis on C = C(X, Y) with
-    the Alexandroff topology of the pointwise order.
-
-    ``sub`` defaults to the compact-open subbasis {[e, v-down]}.  Both
-    it and the pointwise down-sets are read off one table ``_below``:
-    [e, v-down] is below[e][v], and the down-set of f is the
-    intersection over e of below[e][f(e)].  The two topologies are equal
-    exactly when every map has the same minimal open in both: the
-    intersection of the subbasis members around it, and its down-set.
-    Both open counts come from ``count_down_sets``.  DOWNSET_GUARD
-    bounds the maps whose opens are counted, and so the count's memory;
-    it is checked before the table is built.
+def compact_open_opens(c):
+    """The number of opens of the compact-open topology on C = C(X, Y):
+    the down-sets of C (see the module docstring), by ``count_down_sets``.
+    The down-set of f is the intersection over e of below[e][f(e)].
+    DOWNSET_GUARD bounds the maps, and so the count's memory; it is
+    checked before the table is built.
     """
     check_downset_guard(len(c))
-    below = _below(x, y, c)
-    if sub is None:
-        sub = SetFamily.of(len(c), {m for row in below for m in row})
-    min_open = minimal_opens(sub)
+    below = _below(c)
     down = []
     for a in c.assignments:
         mask = (1 << len(c)) - 1
         for e, v in enumerate(a):
             mask &= below[e][v]
         down.append(mask)
-    alexandroff = count_down_sets(down)
-    equal = min_open == down
-    compact_open = alexandroff if equal else count_down_sets(min_open)
-    return CompactOpenCheck(equal, compact_open, alexandroff)
+    return count_down_sets(down)
 
 
 def specialization_order(t):

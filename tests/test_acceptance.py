@@ -108,7 +108,7 @@ def test_03_function_space_topology():
     for x in gens:
         for y in gens:
             c = enumerate_monotone(x, y)
-            got = generate_topology(compact_open_subbasis(x, y, c))
+            got = generate_topology(compact_open_subbasis(c))
             want = alexandroff_topology(pointwise_order(c))
             assert families_equal(got, want)
             pairs += 1

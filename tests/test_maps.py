@@ -382,7 +382,7 @@ class TestIsRetraction:
     def test_identity(self):
         p = fence(4)
         kind = is_retraction(p, identity(p), range(p.n))
-        assert kind and kind.comparative and kind.up and kind.down and kind.decomposes
+        assert kind and kind.comparative and kind.up and kind.down
 
     def test_non_comparative_choice(self):
         p = fence(3)  # x0 < x1 > x2
@@ -395,12 +395,31 @@ class TestIsRetraction:
         step = remove_beat_point(p, 0)
         r = MonotoneMap(p, p, tuple(step.mapping.get(i, i) for i in range(p.n)))
         kind = is_retraction(p, r, set(range(p.n)) - step.removed)
-        assert kind and kind.comparative and kind.decomposes
+        assert kind and kind.comparative
 
     def test_wrong_image_rejected(self):
         p = chain(2)
         kind = is_retraction(p, constant(p, p, 1), {0, 1})
         assert not kind
+
+    def test_comparative_retractions_factor_up_then_down(self):
+        # r = min(id, r) o max(id, r) for a comparative retraction r: both
+        # factors are monotone (MonotoneMap checks it) and r is idempotent
+        comparative = 0
+        for seed in range(200):
+            p = random_poset(2 + seed % 5, 0.4, seed)
+            for a in enumerate_monotone(p, p).assignments:
+                if any(a[v] != v for v in a):
+                    continue  # not idempotent
+                kind = is_retraction(p, MonotoneMap(p, p, a), set(a))
+                assert kind
+                if not kind.comparative:
+                    continue
+                ru = MonotoneMap(p, p, tuple(v if p.leq(i, v) else i for i, v in enumerate(a)))
+                rd = MonotoneMap(p, p, tuple(v if p.leq(v, i) else i for i, v in enumerate(a)))
+                assert compose(rd, ru).assignment == a
+                comparative += 1
+        assert comparative > 2000
 
 
 def _partition(roots):

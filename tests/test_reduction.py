@@ -17,6 +17,7 @@ from finspace import (
     down_beat_points,
     fence,
     is_core,
+    is_retraction,
     remove_beat_point,
     spider,
     standard_sequence,
@@ -265,15 +266,12 @@ class TestBulkRetractions:
         assert not step.removed
 
     def test_fence_bulk_down(self):
-        p = fence(4)  # x0 < x1 > x2 < x3; maxima are not down-beat points
+        p = fence(4)  # x0 < x1 > x2 < x3
         step = bulk_down(p)
-        # x0 is a down... no: bulk_down removes down-beat points; x3 covers
-        # only x2 so x3 is a down-beat point over x2
+        # x1 covers x0 and x2, but x3 covers only x2: a down-beat point over x2
         assert 3 in step.removed and step.mapping[3] == 2
 
     def test_bulk_maps_are_retractions(self):
-        from finspace import is_retraction
-
         for seed in range(8):
             p = random_poset(7, 0.4, seed)
             for step, want_up in [(bulk_up(p), True), (bulk_down(p), False)]:

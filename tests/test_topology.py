@@ -5,15 +5,15 @@ import time
 import pytest
 
 from finspace import (
-    CompactOpenCheck,
     GuardExceeded,
     NotATopology,
     NotDownSet,
     SetFamily,
+    UnknownLabel,
     alexandroff_topology,
     antichain,
     chain,
-    compact_open_check,
+    compact_open_opens,
     compact_open_subbasis,
     count_down_sets,
     crown,
@@ -103,6 +103,21 @@ class TestHomSetInterval:
         with pytest.raises(NotDownSet):
             hom_set_interval(c, [0], 1 << 1)  # {top} is not a down-set
 
+    def test_k_outside_domain(self):
+        # a negative index must not wrap round to the last point of X
+        x, y = chain(2), chain(3)
+        c = enumerate_monotone(x, y)
+        for k in ([-1], [x.n], [0, 5]):
+            with pytest.raises(UnknownLabel):
+                hom_set_interval(c, k, y.full_mask)
+
+    def test_u_outside_codomain(self):
+        x, y = chain(2), chain(3)
+        c = enumerate_monotone(x, y)
+        for u in (1 << y.n, y.full_mask | 1 << 7, -1):
+            with pytest.raises(NotDownSet):
+                hom_set_interval(c, [0], u)
+
     def test_maxima_suffice(self):
         # [K, U] = [max K, U] for every down-set U: f(e) <= f(o) for e < o
         cases = 0
@@ -121,13 +136,13 @@ class TestCompactOpenSubbasis:
     def test_singleton(self):
         x = y = chain(1)
         c = enumerate_monotone(x, y)
-        fam = compact_open_subbasis(x, y, c)
+        fam = compact_open_subbasis(c)
         assert fam.sets == {1}
 
     def test_two_chain_pairs(self):
         x = y = chain(2)
         c = enumerate_monotone(x, y)
-        fam = compact_open_subbasis(x, y, c)
+        fam = compact_open_subbasis(c)
         # 4 (x, y) pairs, possibly with coincident sets
         assert all(m <= fam.full_mask for m in fam.sets)
         assert len(fam) <= 4
@@ -136,7 +151,7 @@ class TestCompactOpenSubbasis:
         x = antichain(1)
         y = crown(2)
         c = enumerate_monotone(x, y)  # maps from a point = points of Y
-        fam = compact_open_subbasis(x, y, c)
+        fam = compact_open_subbasis(c)
         principal = set()
         for v in range(y.n):
             m = 0
@@ -160,7 +175,7 @@ class TestGenerateTopology:
     def test_two_chain_function_space(self):
         x = y = chain(2)
         c = enumerate_monotone(x, y)
-        gen = generate_topology(compact_open_subbasis(x, y, c))
+        gen = generate_topology(compact_open_subbasis(c))
         alex = alexandroff_topology(pointwise_order(c))
         assert families_equal(gen, alex)
         assert len(alex) == 4  # down-sets of the 3-chain C(X,X)
@@ -171,7 +186,7 @@ class TestGenerateTopology:
         point = chain(1)
         for k in (12, 40):
             y = antichain(k)
-            sub = compact_open_subbasis(point, y, enumerate_monotone(point, y))
+            sub = compact_open_subbasis(enumerate_monotone(point, y))
             t0 = time.perf_counter()
             with pytest.raises(GuardExceeded, match="closure of more than"):
                 generate_topology(sub)
@@ -222,17 +237,9 @@ def test_compact_open_weaker_than_alexandroff():
     for x in posets:
         for y in posets:
             c = enumerate_monotone(x, y)
-            gen = generate_topology(compact_open_subbasis(x, y, c))
+            gen = generate_topology(compact_open_subbasis(c))
             alex = alexandroff_topology(pointwise_order(c))
             assert gen.sets <= alex.sets
-
-
-def closure_check(c, sub):
-    """The check by closing set families, the oracle for compact_open_check."""
-    generated = generate_topology(sub)
-    alexandroff = alexandroff_topology(pointwise_order(c))
-    return CompactOpenCheck(families_equal(generated, alexandroff),
-                            len(generated), len(alexandroff))
 
 
 def oracle_pairs():
@@ -249,25 +256,39 @@ def oracle_pairs():
 
 
 class TestCompactOpenCheck:
+    """On finite X and Y the compact-open topology on C(X, Y) is the
+    Alexandroff topology of the pointwise order, which ``compact_open_opens``
+    takes for granted; these tests check it."""
+
     def test_matches_closure_oracle(self):
         pairs = 0
         for x, y, c in oracle_pairs():
-            sub = compact_open_subbasis(x, y, c)
-            got = compact_open_check(x, y, c)
-            assert got == closure_check(c, sub)
-            assert got.topologies_equal
+            generated = generate_topology(compact_open_subbasis(c))
+            assert families_equal(generated, alexandroff_topology(pointwise_order(c)))
+            assert compact_open_opens(c) == len(generated)
             pairs += 1
         assert pairs > 150
 
+    @pytest.mark.parametrize("x, y, maps", [
+        (chain(3), chain(10), 220), (fence(4), fence(8), 79), (crown(2), crown(3), 48)])
+    def test_minimal_opens_are_pointwise_down_sets(self, x, y, maps):
+        # pairs past the reach of the closure oracle
+        c = enumerate_monotone(x, y)
+        assert len(c) == maps
+        assert minimal_opens(compact_open_subbasis(c)) == pointwise_order(c).down
+
     def test_dropped_subbasis_member(self):
+        # minimal opens count the topology a family generates also when it
+        # is not the Alexandroff topology of the pointwise order
         differ = 0
         for x, y, c in oracle_pairs():
-            sub = compact_open_subbasis(x, y, c)
+            sub = compact_open_subbasis(c)
+            down = pointwise_order(c).down
             for m in sorted(sub.sets):
                 smaller = SetFamily.of(sub.ground_size, sub.sets - {m})
-                got = compact_open_check(x, y, c, sub=smaller)
-                assert got == closure_check(c, smaller)
-                differ += not got.topologies_equal
+                min_open = minimal_opens(smaller)
+                assert count_down_sets(min_open) == len(generate_topology(smaller))
+                differ += min_open != down
         assert differ > 0
 
     def test_empty_domain_and_codomain(self):
@@ -275,8 +296,7 @@ class TestCompactOpenCheck:
                            (chain(0), chain(0), 1)]:
             c = enumerate_monotone(x, y)
             assert len(c) == maps
-            got = compact_open_check(x, y, c)
-            assert got == closure_check(c, compact_open_subbasis(x, y, c))
+            assert compact_open_opens(c) == len(generate_topology(compact_open_subbasis(c)))
 
     def test_guard_fires_before_subbasis(self, monkeypatch):
         def unreachable(*args):
@@ -286,10 +306,9 @@ class TestCompactOpenCheck:
         c = enumerate_monotone(x, y)
         monkeypatch.setattr(topology, "_below", unreachable)
         with pytest.raises(GuardExceeded, match="21 > 20"):
-            compact_open_check(x, y, c)
+            compact_open_opens(c)
         monkeypatch.undo()
-        assert compact_open_check(x, antichain(20), enumerate_monotone(
-            x, antichain(20))) == CompactOpenCheck(True, 2**20, 2**20)
+        assert compact_open_opens(enumerate_monotone(x, antichain(20))) == 2**20
 
 
 class TestCountDownSets:
