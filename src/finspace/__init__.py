@@ -68,7 +68,6 @@ from .simplicial import (
     HomologyProfile,
     SimplicialComplex,
     homology,
-    homology_invariant_under_reduction,
     is_gamma_point,
     link,
     order_complex,

@@ -60,6 +60,8 @@ class MonotoneMap:
         a, up = self.assignment, self.codomain.up
         if len(a) != self.domain.n:
             raise ValueError("assignment length does not match domain size")
+        if not all(0 <= v < self.codomain.n for v in a):
+            raise ValueError(f"assignment value outside the codomain 0..{self.codomain.n - 1}")
         for x, above in enumerate(self.domain.upper_covers):
             for b in bits(above):
                 if not up[a[x]] >> a[b] & 1:

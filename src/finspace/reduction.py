@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotABeatPoint
+from .errors import NotABeatPoint, UnknownLabel
 from .poset import Poset, bits
 
 REMOVE_DOWN = "remove-down-beat"
@@ -58,6 +58,12 @@ def _one_point(lower, upper, x, prefer_down=True):
     if u is not None:
         return REMOVE_UP, u
     return None
+
+
+def _check_basepoint(p, basepoint):
+    """UnknownLabel unless the basepoint is None or a point of P."""
+    if basepoint is not None and not 0 <= basepoint < p.n:
+        raise UnknownLabel(f"basepoint {basepoint} out of range")
 
 
 def _single_covered(covers, candidates):
@@ -200,6 +206,7 @@ def core(p, basepoint=None):
     and the core plus, per removal, (lower covers x upper covers) mask
     tests.
     """
+    _check_basepoint(p, basepoint)
     lower, upper = list(p.lower_covers), list(p.upper_covers)
     fixed = 0 if basepoint is None else 1 << basepoint
     mask = p.full_mask
@@ -273,6 +280,7 @@ def standard_sequence(p, basepoint=None):
     ``_unlink`` returns) are tested again.  So a round costs O(beat points
     + touched points) and a run O(covers + removals * deg^2), as ``core``.
     """
+    _check_basepoint(p, basepoint)
     lower, upper = list(p.lower_covers), list(p.upper_covers)
     mask = p.full_mask
     beats = [down_beat_points(p, basepoint), up_beat_points(p, basepoint)]

@@ -20,9 +20,16 @@ found in two stages:
    unimodularly, and boundary_d sends them to 0.  Rows pivoted in stage 2
    are not cleared: their minor need not be unimodular.
 2. The residual block, whose entries are all 0 or of absolute value at
-   least 2, goes to a dense Smith normal form.  On order complexes it is
-   usually empty; torsion such as the Z/2 of the projective plane comes
-   from here.
+   least 2, is held as dense rows.  An entry of least absolute value is
+   the pivot.  Its column and row are reduced by integer division, with
+   row and column operations; a nonzero remainder is smaller than the
+   pivot, so it becomes the next pivot.  Once the pivot's row and column
+   are clear, the pivot is set aside and both are dropped.  The set-aside
+   pivots form a diagonal equivalent to the block, and diag(a, b) is
+   equivalent to diag(gcd(a, b), lcm(a, b)), so one pass over the pairs
+   puts them in divisibility order.  On order complexes the block is
+   usually empty or a single column; torsion such as the Z/2 of the
+   projective plane comes from here.
 
 Python integers cannot overflow.  The guards bound the number
 of simplices, not the fill-in of the elimination.
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .errors import GuardExceeded
 from .poset import bits
@@ -39,7 +47,7 @@ from .reduction import core
 
 # bounds the chains of P listed (order_complex) and the simplices whose
 # homology is computed (homology, poset_homology, is_gamma_point on the
-# link's core, homology_invariant_under_reduction)
+# link's core)
 COMPLEX_GUARD = 100_000
 
 CERTIFIED_YES = "certified_yes"
@@ -100,75 +108,38 @@ def order_complex(p, guard=COMPLEX_GUARD):
     return SimplicialComplex(simplices)
 
 
-def _smith_invariant_factors(rows, ncols):
+def _smith_invariant_factors(rows):
     """Invariant factors (diagonal of the Smith normal form) of an integer
-    matrix given as a list of rows."""
+    matrix given as a list of rows: pivot isolation, then one gcd/lcm pass
+    (module docstring, stage 2)."""
     m = [list(r) for r in rows]
-    nr = len(m)
-    nc = ncols
-    factors = []
-    top = 0
-    left = 0
-    while top < nr and left < nc:
-        # find pivot of minimal absolute value
-        pr = pc = -1
-        best = None
-        for i in range(top, nr):
-            row = m[i]
-            for j in range(left, nc):
-                v = row[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pr, pc = i, j
-        if best is None:
+    diag = []
+    while True:
+        nonzero = [(abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v]
+        if not nonzero:
             break
-        m[top], m[pr] = m[pr], m[top]
+        _, i, j = min(nonzero)
+        pivot_row = m[i]
+        pivot = pivot_row[j]
+        for k, row in enumerate(m):
+            if k != i and row[j]:
+                q = row[j] // pivot
+                m[k] = [a - q * b for a, b in zip(row, pivot_row)]
+        for c, v in enumerate(pivot_row):
+            if c != j and v:
+                q = v // pivot
+                for row in m:
+                    row[c] -= q * row[j]
+        if any(pivot_row[:j] + pivot_row[j + 1:]) or any(r[j] for r in m if r is not pivot_row):
+            continue  # a remainder is left: it is the next pivot
+        diag.append(abs(pivot))
+        del m[i]
         for row in m:
-            row[left], row[pc] = row[pc], row[left]
-        while True:
-            pivot = m[top][left]
-            done = True
-            for i in range(top + 1, nr):
-                if m[i][left]:
-                    qq = m[i][left] // pivot
-                    if qq:
-                        m[i] = [a - qq * b for a, b in zip(m[i], m[top])]
-                    if m[i][left]:
-                        m[top], m[i] = m[i], m[top]
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(left + 1, nc):
-                if m[top][j]:
-                    qq = m[top][j] // pivot
-                    if qq:
-                        for row in m:
-                            row[j] -= qq * row[left]
-                    if m[top][j]:
-                        for row in m:
-                            row[left], row[j] = row[j], row[left]
-                        done = False
-                        break
-            if done:
-                break
-        pivot = m[top][left]
-        # enforce divisibility: pivot must divide every remaining entry
-        fixed = False
-        for i in range(top + 1, nr):
-            for j in range(left + 1, nc):
-                if m[i][j] % pivot:
-                    m[top] = [a + b for a, b in zip(m[top], m[i])]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        factors.append(abs(pivot))
-        top += 1
-        left += 1
-    return factors
+            del row[j]
+    for a in range(len(diag)):
+        for b in range(a + 1, len(diag)):
+            diag[a], diag[b] = gcd(diag[a], diag[b]), lcm(diag[a], diag[b])
+    return diag
 
 
 @dataclass(frozen=True)
@@ -251,12 +222,12 @@ def _eliminate_unit_pivots(columns):
 
 def _invariant_factors(columns):
     """The unit-pivot rows and the invariant factors of a sparse integer
-    matrix (see the module docstring): unit pivots first, then a dense
-    Smith normal form of the residual block only."""
+    matrix (see the module docstring): unit pivots first, then the dense
+    stage on the residual block only."""
     pivots, residual = _eliminate_unit_pivots(columns)
     row_ids = sorted({i for col in residual for i in col})
     rows = [[col.get(i, 0) for col in residual] for i in row_ids]
-    return pivots, [1] * len(pivots) + _smith_invariant_factors(rows, len(residual))
+    return pivots, [1] * len(pivots) + _smith_invariant_factors(rows)
 
 
 def homology(k, reduced=False, guard=COMPLEX_GUARD):
@@ -327,11 +298,3 @@ def is_gamma_point(p, x, guard=COMPLEX_GUARD):
         return NO
     return HOMOLOGY_YES
 
-
-def homology_invariant_under_reduction(p, guard=COMPLEX_GUARD):
-    """Degreewise equality of the homology of P and of its core."""
-    c = core(p).core
-    hp = poset_homology(p, reduced=True, guard=guard)
-    hc = poset_homology(c, reduced=True, guard=guard)
-    top = max(len(hp.betti), len(hc.betti))
-    return all(hp.degree(d) == hc.degree(d) for d in range(top))

@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import math
 import random
 import signal
 
@@ -457,16 +458,51 @@ def homology_dense(k, reduced=False):
     counts = [k.count(d) for d in range(dim + 1)]
     factors = [[] for _ in range(dim + 2)]
     if reduced:
-        factors[0] = _smith_invariant_factors([[1] * counts[0]], counts[0])
+        factors[0] = _smith_invariant_factors([[1] * counts[0]])
     for d in range(1, dim + 1):
         rows = boundary_rows(k.simplices[d - 1], k.simplices[d])
-        factors[d] = _smith_invariant_factors(rows, counts[d])
+        factors[d] = _smith_invariant_factors(rows)
     betti = []
     torsion = []
     for d in range(dim + 1):
         betti.append(counts[d] - len(factors[d]) - len(factors[d + 1]))
         torsion.append(tuple(f for f in factors[d + 1] if f > 1))
     return HomologyProfile(tuple(betti), tuple(torsion))
+
+
+def _det(m):
+    """Determinant by Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * v * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, v in enumerate(m[0]) if v)
+
+
+def invariant_factors_by_minors(rows):
+    """Nonzero invariant factors of a small integer matrix from its
+    determinantal divisors, without any elimination: d_k is the gcd of
+    the k x k minors, d_0 = 1, and s_k = d_k / d_{k-1} while d_k != 0."""
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    factors = []
+    prev = 1
+    for k in range(1, min(nr, nc) + 1):
+        d = 0
+        for rs in itertools.combinations(range(nr), k):
+            for cs in itertools.combinations(range(nc), k):
+                d = math.gcd(d, _det([[rows[i][j] for j in cs] for i in rs]))
+        if not d:
+            break
+        factors.append(d // prev)
+        prev = d
+    return factors
+
+
+def same_homology(a, b):
+    """Degreewise equality of two HomologyProfiles, whose lengths follow
+    the dimensions of their complexes and so may differ."""
+    top = max(len(a.betti), len(b.betti))
+    return all(a.degree(d) == b.degree(d) for d in range(top))
 
 
 def gamma_by_full_link(p, x):

@@ -6,6 +6,7 @@ from finspace import (
     GuardExceeded,
     HeightExceeded,
     Poset,
+    UnknownLabel,
     antichain,
     are_homotopy_equivalent,
     are_isomorphic,
@@ -271,6 +272,12 @@ class TestHomotopyEquivalence:
     def test_mixed_basepoints_rejected(self):
         with pytest.raises(ValueError):
             are_homotopy_equivalent(chain(2), chain(2), basepoint_p=0)
+
+    def test_basepoint_outside_poset_rejected(self):
+        p = fence(5)
+        for bp, bq in ((9, 0), (0, 9), (-1, 0)):
+            with pytest.raises(UnknownLabel):
+                are_homotopy_equivalent(p, p, bp, bq)
 
     def test_mixed_basepoints_rejected_before_dismantling(self, monkeypatch):
         calls = []

@@ -169,6 +169,15 @@ class TestAlgebra:
                                              r"incomparable-or-reversed$"):
             MonotoneMap(chain(2), chain(2), (1, 0))
 
+    @pytest.mark.parametrize("n_dom, n_cod, values", [
+        (1, 2, (5,)),  # past the last point
+        (2, 3, (-1, 2)),  # would wrap to the last point
+        (2, 3, (-1, -1)),  # would reach a negative shift
+    ])
+    def test_values_outside_codomain_rejected(self, n_dom, n_cod, values):
+        with pytest.raises(ValueError, match=r"outside the codomain 0\.\.%d$" % (n_cod - 1)):
+            MonotoneMap(chain(n_dom), chain(n_cod), values)
+
     def test_compose_fence_shifts(self):
         p = fence(4)
         # fold the end of the zigzag, then push the first minimum up

@@ -6,6 +6,7 @@ from finspace import (
     NotABeatPoint,
     MonotoneMap,
     Poset,
+    UnknownLabel,
     antichain,
     are_isomorphic,
     beat_points,
@@ -170,6 +171,11 @@ class TestCore:
         assert sp.basepoint in res.core_elements
         assert res.trace.composed[sp.basepoint] == sp.basepoint
 
+    @pytest.mark.parametrize("basepoint", [5, -1])
+    def test_basepoint_outside_poset_rejected(self, basepoint):
+        with pytest.raises(UnknownLabel, match=f"^basepoint {basepoint} out of range$"):
+            core(fence(5), basepoint)
+
     def test_trace_steps_comparative_and_composed_monotone(self):
         for seed in range(8):
             p = random_poset(7, 0.4, seed)
@@ -299,6 +305,11 @@ class TestStandardSequence:
         assert tr.final == {sp.basepoint}
         max_len = 2
         assert len(tr.steps) <= 2 * max_len + 2
+
+    @pytest.mark.parametrize("basepoint", [5, -1])
+    def test_basepoint_outside_poset_rejected(self, basepoint):
+        with pytest.raises(UnknownLabel, match=f"^basepoint {basepoint} out of range$"):
+            standard_sequence(fence(5), basepoint)
 
     def test_agrees_with_core_up_to_iso(self):
         for seed in range(15):
