@@ -1,8 +1,9 @@
 """Computations with finite Alexandroff spaces (finite T0 posets).
 
 Cores via beat-point dismantling, homotopy-equivalence decisions,
-function-space topology checks, order-complex homology and brute-force
-oracles, plus a small CLI (``finspace``).
+function-space topology checks and order-complex homology, plus a small
+CLI (``finspace``).  The brute-force oracles that check these live with
+the tests, in ``tests/helpers.py``.
 """
 
 from .errors import (
@@ -24,7 +25,6 @@ from .homotopy import (
     IsoWitness,
     are_homotopy_equivalent,
     are_isomorphic,
-    brute_force_homotopy_equivalent,
     contains_crown,
     contractible_height1,
     is_contractible,
@@ -79,7 +79,6 @@ from .topology import (
     compact_open_opens,
     compact_open_subbasis,
     count_down_sets,
-    families_equal,
     generate_topology,
     hom_set_interval,
     specialization_order,

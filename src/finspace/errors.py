@@ -26,19 +26,19 @@ class GuardExceeded(FinspaceError):
 
 
 class NotDownSet(FinspaceError):
-    pass
+    """``hom_set_interval`` was given a U that is not a down-set."""
 
 
 class NotATopology(FinspaceError):
-    pass
+    """``specialization_order`` was given a family that is not a topology."""
 
 
 class NotABeatPoint(FinspaceError):
-    pass
+    """``remove_beat_point`` was asked to remove a point it cannot."""
 
 
 class HeightExceeded(FinspaceError):
-    pass
+    """A height-1 criterion was given an empty poset or one of height > 1."""
 
 
 class ParseError(FinspaceError):

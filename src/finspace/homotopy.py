@@ -25,18 +25,13 @@ returned as it is.  The package does not re-check it; the tests check
 every witness (``_assert_witness``, the networkx differential and the
 ``iso_by_backtrack`` oracle in ``tests/test_homotopy.py``), and so does
 the benchmark's ``oracle.iso_certificate_ok``.
-
-A brute-force oracle that searches directly for maps f, g with g o f
-and f o g chain-connected to the identities is provided for
-cross-validation in tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GuardExceeded, HeightExceeded
-from .maps import enumerate_monotone
+from .errors import HeightExceeded
 from .poset import bits, shortest_path
 from .reduction import core
 
@@ -241,47 +236,6 @@ def are_homotopy_equivalent(p, q, basepoint_p=None, basepoint_q=None):
     return EquivalenceEvidence(iso is not None, rp, rq, iso)
 
 
-def brute_force_homotopy_equivalent(p, q, guard=10**6):
-    """Independent oracle: search for f: P->Q, g: Q->P with g o f
-    homotopic to id_P and f o g homotopic to id_Q.
-
-    Homotopy is decided by the one-point cover moves of the function
-    posets themselves (``FunctionPoset.class_roots``), never through
-    cores; correct for finite inputs only.  Used to validate
-    are_homotopy_equivalent in tests.  f <= f' implies g o f <= g o f'
-    and f o g <= f' o g (and likewise for g), so the classes of the
-    composites depend only on the classes of f and g, and one
-    representative of each class of C(P,Q) and of C(Q,P) is tried.
-    ``guard`` bounds the maps of each function poset listed (C(P,Q),
-    C(Q,P), C(P,P), C(Q,Q)) and the candidate pairs |C(P,Q)| * |C(Q,P)|.
-    """
-    if p.n == 0 or q.n == 0:
-        return p.n == q.n
-    cpq = enumerate_monotone(p, q, guard=guard)
-    cqp = enumerate_monotone(q, p, guard=guard)
-    if len(cpq.assignments) * len(cqp.assignments) > guard:
-        raise GuardExceeded("too many candidate pairs")
-    id_p = _identity_class(enumerate_monotone(p, p, guard=guard))
-    id_q = _identity_class(enumerate_monotone(q, q, guard=guard))
-    for f in _class_representatives(cpq):
-        for g in _class_representatives(cqp):
-            if tuple(g[v] for v in f) in id_p and tuple(f[v] for v in g) in id_q:
-                return True
-    return False
-
-
-def _class_representatives(c):
-    """The lowest-index map of each homotopy class of c."""
-    return [c.assignments[i] for i, k in enumerate(c.class_roots()) if k == i]
-
-
-def _identity_class(c):
-    """The assignments in the homotopy class of the identity."""
-    roots = c.class_roots()
-    ident = roots[c.identity_index()]
-    return {a for a, k in zip(c.assignments, roots) if k == ident}
-
-
 def is_contractible(p):
     """True iff the core is a single point; the empty space is not
     contractible."""
@@ -305,7 +259,8 @@ def contractible_height1(p):
     """The height-1 criterion: connected and crown-free.
 
     For height <= 1, crown-freeness is the same as the cover graph being
-    acyclic, so the check is: connected with a tree cover graph.
+    acyclic, so the check is: connected with a tree cover graph.  No verb
+    calls it: it is the paper's contractibility criterion for height 1.
     """
     _check_height1(p)
     return _cover_count(p) == p.n - 1 and len(p.components()) == 1
@@ -317,7 +272,8 @@ def contains_crown(p):
     Only defined for height <= 1, where cycles in the cover graph are
     exactly the crowns (as retracts).  The shortest a-b path avoiding a
     cover a < b closes a shortest cycle through it; the shortest of these
-    has the length of the girth.
+    has the length of the girth.  No verb calls it: it is the witness side
+    of the paper's height-1 criterion (``contractible_height1``).
     """
     _check_height1(p)
     adj = [lo | up for lo, up in zip(p.lower_covers, p.upper_covers)]

@@ -76,15 +76,17 @@ class MonotoneMap:
 
 
 def identity(p):
+    """id_P.  No verb calls it: homotopy is defined against the identity."""
     return MonotoneMap(p, p, tuple(range(p.n)))
 
 
 def constant(p, codomain, y):
+    """The constant map to y.  No verb calls it: X is contractible when id_X ~ a constant."""
     return MonotoneMap(p, codomain, (y,) * p.n)
 
 
 def compose(f, g):
-    """f after g."""
+    """f after g.  No verb calls it: an equivalence asks g o f ~ id."""
     if g.codomain is not f.domain and not g.codomain.same_order(f.domain):
         raise ValueError("compose: domain/codomain mismatch")
     return MonotoneMap(g.domain, f.codomain, tuple(f.assignment[v] for v in g.assignment))
@@ -435,7 +437,8 @@ def is_homotopic(c, f, g):
 
     Returns (True, chain) where chain is a minimal list of map indices
     f = h0 ~ h1 ~ ... ~ hk = g from ``FunctionPoset.shortest_chain``, or
-    (False, None).
+    (False, None).  No verb calls it: it is Stong's criterion, f ~ g
+    exactly when a fence of comparable maps joins them, with the fence.
     """
     i = f if isinstance(f, int) else c.index_of(f)
     j = g if isinstance(g, int) else c.index_of(g)
@@ -445,7 +448,8 @@ def is_homotopic(c, f, g):
 
 def homotopy_classes(c):
     """Partition of map indices into homotopy classes, ordered by lowest
-    index, from ``FunctionPoset.class_roots``."""
+    index, from ``FunctionPoset.class_roots``.  No verb calls it: the
+    benchmark's tracer (``perfbench/tracing.py``) wraps it."""
     parts = {}  # insertion order is the order of lowest index
     for i, k in enumerate(c.class_roots()):
         parts.setdefault(k, []).append(i)
@@ -456,7 +460,8 @@ def min_contraction_chain(x, guard=DEFAULT_MAP_GUARD):
     """Shortest comparability chain from id_X to a constant map in C(X, X).
 
     Returns its length (number of ~ steps), or None when X is not
-    contractible (no constant map reachable from the identity).
+    contractible (no constant map reachable from the identity).  No verb
+    calls it: it measures Stong's contractibility, id_X ~ a constant.
     """
     c = enumerate_monotone(x, x, guard=guard)
     chain = c.shortest_chain(c.identity_index(), set(c.constant_indices()))
@@ -510,7 +515,8 @@ def is_retraction(x, r, target):
     comparative: r(x) ~ x for every x; up: r >= id; down: r <= id.
     A comparative retraction always factors as r = r_d o r_u with
     r_u = max(id, r) and r_d = min(id, r), both monotone; the tests
-    check this identity.
+    check this identity.  No verb calls it: it classifies the paper's
+    comparative retractions, the steps of its core theorem.
     """
     target = frozenset(target)
     a = r.assignment

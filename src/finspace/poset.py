@@ -43,6 +43,13 @@ def bits(mask):
         mask ^= lsb
 
 
+def check_basepoint(p, basepoint):
+    """UnknownLabel unless the basepoint is None or a point of P: the one
+    basepoint check of the package."""
+    if basepoint is not None and not 0 <= basepoint < p.n:
+        raise UnknownLabel(f"basepoint {basepoint} out of range")
+
+
 def bfs_layers(nbrs, start):
     """Yield the BFS frontiers from ``start`` as masks.
 
@@ -351,14 +358,14 @@ class PointedPoset:
     basepoint: int
 
     def __post_init__(self):
-        if not 0 <= self.basepoint < self.poset.n:
-            raise UnknownLabel(f"basepoint {self.basepoint} out of range")
+        check_basepoint(self.poset, self.basepoint)
 
 
 class Preorder:
     """A reflexive transitive relation, not necessarily antisymmetric.
 
-    rel[i] = bitmask of {j : i <= j}, always including i.
+    rel[i] = bitmask of {j : i <= j}, always including i.  No verb reads
+    one: it is the specialization order of a non-T0 Alexandroff space.
     """
 
     __slots__ = ("n", "labels", "rel")
@@ -405,6 +412,8 @@ def kolmogorov_quotient(q):
     Returns (poset, projection) where projection[i] is the class id of
     element i.  For a preorder that is already a partial order the result
     is order-isomorphic to the input with an identity-like projection.
+    No verb calls it: it is the T0 quotient, homotopy equivalent to the
+    space (Stong 1966), that takes the paper's results past T0 spaces.
     """
     n = q.n
     proj = [-1] * n
@@ -440,6 +449,7 @@ class ClassifyRecord:
 
     The bound on simple comparability paths is reported both as a step
     count and as an element count, since both conventions are in use.
+    No verb reads one: it is what ``classify`` returns.
     """
 
     comparability_degree: int
@@ -463,6 +473,8 @@ def classify(p):
     ``CLASSIFY_STATE_BUDGET`` states are pushed, which bounds the memo
     and the stack, and the work to n neighbour tests per state; past it
     the record is the approximate one, as above ``CLASSIFY_EXACT_LIMIT``.
+    No verb calls it: the benchmark's dismantle workload
+    (``perfbench/workloads.py``) times it.
     """
     n = p.n
     degree = max((p.comparability_mask(x).bit_count() + 1 for x in range(n)), default=0)

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotABeatPoint, UnknownLabel
-from .poset import Poset, bits
+from .errors import NotABeatPoint
+from .poset import Poset, bits, check_basepoint
 
 REMOVE_DOWN = "remove-down-beat"
 REMOVE_UP = "remove-up-beat"
@@ -60,12 +60,6 @@ def _one_point(lower, upper, x, prefer_down=True):
     return None
 
 
-def _check_basepoint(p, basepoint):
-    """UnknownLabel unless the basepoint is None or a point of P."""
-    if basepoint is not None and not 0 <= basepoint < p.n:
-        raise UnknownLabel(f"basepoint {basepoint} out of range")
-
-
 def _single_covered(covers, candidates):
     """The candidates with a single lower (upper) cover: the down (up) beat points."""
     return {x for x in candidates if _sole(covers[x]) is not None}
@@ -74,21 +68,26 @@ def _single_covered(covers, candidates):
 def up_beat_points(p, basepoint=None):
     """Elements with a single upper cover, the smallest element of their
     punctured up-set."""
+    check_basepoint(p, basepoint)
     return frozenset(_single_covered(p.upper_covers, range(p.n))) - {basepoint}
 
 
 def down_beat_points(p, basepoint=None):
     """Elements with a single lower cover, the largest element of their
     punctured down-set."""
+    check_basepoint(p, basepoint)
     return frozenset(_single_covered(p.lower_covers, range(p.n))) - {basepoint}
 
 
 def beat_points(p, basepoint=None):
+    """Up and down beat points together.  No verb calls it: Stong's beat
+    points, whose absence defines a core."""
     return up_beat_points(p, basepoint) | down_beat_points(p, basepoint)
 
 
 def is_core(p, basepoint=None):
-    """No beat points (basepoint excluded from candidacy if given)."""
+    """No beat points (basepoint excluded from candidacy if given).
+    No verb calls it: it is Stong's definition of a core."""
     return not beat_points(p, basepoint)
 
 
@@ -137,7 +136,10 @@ class DismantlingTrace:
 
 
 def remove_beat_point(p, x, basepoint=None, prefer_down=True):
-    """The one-point comparative retraction sending x to d_x or u_x."""
+    """The one-point comparative retraction sending x to d_x or u_x.
+    No verb calls it: it is Stong's one-point reduction, the step
+    ``core`` repeats."""
+    check_basepoint(p, basepoint)
     if x == basepoint or not 0 <= x < p.n:
         raise NotABeatPoint(f"element {x} not removable")
     beat = _one_point(p.lower_covers, p.upper_covers, x, prefer_down)
@@ -206,7 +208,7 @@ def core(p, basepoint=None):
     and the core plus, per removal, (lower covers x upper covers) mask
     tests.
     """
-    _check_basepoint(p, basepoint)
+    check_basepoint(p, basepoint)
     lower, upper = list(p.lower_covers), list(p.upper_covers)
     fixed = 0 if basepoint is None else 1 << basepoint
     mask = p.full_mask
@@ -256,12 +258,15 @@ def _bulk_step(covers, ranks, beats, upward):
 
 
 def bulk_up(p):
-    """The U_X retraction: iterate one-step up-beat absorption to a fixpoint."""
+    """The U_X retraction: iterate one-step up-beat absorption to a
+    fixpoint.  No verb calls it: it is the paper's U_X, the up round of
+    ``standard_sequence``."""
     return _bulk_step(p.upper_covers, p.up, up_beat_points(p), upward=True)
 
 
 def bulk_down(p):
-    """The D_X retraction, dual to bulk_up."""
+    """The D_X retraction, dual to bulk_up.  No verb calls it: it is the
+    paper's D_X, the down round of ``standard_sequence``."""
     return _bulk_step(p.lower_covers, p.down, down_beat_points(p), upward=False)
 
 
@@ -280,9 +285,9 @@ def standard_sequence(p, basepoint=None):
     ``_unlink`` returns) are tested again.  So a round costs O(beat points
     + touched points) and a run O(covers + removals * deg^2), as ``core``.
     """
-    _check_basepoint(p, basepoint)
     lower, upper = list(p.lower_covers), list(p.upper_covers)
     mask = p.full_mask
+    # the beat queries check the basepoint
     beats = [down_beat_points(p, basepoint), up_beat_points(p, basepoint)]
     steps = []
     idle = 0
@@ -322,7 +327,9 @@ def verify_strong_deformation(trace):
     onto its image on one side of the identity, so one comparability
     joins it to the identity through maps fixing the image, and the
     composite is joined to the identity rel the last image, ``final``.
-    The cost is O(covers + moved points * deg^2) mask operations.
+    The cost is O(covers + moved points * deg^2) mask operations.  No verb
+    calls it: it certifies the paper's theorem that the core is a strong
+    deformation retract.
     """
     p = trace.start
     lower, upper = list(p.lower_covers), list(p.upper_covers)

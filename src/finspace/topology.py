@@ -42,7 +42,10 @@ FAMILY_GUARD = 2048
 
 @dataclass(frozen=True)
 class SetFamily:
-    """A deduplicated family of subsets of {0..ground_size-1} (as bitmasks)."""
+    """A deduplicated family of subsets of {0..ground_size-1} (as
+    bitmasks).  No verb reads one: it is what the benchmark-wrapped
+    ``compact_open_subbasis``, ``generate_topology`` and
+    ``alexandroff_topology`` return.  ``==`` compares ground size and sets."""
 
     ground_size: int
     sets: frozenset
@@ -58,18 +61,9 @@ class SetFamily:
     def __len__(self):
         return len(self.sets)
 
-    def __contains__(self, mask):
-        return mask in self.sets
-
     @property
     def full_mask(self):
         return (1 << self.ground_size) - 1
-
-
-def families_equal(a, b):
-    if a.ground_size != b.ground_size:
-        raise ValueError("families over different ground sets")
-    return a.sets == b.sets
 
 
 def is_down_set(p, mask):
@@ -87,7 +81,8 @@ def alexandroff_topology(p):
     """The family of all down-sets of P (its Alexandroff topology).
 
     DOWNSET_GUARD bounds the elements of P, so the family held in memory
-    has at most 2**DOWNSET_GUARD sets.
+    has at most 2**DOWNSET_GUARD sets.  No verb calls it: the benchmark's
+    tracer (``perfbench/tracing.py``) wraps it.
     """
     check_downset_guard(p.n)
     principals = [p.down[x] for x in range(p.n)]
@@ -109,7 +104,8 @@ def hom_set_interval(c, k, u_mask):
     """[K, U] = {f in C : f(K) subseteq U}, as a set of map indices.
 
     K must be a set of points of the domain and U a down-set of the
-    codomain, and then [K, U] = [max(K), U].
+    codomain, and then [K, U] = [max(K), U].  No verb calls it: it is
+    the paper's subbasic open of the compact-open topology.
     """
     k = frozenset(k)
     if any(not 0 <= e < c.domain.n for e in k):
@@ -135,7 +131,9 @@ def _below(c):
 
 
 def compact_open_subbasis(c):
-    """The family {[e, v-down]} over C = C(X, Y), as map-index bitmasks."""
+    """The family {[e, v-down]} over C = C(X, Y), as map-index bitmasks.
+    No verb calls it: the benchmark's tracer (``perfbench/tracing.py``)
+    wraps it."""
     return SetFamily.of(len(c), {m for row in _below(c) for m in row})
 
 
@@ -148,7 +146,8 @@ def generate_topology(sub):
     the list.  GENERATE_GUARD bounds the ground size, and GuardExceeded is
     raised as soon as the family passes FAMILY_GUARD sets, as the
     discrete topology on 12 points already does; this is a test-scale
-    oracle.
+    oracle.  No verb calls it: the benchmark's tracer
+    (``perfbench/tracing.py``) wraps it.
     """
     if sub.ground_size > GENERATE_GUARD:
         raise GuardExceeded(f"ground size {sub.ground_size} exceeds guard {GENERATE_GUARD}")
@@ -258,7 +257,8 @@ def specialization_order(t):
     Every member of t contains the minimal open of each of its points,
     so t is a topology exactly when it has as many members as there are
     such sets.  The count stops once it passes len(t), so its work is
-    bounded by the size of the input.
+    bounded by the size of the input.  No verb calls it: it is
+    Alexandroff's way back from a finite topology to its preorder.
     """
     min_open = minimal_opens(t)
     if count_down_sets(min_open, limit=len(t)) != len(t):

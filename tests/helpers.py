@@ -10,7 +10,7 @@ import pytest
 
 from finspace.errors import CycleError, DuplicateLabel, GuardExceeded, UnknownLabel
 from finspace.homotopy import IsoWitness, are_isomorphic
-from finspace.maps import MonotoneMap, _iter_assignments
+from finspace.maps import MonotoneMap, _iter_assignments, enumerate_monotone
 from finspace.poset import ClassifyRecord, Poset, bits, components
 from finspace.reduction import BULK_DOWN, BULK_UP, REMOVE_DOWN, REMOVE_UP
 from finspace.simplicial import (
@@ -580,6 +580,47 @@ def iso_by_backtrack(p, q, fix=None):
         return False
 
     return IsoWitness(tuple(assigned)) if backtrack(0) else None
+
+
+def brute_force_homotopy_equivalent(p, q, guard=10**6):
+    """Independent oracle: search for f: P->Q, g: Q->P with g o f
+    homotopic to id_P and f o g homotopic to id_Q.
+
+    Homotopy is decided by the one-point cover moves of the function
+    posets themselves (``FunctionPoset.class_roots``), never through
+    cores; correct for finite inputs only.  Used to validate
+    are_homotopy_equivalent in tests.  f <= f' implies g o f <= g o f'
+    and f o g <= f' o g (and likewise for g), so the classes of the
+    composites depend only on the classes of f and g, and one
+    representative of each class of C(P,Q) and of C(Q,P) is tried.
+    ``guard`` bounds the maps of each function poset listed (C(P,Q),
+    C(Q,P), C(P,P), C(Q,Q)) and the candidate pairs |C(P,Q)| * |C(Q,P)|.
+    """
+    if p.n == 0 or q.n == 0:
+        return p.n == q.n
+    cpq = enumerate_monotone(p, q, guard=guard)
+    cqp = enumerate_monotone(q, p, guard=guard)
+    if len(cpq.assignments) * len(cqp.assignments) > guard:
+        raise GuardExceeded("too many candidate pairs")
+    id_p = _identity_class(enumerate_monotone(p, p, guard=guard))
+    id_q = _identity_class(enumerate_monotone(q, q, guard=guard))
+    for f in _class_representatives(cpq):
+        for g in _class_representatives(cqp):
+            if tuple(g[v] for v in f) in id_p and tuple(f[v] for v in g) in id_q:
+                return True
+    return False
+
+
+def _class_representatives(c):
+    """The lowest-index map of each homotopy class of c."""
+    return [c.assignments[i] for i, k in enumerate(c.class_roots()) if k == i]
+
+
+def _identity_class(c):
+    """The assignments in the homotopy class of the identity."""
+    roots = c.class_roots()
+    ident = roots[c.identity_index()]
+    return {a for a, k in zip(c.assignments, roots) if k == ident}
 
 
 @contextlib.contextmanager

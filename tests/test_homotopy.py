@@ -10,7 +10,6 @@ from finspace import (
     antichain,
     are_homotopy_equivalent,
     are_isomorphic,
-    brute_force_homotopy_equivalent,
     chain,
     contains_crown,
     contractible_height1,
@@ -23,7 +22,7 @@ from finspace import (
 from finspace.generators import random_poset
 
 from helpers import (
-    crown_union, iso_by_backtrack, layered, random_height1_poset, time_limit, with_beat_points,
+    brute_force_homotopy_equivalent, crown_union, iso_by_backtrack, layered, random_height1_poset, time_limit, with_beat_points,
 )
 
 

@@ -1,10 +1,13 @@
 """The package's import structure, read from its source with ``ast``.
 
 Every module imports at module level only, the relative imports between
-modules run one way (``poset`` -> ``reduction`` -> ``maps`` ->
-``homotopy``, with ``simplicial`` on ``reduction`` and ``topology`` on
-``poset``), no module but ``__init__`` imports a name it never uses, and
-no check in the package is an ``assert`` that ``python -O`` would strip.
+modules run one way (``errors`` under all, ``poset`` -> ``reduction``,
+then ``maps``, ``homotopy`` and ``simplicial`` side by side on
+``reduction`` and ``poset``, and ``topology`` on ``poset``; ``homotopy``
+imports nothing from ``maps``),
+no module but ``__init__`` imports a name it never uses, and no check in
+the package is an ``assert`` or a ``__debug__`` test that ``python -O``
+would strip or change.
 """
 
 import ast
@@ -38,17 +41,24 @@ def test_no_import_inside_a_function():
     assert not found, sorted(found)
 
 
+def _relative_deps(tree):
+    """The package modules a module imports from at module level."""
+    deps = set()
+    for node in _module_level_imports(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:  # from . import a, b
+                deps.update(alias.name for alias in node.names)
+            else:
+                deps.add(node.module.split(".")[0])
+    return deps
+
+
+def test_homotopy_does_not_import_maps():
+    assert "maps" not in _relative_deps(_modules()["homotopy"])
+
+
 def test_relative_imports_are_acyclic():
-    graph = {}
-    for name, tree in _modules().items():
-        deps = set()
-        for node in _module_level_imports(tree):
-            if isinstance(node, ast.ImportFrom) and node.level:
-                if node.module is None:  # from . import a, b
-                    deps.update(alias.name for alias in node.names)
-                else:
-                    deps.add(node.module.split(".")[0])
-        graph[name] = deps
+    graph = {name: _relative_deps(tree) for name, tree in _modules().items()}
     # depth-first search; a module met again while still open closes a cycle
     state = {}
 
@@ -85,12 +95,13 @@ def test_no_unused_imports():
 
 
 def test_no_assert_and_no_assertion_error():
-    # every check in the package raises a FinspaceError or is a test
+    # every check in the package raises a FinspaceError or is a test, and
+    # nothing reads __debug__, so python -O runs the same package
     found = []
     for name, tree in _modules().items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Assert):
                 found.append(f"{name}:{node.lineno} assert")
-            elif isinstance(node, ast.Name) and node.id == "AssertionError":
-                found.append(f"{name}:{node.lineno} AssertionError")
+            elif isinstance(node, ast.Name) and node.id in ("AssertionError", "__debug__"):
+                found.append(f"{name}:{node.lineno} {node.id}")
     assert not found, found

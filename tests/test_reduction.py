@@ -73,6 +73,12 @@ class TestBeatPoints:
         p = chain(3)
         assert 1 not in beat_points(p, basepoint=1)
 
+    @pytest.mark.parametrize("query", [up_beat_points, down_beat_points, beat_points, is_core])
+    @pytest.mark.parametrize("basepoint", [9, -1])
+    def test_basepoint_outside_poset_rejected(self, query, basepoint):
+        with pytest.raises(UnknownLabel, match=f"^basepoint {basepoint} out of range$"):
+            query(fence(5), basepoint)
+
 
 class TestBeatQueriesMatchScan:
     """The one-bit cover tests against the punctured-set scan of the
@@ -118,6 +124,11 @@ class TestRemoveBeatPoint:
     def test_crown_refuses(self):
         with pytest.raises(NotABeatPoint):
             remove_beat_point(crown(2), 0)
+
+    def test_basepoint_outside_poset_rejected(self):
+        # 0 is a beat point of fence(5); the basepoint is checked first
+        with pytest.raises(UnknownLabel, match="^basepoint 9 out of range$"):
+            remove_beat_point(fence(5), 0, basepoint=9)
 
 
 class TestCore:
@@ -390,6 +401,10 @@ class TestIsCore:
         assert not is_core(chain(2))
         assert is_core(chain(1))
         assert is_core(antichain(3))
+
+    def test_basepoint_outside_poset_rejected(self):
+        with pytest.raises(UnknownLabel, match="^basepoint 7 out of range$"):
+            is_core(chain(1), 7)
 
 
 class TestVerifyStrongDeformation:

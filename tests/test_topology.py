@@ -18,7 +18,6 @@ from finspace import (
     count_down_sets,
     crown,
     enumerate_monotone,
-    families_equal,
     fence,
     generate_topology,
     hom_set_interval,
@@ -177,7 +176,7 @@ class TestGenerateTopology:
         c = enumerate_monotone(x, y)
         gen = generate_topology(compact_open_subbasis(c))
         alex = alexandroff_topology(pointwise_order(c))
-        assert families_equal(gen, alex)
+        assert gen == alex
         assert len(alex) == 4  # down-sets of the 3-chain C(X,X)
 
     def test_family_guard(self):
@@ -192,15 +191,6 @@ class TestGenerateTopology:
                 generate_topology(sub)
             assert time.perf_counter() - t0 < 2.0
         assert len(generate_topology(SetFamily.of(10, [1 << i for i in range(10)]))) == 1024
-
-
-def test_families_equal():
-    a = SetFamily.of(2, [1])
-    b = SetFamily.of(2, [1])
-    assert families_equal(a, b)
-    assert not families_equal(SetFamily.of(2, [0]), SetFamily.of(2, []))
-    with pytest.raises(ValueError):
-        families_equal(a, SetFamily.of(3, [1]))
 
 
 class TestSpecializationOrder:
@@ -264,7 +254,7 @@ class TestCompactOpenCheck:
         pairs = 0
         for x, y, c in oracle_pairs():
             generated = generate_topology(compact_open_subbasis(c))
-            assert families_equal(generated, alexandroff_topology(pointwise_order(c)))
+            assert generated == alexandroff_topology(pointwise_order(c))
             assert compact_open_opens(c) == len(generated)
             pairs += 1
         assert pairs > 150
@@ -341,7 +331,7 @@ def test_specialization_order_matches_closure_oracle():
         t = alexandroff_topology(p)
         rng = random.Random(seed)
         fam = SetFamily.of(p.n, rng.sample(sorted(t.sets), len(t) - 1 - seed % 3))
-        closed = families_equal(generate_topology(fam), fam)
+        closed = generate_topology(fam) == fam
         if closed:
             specialization_order(fam)
         else:
