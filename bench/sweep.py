@@ -1,16 +1,26 @@
-"""Doubling sweep of ``core`` and ``standard_sequence`` on chains and fences.
+"""Doubling sweeps of the reduction and homology layers.
 
 Usage (from the repository root)::
 
-    python3 bench/sweep.py BENCH_23.json
+    python3 bench/sweep.py BENCH_27.json
 
-Times ``core`` and ``standard_sequence`` on ``chain(n)`` and ``fence(n)``
-for n = 400, 800, ..., 6400, each the best of three calls, and writes one
-row per rung to the given JSON file: the time in ms and ``ratio``, this
-rung's time over the time at n / 2.  A layer linear in n reads about 2 at
-every doubling, a quadratic one about 4.  The script calls only the
-public API of the ``finspace`` under ``src/`` next to it, so a copy of it
-runs unchanged in an older checkout.
+Times, each the best of three calls:
+
+- ``core`` and ``standard_sequence`` on ``chain(n)`` and ``fence(n)`` for
+  n = 400, 800, ..., 6400;
+- ``poset_homology`` and the ``gamma`` verb's loop (``is_gamma_point`` at
+  every point) on the sphere model S^d (two incomparable points at each
+  of d + 1 levels) and on ``layered(4, d)`` (four at each of d levels),
+  for d = 1, 2, 4, 8, ...
+
+and writes one row per rung to the given JSON file: ``n`` the number of
+points, ``d`` the doubled parameter of the homology rows, the time in ms
+and ``ratio``, this rung's time over the previous rung's.  A row stops at
+the first rung past 1 s, or at the first rung refused by the guard of
+10^6 chains (the CLI's default ``--max-enum``), which is written with
+``ms`` null and the guard's message.  The script calls only the public
+API of the ``finspace`` under ``src/`` next to it, so a copy of it runs
+unchanged in an older checkout.
 """
 
 from __future__ import annotations
@@ -24,10 +34,11 @@ import sys
 import time
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-LAYERS = ("core", "standard_sequence")
-FAMILIES = ("chain", "fence")
-SIZES = (400, 800, 1600, 3200, 6400)
+REDUCTION_SIZES = (400, 800, 1600, 3200, 6400)
+HOMOLOGY_DEPTHS = (1, 2, 4, 8, 16, 32, 64)
 REPEATS = 3
+GUARD = 10**6
+STOP_MS = 1000
 
 
 def best_ms(fn, arg):
@@ -40,16 +51,52 @@ def best_ms(fn, arg):
     return best * 1000
 
 
+def layered(finspace, width, depth):
+    """Every one of ``width`` points at each level below every point at the
+    next: the join of ``depth`` discrete spaces."""
+    levels = [[f"l{i}_{j}" for j in range(width)] for i in range(depth)]
+    covers = [(a, b) for lo, hi in zip(levels, levels[1:]) for a in lo for b in hi]
+    return finspace.Poset.from_covers([x for level in levels for x in level], covers)
+
+
+def row(finspace, layer, family, fn, rungs):
+    """One row: ``rungs`` yields (row fields, poset) by size, ascending."""
+    rows = []
+    prev = None
+    for fields, p in rungs:
+        try:
+            ms = best_ms(fn, p)
+        except finspace.GuardExceeded as e:
+            rows.append({"layer": layer, "family": family, **fields, "ms": None,
+                         "ratio": None, "guard": str(e)})
+            break
+        rows.append({"layer": layer, "family": family, **fields, "ms": round(ms, 2),
+                     "ratio": None if prev is None else round(ms / prev, 2)})
+        prev = ms
+        if ms > STOP_MS:
+            break
+    return rows
+
+
 def sweep(finspace):
     rows = []
-    for layer in LAYERS:
-        for family in FAMILIES:
-            prev = None
-            for n in SIZES:
-                ms = best_ms(getattr(finspace, layer), getattr(finspace, family)(n))
-                rows.append({"layer": layer, "family": family, "n": n, "ms": round(ms, 2),
-                             "ratio": None if prev is None else round(ms / prev, 2)})
-                prev = ms
+    for layer in ("core", "standard_sequence"):
+        for family in ("chain", "fence"):
+            rungs = (({"n": n}, getattr(finspace, family)(n)) for n in REDUCTION_SIZES)
+            rows += row(finspace, layer, family, getattr(finspace, layer), rungs)
+
+    def homology(p):
+        return finspace.poset_homology(p, guard=GUARD)
+
+    def gamma_loop(p):
+        return [finspace.is_gamma_point(p, x, guard=GUARD) for x in range(p.n)]
+
+    families = {"sphere": (2, 1), "layered4": (4, 0)}  # width, levels beyond d
+    for layer, fn in (("poset_homology", homology), ("gamma_loop", gamma_loop)):
+        for family, (width, extra) in families.items():
+            rungs = (({"n": width * (d + extra), "d": d}, layered(finspace, width, d + extra))
+                     for d in HOMOLOGY_DEPTHS)
+            rows += row(finspace, layer, family, fn, rungs)
     return rows
 
 
@@ -60,7 +107,7 @@ def main(argv):
     sys.path.insert(0, SRC)
     finspace = importlib.import_module("finspace")
     doc = {
-        "sweep": "best-of-%d wall time of finspace.<layer>(<family>(n)), n doubling" % REPEATS,
+        "sweep": "best-of-%d wall time of finspace.<layer>(<family>(n)), size doubling" % REPEATS,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
@@ -70,7 +117,9 @@ def main(argv):
         json.dump(doc, f, indent=1)
         f.write("\n")
     for r in doc["rows"]:
-        print(f"{r['layer']:>17} {r['family']:>5} {r['n']:>5} {r['ms']:>9.2f} ms  x{r['ratio']}")
+        ms = "guard" if r["ms"] is None else f"{r['ms']:9.2f} ms"
+        print(f"{r['layer']:>17} {r['family']:>8} {r.get('d', ''):>3} {r['n']:>5} {ms:>12}"
+              f"  x{r['ratio']}")
     return 0
 
 

@@ -67,6 +67,7 @@ from .reduction import (
 from .simplicial import (
     HomologyProfile,
     SimplicialComplex,
+    chain_counts,
     homology,
     is_gamma_point,
     link,

@@ -307,20 +307,19 @@ def cmd_contractible(args, first):
 
 def cmd_homology(args, first):
     p = first[0]
-    k = simplicial.order_complex(p, guard=args.max_enum)
-    # P is homotopy equivalent to its core, whose complex is a subcomplex of
-    # k; its groups above the core's dimension are zero
-    c = reduction.core(p).core
-    kc = k if c.n == p.n else simplicial.order_complex(c, guard=args.max_enum)
-    prof = simplicial.homology(kc, reduced=True, guard=args.max_enum)
-    degrees = [prof.degree(d) for d in range(k.dimension() + 1)]
+    counts = simplicial.chain_counts(p, guard=args.max_enum)
+    # P is homotopy equivalent to its core, whose chains are some of P's;
+    # its groups above the core's dimension are zero
+    prof = simplicial.poset_homology(reduction.core(p).core, reduced=True, guard=args.max_enum)
+    degrees = [prof.degree(d) for d in range(len(counts))]
     betti = [b for b, _ in degrees]
     data = {
-        "simplex_counts": [k.count(d) for d in range(k.dimension() + 1)],
-        "euler_characteristic": k.euler_characteristic(),
+        "simplex_counts": counts,
+        "euler_characteristic": sum((-1) ** d * c for d, c in enumerate(counts)),
         "reduced_betti": betti,
         "torsion": [list(t) for _, t in degrees],
-        "acyclic": prof.is_acyclic(),
+        # the empty space has reduced H_{-1} = Z, which no degree here holds
+        "acyclic": p.n > 0 and prof.is_acyclic(),
     }
     return data, f"reduced betti {betti}", True
 

@@ -31,6 +31,22 @@ found in two stages:
    usually empty or a single column; torsion such as the Z/2 of the
    projective plane comes from here.
 
+Ordinal sums are not eliminated whole.  If every element of A lies below
+every element of B, the order complex of the ordinal sum A + B is the
+join K(A) * K(B) (Barmak & Minian, Adv. Math. 2008), whose reduced
+homology follows from its factors' by the Kunneth formula for joins
+(Milnor, Ann. Math. 1956):
+
+    H~_m(A * B) = (+)_{i+j=m-1} H~_i(A) (x) H~_j(B)
+                  (+) (+)_{i+j=m-2} Tor(H~_i(A), H~_j(B)),
+
+with Z/s (x) Z/t = Tor(Z/s, Z/t) = Z/gcd(s, t).  ``_ordinal_summands``
+finds the finest decomposition of P in one pass over a linear extension,
+and ``poset_homology(p, reduced=True)`` eliminates each summand's complex
+alone and folds the results.  The chains of P are counted, by length,
+without listing them: ``chain_counts`` is one dynamic program over the
+same linear extension.
+
 Python integers cannot overflow.  The guards bound the number
 of simplices, not the fill-in of the elimination.
 """
@@ -38,16 +54,17 @@ of simplices, not the fill-in of the elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import GuardExceeded
 from .poset import bits
 from .reduction import core
 
-# bounds the chains of P listed (order_complex) and the simplices whose
-# homology is computed (homology, poset_homology, is_gamma_point on the
-# link's core)
+# bounds the chains of P listed (order_complex) or counted (chain_counts,
+# poset_homology) and the simplices whose homology is computed (homology,
+# is_gamma_point on the link's core)
 COMPLEX_GUARD = 100_000
 
 CERTIFIED_YES = "certified_yes"
@@ -108,6 +125,64 @@ def order_complex(p, guard=COMPLEX_GUARD):
     return SimplicialComplex(simplices)
 
 
+def _linear_extension(p):
+    """The ids of P by down-set size: x < y makes down[x] a proper subset
+    of down[y], so this is a linear extension."""
+    down = p.down
+    return sorted(range(p.n), key=lambda i: down[i].bit_count())
+
+
+def chain_counts(p, guard=COMPLEX_GUARD):
+    """counts[d] = the number of chains of d + 1 elements of P, that is the
+    d-simplices of its order complex, without listing them.
+
+    One pass over a linear extension: the chains topped by y are y alone
+    and y above a chain topped by some x < y.  The guard bounds the running
+    total, checked after each element, with ``order_complex``'s message.
+    """
+    ending = [None] * p.n  # ending[y][d]: chains of d + 1 elements topped by y
+    counts = []
+    total = 0
+    down = p.down
+    for y in _linear_extension(p):
+        mine = [1]
+        for x in bits(down[y] ^ 1 << y):
+            below = ending[x]
+            mine += [0] * (len(below) + 1 - len(mine))
+            for d, c in enumerate(below, 1):
+                mine[d] += c
+        ending[y] = mine
+        counts += [0] * (len(mine) - len(counts))
+        for d, c in enumerate(mine):
+            counts[d] += c
+        total += sum(mine)
+        if total > guard:
+            raise GuardExceeded(f"more than {guard} chains")
+    return counts
+
+
+def _ordinal_summands(p):
+    """The finest decomposition of P as an ordinal sum P_1 + ... + P_k
+    (every element of P_i below every element of P_j for i < j), as id
+    lists, bottom first.
+
+    P_1 + ... + P_i is a prefix of every linear extension, so one pass over
+    one finds the cuts: a cut falls after a prefix when every element
+    after it lies in the intersection of the prefix's up-sets.
+    """
+    summands = []
+    block = []
+    rest = common = p.full_mask
+    for y in _linear_extension(p):
+        block.append(y)
+        rest ^= 1 << y
+        common &= p.up[y]
+        if not rest & ~common:
+            summands.append(block)
+            block = []
+    return summands
+
+
 def _smith_invariant_factors(rows):
     """Invariant factors (diagonal of the Smith normal form) of an integer
     matrix given as a list of rows: pivot isolation, then one gcd/lcm pass
@@ -136,6 +211,14 @@ def _smith_invariant_factors(rows):
         del m[i]
         for row in m:
             del row[j]
+    return _divisibility_order(diag)
+
+
+def _divisibility_order(diag):
+    """The invariant factors of diag(d_1, ..., d_k), nonzero d_i: diag(a, b)
+    is equivalent to diag(gcd(a, b), lcm(a, b)), and one pass over the
+    pairs leaves each entry dividing the next."""
+    diag = list(diag)
     for a in range(len(diag)):
         for b in range(a + 1, len(diag)):
             diag[a], diag[b] = gcd(diag[a], diag[b]), lcm(diag[a], diag[b])
@@ -264,9 +347,43 @@ def homology(k, reduced=False, guard=COMPLEX_GUARD):
     return HomologyProfile(tuple(betti), tuple(torsion))
 
 
+def _join_homology(a, b):
+    """Reduced homology of the join of two nonempty complexes from the
+    reduced homology of each, by the Kunneth formula for joins (module
+    docstring).  Torsion in the top degree of a complex is zero, so the
+    Tor term never reaches past the join's dimension."""
+    top = len(a.betti) + len(b.betti)
+    betti = [0] * top
+    orders = [[] for _ in range(top + 1)]  # the cyclic torsion summands of each degree
+    for i, (free_a, tors_a) in enumerate(zip(a.betti, a.torsion)):
+        for j, (free_b, tors_b) in enumerate(zip(b.betti, b.torsion)):
+            m = i + j + 1
+            betti[m] += free_a * free_b
+            orders[m] += list(tors_a) * free_b + list(tors_b) * free_a
+            both = [gcd(s, t) for s in tors_a for t in tors_b]
+            orders[m] += both  # Z/s (x) Z/t
+            orders[m + 1] += both  # Tor(Z/s, Z/t)
+    torsion = tuple(tuple(f for f in _divisibility_order(o) if f > 1) for o in orders[:top])
+    return HomologyProfile(tuple(betti), torsion)
+
+
 def poset_homology(p, reduced=True, guard=COMPLEX_GUARD):
-    """Homology of the order complex of P; the guard bounds its simplices."""
-    return homology(order_complex(p, guard=guard), reduced=reduced, guard=guard)
+    """Homology of the order complex of P; the guard bounds its chains.
+
+    Reduced homology of an ordinal sum of two or more summands is folded
+    from the summands' by ``_join_homology``, each summand's complex
+    built and eliminated alone.  The chains of the whole of P are counted
+    first, so the guard refuses exactly what ``order_complex(p)`` refuses:
+    a chain of P is a nonempty union of one chain or none of each summand.
+    """
+    summands = _ordinal_summands(p) if reduced else ()
+    if len(summands) < 2:
+        return homology(order_complex(p, guard=guard), reduced=reduced, guard=guard)
+    parts = [p.restrict(s)[0] for s in summands]
+    if prod(1 + sum(chain_counts(q, guard=guard)) for q in parts) - 1 > guard:
+        raise GuardExceeded(f"more than {guard} chains")
+    return reduce(_join_homology, [
+        homology(order_complex(q, guard=guard), reduced=True, guard=guard) for q in parts])
 
 
 def link(p, x):

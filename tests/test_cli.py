@@ -27,7 +27,9 @@ from finspace.cli import (
     run,
 )
 
-from helpers import layered, with_tails
+from finspace.maps import DEFAULT_MAP_GUARD
+
+from helpers import layered, time_limit, with_tails
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -216,6 +218,28 @@ def test_deep_chain_homology_hits_guard(chain1100, capsys):
     assert run(["--max-enum", "1000", "homology", str(chain1100)]) == EXIT_GUARD
     err = capsys.readouterr().err
     assert err.startswith("guard exceeded: ") and "Traceback" not in err
+
+
+def test_tall_chain_homology_refused_within_a_second(tmp_path, capsys):
+    # P's chains are counted element by element, so the refusal comes after
+    # about 20 of the 5000 elements instead of after listing 10^6 chains
+    path = write_poset(tmp_path, chain(5000), "chain5000")
+    with time_limit(1, "refusing homology on chain(5000)"):
+        assert run(["homology", path]) == EXIT_GUARD
+    assert capsys.readouterr().err == f"guard exceeded: more than {DEFAULT_MAP_GUARD} chains\n"
+
+
+def test_empty_space_is_not_acyclic(tmp_path, capsys):
+    # the reduced homology of the empty space has H_{-1} = Z, and the space
+    # is not contractible either
+    path = tmp_path / "empty.poset"
+    path.write_text("poset empty\n")
+    assert run(["--json", "homology", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "simplex_counts": [], "euler_characteristic": 0, "reduced_betti": [], "torsion": [],
+        "acyclic": False,
+    }
+    assert run(["contractible", str(path)]) == EXIT_NEGATIVE
 
 
 def test_deep_chain_function_space_to_point(chain1100, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from finspace import (
     GuardExceeded,
+    HomologyProfile,
     Poset,
     SimplicialComplex,
     antichain,
@@ -26,7 +27,10 @@ from finspace.simplicial import (
     _boundary_columns,
     _eliminate_unit_pivots,
     _invariant_factors,
+    _join_homology,
+    _ordinal_summands,
     _smith_invariant_factors,
+    chain_counts,
 )
 
 from helpers import (
@@ -323,6 +327,109 @@ class TestSparseElimination:
             assert _invariant_factors(sparse_columns(rows))[1] == want
             if nr <= 4 and nc <= 4:
                 assert invariant_factors_by_minors(rows) == want
+
+
+def ordinal_sum(*parts):
+    """Every element of each part below every element of the later parts."""
+    labels, covers, below = [], [], []
+    for k, q in enumerate(parts):
+        names = [f"s{k}_{lab}" for lab in q.labels]
+        covers += [(names[a], names[b]) for a, b in q.covers]
+        covers += [(m, names[x]) for m in below for x in range(q.n) if q.down[x] == 1 << x]
+        below = [names[x] for x in range(q.n) if q.up[x] == 1 << x]
+        labels += names
+    return Poset.from_covers(labels, covers)
+
+
+def summand_corpus():
+    """Seeded ordinal sums of two or three summands, each a random poset,
+    a crown, an antichain or a point."""
+    rng = random.Random(27)
+    pool = [chain(1), antichain(2), antichain(3), crown(2), crown(3)]
+    pool += [random_poset(rng.randint(2, 5), 0.4, seed) for seed in range(20)]
+    return [ordinal_sum(*rng.sample(pool, rng.randint(2, 3))) for _ in range(80)]
+
+
+def summands_by_cuts(p):
+    """The finest ordinal summands from every cut, found over all subsets:
+    a nonempty proper D is a cut when each element of D lies below each
+    element outside it.  The cuts are nested, and the summands are the
+    differences of consecutive ones."""
+    cuts = [0]
+    for d in range(1, p.full_mask):
+        rest = p.full_mask ^ d
+        if all(p.up[x] & rest == rest for x in range(p.n) if d >> x & 1):
+            cuts.append(d)
+    cuts.append(p.full_mask)
+    cuts.sort(key=int.bit_count)
+    return [sorted(i for i in range(p.n) if (hi ^ lo) >> i & 1) for lo, hi in zip(cuts, cuts[1:])]
+
+
+class TestOrdinalSums:
+    """The join formula, the summand pass and the chain count against the
+    whole order complex."""
+
+    def test_summands_match_cuts(self):
+        cases = [p for p in summand_corpus() if p.n <= 12]
+        cases += [chain(4), antichain(3), crown(2), layered(2, 3), layered(3, 2), fence(5)]
+        cases += [seeded_random_poset(seed) for seed in range(40)]
+        assert len(cases) > 80
+        for p in cases:
+            assert [sorted(s) for s in _ordinal_summands(p)] == summands_by_cuts(p)
+        assert _ordinal_summands(Poset.from_covers([], [])) == []
+
+    def test_join_formula_matches_whole_complex(self):
+        cases = summand_corpus()
+        assert sum(len(_ordinal_summands(p)) >= 2 for p in cases) == len(cases)
+        for p in cases:
+            assert poset_homology(p) == homology(order_complex(p), reduced=True)
+
+    def test_projective_plane_summands(self):
+        rp2 = rp2_face_poset()
+        p = ordinal_sum(rp2, crown(3))  # RP2 * S1, the double suspension of RP2
+        prof = poset_homology(p)
+        assert prof == homology(order_complex(p), reduced=True)
+        assert prof.torsion == ((), (), (), (2,), ())
+        # RP2 * RP2: Z/2 (x) Z/2 in degree 3 and Tor(Z/2, Z/2) in degree 4
+        p = ordinal_sum(rp2, rp2)
+        prof = poset_homology(p)
+        assert prof == homology(order_complex(p), reduced=True)
+        assert prof.betti == (0,) * 6 and prof.torsion == ((), (), (), (2,), (2,), ())
+
+    def test_coprime_torsion_joins_to_nothing(self):
+        # Z/2 (x) Z/3 = Tor(Z/2, Z/3) = 0, while a free factor carries the
+        # other's torsion up one degree
+        two = HomologyProfile((0, 0, 0), ((), (2,), ()))
+        three = HomologyProfile((0, 0, 0), ((), (3,), ()))
+        circle = HomologyProfile((0, 1), ((), ()))
+        assert _join_homology(two, three) == HomologyProfile((0,) * 6, ((),) * 6)
+        assert _join_homology(circle, two) == HomologyProfile((0,) * 5, ((), (), (), (2,), ()))
+        assert _join_homology(two, two).torsion == ((), (), (), (2,), (2,), ())
+
+    def test_reduced_false_keeps_one_complex(self):
+        for p in summand_corpus()[:20]:
+            assert poset_homology(p, reduced=False) == homology(order_complex(p))
+
+    def test_chain_counts_match_complex(self):
+        cases = summand_corpus() + elimination_families()
+        cases += [seeded_random_poset(seed) for seed in range(40)]
+        for p in cases:
+            k = order_complex(p)
+            assert chain_counts(p) == [k.count(d) for d in range(k.dimension() + 1)]
+        assert chain_counts(Poset.from_covers([], [])) == []
+
+    def test_guard_counts_the_whole_sum(self):
+        p = ordinal_sum(crown(2), crown(3))
+        total = order_complex(p).total()
+        assert poset_homology(p, guard=total) == homology(order_complex(p), reduced=True)
+        for fn in (chain_counts, poset_homology, order_complex):
+            with pytest.raises(GuardExceeded, match=f"^more than {total - 1} chains$"):
+                fn(p, guard=total - 1)
+
+    def test_gamma_on_sums_matches_full_link(self):
+        for p in summand_corpus()[:30]:
+            for x in range(p.n):
+                assert is_gamma_point(p, x) == gamma_by_full_link(p, x)
 
 
 class TestLink:
