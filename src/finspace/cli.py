@@ -310,7 +310,7 @@ def cmd_homology(args, first):
     counts = simplicial.chain_counts(p, guard=args.max_enum)
     # P is homotopy equivalent to its core, whose chains are some of P's;
     # its groups above the core's dimension are zero
-    prof = simplicial.poset_homology(reduction.core(p).core, reduced=True, guard=args.max_enum)
+    prof = simplicial.poset_homology(reduction.core(p).core, guard=args.max_enum)
     degrees = [prof.degree(d) for d in range(len(counts))]
     betti = [b for b, _ in degrees]
     data = {
@@ -318,8 +318,7 @@ def cmd_homology(args, first):
         "euler_characteristic": sum((-1) ** d * c for d, c in enumerate(counts)),
         "reduced_betti": betti,
         "torsion": [list(t) for _, t in degrees],
-        # the empty space has reduced H_{-1} = Z, which no degree here holds
-        "acyclic": p.n > 0 and prof.is_acyclic(),
+        "acyclic": prof.is_acyclic(),
     }
     return data, f"reduced betti {betti}", True
 

@@ -38,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import GuardExceeded
-from .poset import Poset, bfs_layers, bits
+from .errors import GuardExceeded, UnknownLabel
+from .poset import Poset, bfs_layers, bits, check_point
 from .reduction import core
 
 # bounds the maps listed (enumerate_monotone, min_contraction_chain), the
@@ -302,7 +302,10 @@ class FunctionPoset:
 
     def index_of(self, f):
         key = f.assignment if isinstance(f, MonotoneMap) else tuple(f)
-        return self._index[key]
+        try:
+            return self._index[key]
+        except KeyError:
+            raise UnknownLabel(f"{key} is not a map of C(X, Y)") from None
 
     def identity_index(self):
         return self._index[tuple(range(self.domain.n))]
@@ -442,6 +445,8 @@ def is_homotopic(c, f, g):
     """
     i = f if isinstance(f, int) else c.index_of(f)
     j = g if isinstance(g, int) else c.index_of(g)
+    for k in (i, j):
+        check_point(c, k, "map")
     chain = c.shortest_chain(i, {j})
     return chain is not None, chain
 

@@ -43,11 +43,11 @@ def bits(mask):
         mask ^= lsb
 
 
-def check_basepoint(p, basepoint):
-    """UnknownLabel unless the basepoint is None or a point of P: the one
-    basepoint check of the package."""
-    if basepoint is not None and not 0 <= basepoint < p.n:
-        raise UnknownLabel(f"basepoint {basepoint} out of range")
+def check_point(p, x, what="basepoint"):
+    """UnknownLabel unless x is None or an id 0..len(p) - 1 of a poset's
+    points or of C(X, Y)'s maps: the one range check of the package."""
+    if x is not None and not 0 <= x < len(p):
+        raise UnknownLabel(f"{what} {x} out of range")
 
 
 def bfs_layers(nbrs, start):
@@ -358,7 +358,7 @@ class PointedPoset:
     basepoint: int
 
     def __post_init__(self):
-        check_basepoint(self.poset, self.basepoint)
+        check_point(self.poset, self.basepoint)
 
 
 class Preorder:

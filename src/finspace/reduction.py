@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotABeatPoint
-from .poset import Poset, bits, check_basepoint
+from .poset import Poset, bits, check_point
 
 REMOVE_DOWN = "remove-down-beat"
 REMOVE_UP = "remove-up-beat"
@@ -68,14 +68,14 @@ def _single_covered(covers, candidates):
 def up_beat_points(p, basepoint=None):
     """Elements with a single upper cover, the smallest element of their
     punctured up-set."""
-    check_basepoint(p, basepoint)
+    check_point(p, basepoint)
     return frozenset(_single_covered(p.upper_covers, range(p.n))) - {basepoint}
 
 
 def down_beat_points(p, basepoint=None):
     """Elements with a single lower cover, the largest element of their
     punctured down-set."""
-    check_basepoint(p, basepoint)
+    check_point(p, basepoint)
     return frozenset(_single_covered(p.lower_covers, range(p.n))) - {basepoint}
 
 
@@ -139,7 +139,7 @@ def remove_beat_point(p, x, basepoint=None, prefer_down=True):
     """The one-point comparative retraction sending x to d_x or u_x.
     No verb calls it: it is Stong's one-point reduction, the step
     ``core`` repeats."""
-    check_basepoint(p, basepoint)
+    check_point(p, basepoint)
     if x == basepoint or not 0 <= x < p.n:
         raise NotABeatPoint(f"element {x} not removable")
     beat = _one_point(p.lower_covers, p.upper_covers, x, prefer_down)
@@ -208,7 +208,7 @@ def core(p, basepoint=None):
     and the core plus, per removal, (lower covers x upper covers) mask
     tests.
     """
-    check_basepoint(p, basepoint)
+    check_point(p, basepoint)
     lower, upper = list(p.lower_covers), list(p.upper_covers)
     fixed = 0 if basepoint is None else 1 << basepoint
     mask = p.full_mask

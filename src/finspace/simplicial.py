@@ -42,8 +42,8 @@ homology follows from its factors' by the Kunneth formula for joins
 
 with Z/s (x) Z/t = Tor(Z/s, Z/t) = Z/gcd(s, t).  ``_ordinal_summands``
 finds the finest decomposition of P in one pass over a linear extension,
-and ``poset_homology(p, reduced=True)`` eliminates each summand's complex
-alone and folds the results.  The chains of P are counted, by length,
+as masks of P, and ``poset_homology`` eliminates the complex of each
+mask's chains alone and folds the results.  The chains of P are counted, by length,
 without listing them: ``chain_counts`` is one dynamic program over the
 same linear extension.
 
@@ -56,15 +56,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import GuardExceeded
-from .poset import bits
+from .poset import bits, check_point
 from .reduction import core
 
-# bounds the chains of P listed (order_complex) or counted (chain_counts,
-# poset_homology) and the simplices whose homology is computed (homology,
-# is_gamma_point on the link's core)
+# bounds the chains listed (order_complex) or counted (chain_counts, so
+# poset_homology before it lists any) and the simplices whose homology is
+# computed (homology, is_gamma_point on the link's core)
 COMPLEX_GUARD = 100_000
 
 CERTIFIED_YES = "certified_yes"
@@ -93,8 +93,9 @@ class SimplicialComplex:
         return sum((-1) ** d * len(s) for d, s in enumerate(self.simplices))
 
 
-def order_complex(p, guard=COMPLEX_GUARD):
-    """The complex of nonempty chains of P.
+def order_complex(p, guard=COMPLEX_GUARD, within=None):
+    """The complex of nonempty chains of P inside the mask ``within`` (all
+    of P by default), on P's ids: the order complex of that subposet.
 
     The guard bounds the number of simplices (chains) produced.  Chains
     are grown on an explicit stack, so the height of P is not limited by
@@ -104,8 +105,8 @@ def order_complex(p, guard=COMPLEX_GUARD):
     count = 0
     up = p.up
     # each entry is a chain ascending in the order of P and the mask of the
-    # elements strictly above every member, so each chain is produced once
-    stack = [((), p.full_mask)]
+    # allowed elements strictly above every member, so each is produced once
+    stack = [((), p.full_mask if within is None else within)]
     while stack:
         chain, allowed = stack.pop()
         rest = allowed
@@ -163,23 +164,23 @@ def chain_counts(p, guard=COMPLEX_GUARD):
 
 def _ordinal_summands(p):
     """The finest decomposition of P as an ordinal sum P_1 + ... + P_k
-    (every element of P_i below every element of P_j for i < j), as id
-    lists, bottom first.
+    (every element of P_i below every element of P_j for i < j), as masks
+    of P, bottom first.
 
     P_1 + ... + P_i is a prefix of every linear extension, so one pass over
     one finds the cuts: a cut falls after a prefix when every element
     after it lies in the intersection of the prefix's up-sets.
     """
     summands = []
-    block = []
+    block = 0
     rest = common = p.full_mask
     for y in _linear_extension(p):
-        block.append(y)
+        block |= 1 << y
         rest ^= 1 << y
         common &= p.up[y]
         if not rest & ~common:
             summands.append(block)
-            block = []
+            block = 0
     return summands
 
 
@@ -233,8 +234,8 @@ class HomologyProfile:
     torsion: tuple  # torsion[d] = tuple of invariant factors > 1
 
     def is_acyclic(self):
-        """All (reduced) groups trivial."""
-        return all(b == 0 for b in self.betti) and all(not t for t in self.torsion)
+        """All reduced groups trivial: not so for the empty complex's H_{-1}."""
+        return bool(self.betti) and not any(self.betti) and not any(self.torsion)
 
     def degree(self, d):
         if 0 <= d < len(self.betti):
@@ -367,27 +368,23 @@ def _join_homology(a, b):
     return HomologyProfile(tuple(betti), torsion)
 
 
-def poset_homology(p, reduced=True, guard=COMPLEX_GUARD):
-    """Homology of the order complex of P; the guard bounds its chains.
+def poset_homology(p, guard=COMPLEX_GUARD):
+    """Reduced homology of P's order complex; the guard bounds its chains.
 
-    Reduced homology of an ordinal sum of two or more summands is folded
-    from the summands' by ``_join_homology``, each summand's complex
-    built and eliminated alone.  The chains of the whole of P are counted
-    first, so the guard refuses exactly what ``order_complex(p)`` refuses:
-    a chain of P is a nonempty union of one chain or none of each summand.
+    The chains of P are counted first, so the guard refuses exactly what
+    ``order_complex(p)`` refuses.  Then the reduced homology of each
+    ordinal summand's complex, listed on P's own ids, is folded by
+    ``_join_homology``; the empty P has no summand and the empty profile.
     """
-    summands = _ordinal_summands(p) if reduced else ()
-    if len(summands) < 2:
-        return homology(order_complex(p, guard=guard), reduced=reduced, guard=guard)
-    parts = [p.restrict(s)[0] for s in summands]
-    if prod(1 + sum(chain_counts(q, guard=guard)) for q in parts) - 1 > guard:
-        raise GuardExceeded(f"more than {guard} chains")
-    return reduce(_join_homology, [
-        homology(order_complex(q, guard=guard), reduced=True, guard=guard) for q in parts])
+    chain_counts(p, guard=guard)
+    parts = [homology(order_complex(p, guard, s), reduced=True, guard=guard)
+             for s in _ordinal_summands(p)]
+    return reduce(_join_homology, parts) if parts else HomologyProfile((), ())
 
 
 def link(p, x):
     """The subspace of all points comparable to x, minus x itself."""
+    check_point(p, x, "point")
     members = sorted(bits(p.comparability_mask(x)))
     sub, _ = p.restrict(members)
     return sub
@@ -402,16 +399,11 @@ def is_gamma_point(p, x, guard=COMPLEX_GUARD):
     homology preservation only.  The link is homotopy equivalent to its
     core, so its homology is computed on the order complex of the core,
     which is built only when the core is larger than a point; the guard
-    bounds the simplices of that complex, not of the link's.
+    bounds the simplices of that complex, not of the link's.  The empty
+    link of an isolated point has reduced H_{-1} = Z, so the answer is no.
     """
-    lk = link(p, x)
-    if lk.n == 0:
-        return NO  # empty link: reduced H_{-1} nontrivial (isolated point)
-    c = core(lk)
+    c = core(link(p, x))
     if c.is_point:
         return CERTIFIED_YES
-    prof = poset_homology(c.core, reduced=True, guard=guard)
-    if not prof.is_acyclic():
-        return NO
-    return HOMOLOGY_YES
+    return HOMOLOGY_YES if poset_homology(c.core, guard=guard).is_acyclic() else NO
 

@@ -168,7 +168,7 @@ def test_06_height1_criterion():
 def test_07_homology():
     t0 = time.perf_counter()
     for n in (2, 3, 4):
-        prof = poset_homology(crown(n), reduced=True)
+        prof = poset_homology(crown(n))
         assert prof.betti == (0, 1) and prof.torsion == ((), ())
     for seed in range(100):
         p = random_poset(8, 0.4, seed)

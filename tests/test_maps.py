@@ -6,6 +6,7 @@ from finspace import (
     FunctionPoset,
     GuardExceeded,
     MonotoneMap,
+    UnknownLabel,
     antichain,
     chain,
     compose,
@@ -191,6 +192,15 @@ class TestHomotopy:
         c = enumerate_monotone(chain(2), chain(2))
         ok, chn = is_homotopic(c, 1, 1)
         assert ok and chn == [1]
+
+    def test_unknown_maps_rejected(self):
+        c = enumerate_monotone(chain(2), antichain(2))
+        assert len(c) == 2
+        for f, g in ((-1, 1), (7, 7), (0, 2)):
+            with pytest.raises(UnknownLabel, match="^map -?[0-9] out of range$"):
+                is_homotopic(c, f, g)
+        with pytest.raises(UnknownLabel, match=r"^\(0, 1\) is not a map of C\(X, Y\)$"):
+            c.index_of((0, 1))
 
     def test_constants_homotopic_in_chain(self):
         p = chain(2)

@@ -8,6 +8,7 @@ from finspace import (
     HomologyProfile,
     Poset,
     SimplicialComplex,
+    UnknownLabel,
     antichain,
     chain,
     core,
@@ -20,6 +21,7 @@ from finspace import (
     poset_homology,
 )
 from finspace.generators import random_poset
+from finspace.poset import bits
 from finspace.simplicial import (
     CERTIFIED_YES,
     HOMOLOGY_YES,
@@ -173,17 +175,22 @@ class TestHomology:
                     assert not any(image.values())
 
     def test_circle(self):
-        prof = poset_homology(crown(2), reduced=True)
+        prof = poset_homology(crown(2))
         assert prof.betti == (0, 1)
         assert prof.torsion == ((), ())
 
     def test_point(self):
-        assert poset_homology(chain(1), reduced=True).is_acyclic()
+        assert poset_homology(chain(1)).is_acyclic()
+
+    def test_empty_space_not_acyclic(self):
+        # reduced H_{-1} of the empty complex is Z, which no degree holds
+        empty = poset_homology(Poset.from_covers([], []))
+        assert empty == HomologyProfile((), ()) and not empty.is_acyclic()
 
     def test_two_points_unreduced_vs_reduced(self):
         p = antichain(2)
-        assert poset_homology(p, reduced=False).betti == (2,)
-        assert poset_homology(p, reduced=True).betti == (1,)
+        assert homology(order_complex(p)).betti == (2,)
+        assert poset_homology(p).betti == (1,)
 
     def test_projective_plane_torsion(self):
         # minimal 6-vertex triangulation of the projective plane
@@ -213,7 +220,7 @@ class TestHomology:
             )
 
     def test_crown3_circle_too(self):
-        prof = poset_homology(crown(3), reduced=True)
+        prof = poset_homology(crown(3))
         assert prof.betti == (0, 1)
 
 
@@ -375,7 +382,7 @@ class TestOrdinalSums:
         cases += [seeded_random_poset(seed) for seed in range(40)]
         assert len(cases) > 80
         for p in cases:
-            assert [sorted(s) for s in _ordinal_summands(p)] == summands_by_cuts(p)
+            assert [sorted(bits(s)) for s in _ordinal_summands(p)] == summands_by_cuts(p)
         assert _ordinal_summands(Poset.from_covers([], [])) == []
 
     def test_join_formula_matches_whole_complex(self):
@@ -406,9 +413,16 @@ class TestOrdinalSums:
         assert _join_homology(circle, two) == HomologyProfile((0,) * 5, ((), (), (), (2,), ()))
         assert _join_homology(two, two).torsion == ((), (), (), (2,), (2,), ())
 
-    def test_reduced_false_keeps_one_complex(self):
-        for p in summand_corpus()[:20]:
-            assert poset_homology(p, reduced=False) == homology(order_complex(p))
+    def test_masked_listing_matches_restrict(self):
+        # the chains inside a summand's mask are the order complex of the
+        # summand as a subposet, mapped back to P's ids
+        for p in summand_corpus():
+            for s in _ordinal_summands(p):
+                sub, old_to_new = p.restrict(bits(s))
+                old = {new: v for v, new in old_to_new.items()}
+                expected = tuple(tuple(sorted(tuple(old[v] for v in face) for face in faces))
+                                 for faces in order_complex(sub).simplices)
+                assert order_complex(p, within=s).simplices == expected
 
     def test_chain_counts_match_complex(self):
         cases = summand_corpus() + elimination_families()
@@ -444,6 +458,12 @@ class TestLink:
     def test_isolated_point(self):
         lk = link(antichain(3), 0)
         assert lk.n == 0
+
+    def test_point_out_of_range(self):
+        for x in (-1, 4):
+            for fn in (link, is_gamma_point):
+                with pytest.raises(UnknownLabel, match=f"^point {x} out of range$"):
+                    fn(fence(4), x)
 
 
 class TestGammaPoints:
