@@ -2,19 +2,24 @@
 
 Usage (from the repository root)::
 
-    python3 bench/sweep.py BENCH_27.json
+    python3 bench/sweep.py BENCH_29.json
 
 Times, each the best of three calls:
 
-- ``core`` and ``standard_sequence`` on ``chain(n)`` and ``fence(n)`` for
-  n = 400, 800, ..., 6400;
+- ``Poset.from_covers`` on the labels and covers of ``chain(n)`` and
+  ``fence(n)`` (the build layer), and ``core`` and ``standard_sequence``
+  on ``chain(n)`` and ``fence(n)``, for n = 400, 800, ..., 6400;
+- ``core`` on ``crown(k)``, which has no beat points and is its own core,
+  and on ``crown(k)`` with a pendant point hung on each element (above a
+  minimal one, below a maximal one, so the pendants are the only beat
+  points and the core is rebuilt), for k = 400, 800, ..., 6400;
 - ``poset_homology`` and the ``gamma`` verb's loop (``is_gamma_point`` at
   every point) on the sphere model S^d (two incomparable points at each
   of d + 1 levels) and on ``layered(4, d)`` (four at each of d levels),
   for d = 1, 2, 4, 8, ...
 
 and writes one row per rung to the given JSON file: ``n`` the number of
-points, ``d`` the doubled parameter of the homology rows, the time in ms
+points, ``d`` the doubled parameter of the crown and homology rows, the time in ms
 and ``ratio``, this rung's time over the previous rung's.  A row stops at
 the first rung past 1 s, or at the first rung refused by the guard of
 10^6 chains (the CLI's default ``--max-enum``), which is written with
@@ -59,8 +64,23 @@ def layered(finspace, width, depth):
     return finspace.Poset.from_covers([x for level in levels for x in level], covers)
 
 
+def build_args(p):
+    """The labels and covers of P, the arguments that build it."""
+    return list(p.labels), [(p.labels[a], p.labels[b]) for a, b in sorted(p.covers)]
+
+
+def with_pendants(finspace, p):
+    """P with a new point above each minimal element and below each other
+    one: for a crown, the new points are its only beat points."""
+    labels, covers = build_args(p)
+    for x, lab in enumerate(p.labels):
+        labels.append(f"{lab}_p")
+        covers.append((lab, labels[-1]) if p.down[x] == 1 << x else (labels[-1], lab))
+    return finspace.Poset.from_covers(labels, covers)
+
+
 def row(finspace, layer, family, fn, rungs):
-    """One row: ``rungs`` yields (row fields, poset) by size, ascending."""
+    """One row: ``rungs`` yields (row fields, argument of fn) by size, ascending."""
     rows = []
     prev = None
     for fields, p in rungs:
@@ -80,10 +100,20 @@ def row(finspace, layer, family, fn, rungs):
 
 def sweep(finspace):
     rows = []
+    for family in ("chain", "fence"):
+        rungs = (({"n": n}, build_args(getattr(finspace, family)(n)))
+                 for n in REDUCTION_SIZES)
+        rows += row(finspace, "from_covers", family,
+                    lambda a: finspace.Poset.from_covers(*a), rungs)
     for layer in ("core", "standard_sequence"):
         for family in ("chain", "fence"):
             rungs = (({"n": n}, getattr(finspace, family)(n)) for n in REDUCTION_SIZES)
             rows += row(finspace, layer, family, getattr(finspace, layer), rungs)
+    rungs = (({"n": 2 * k, "d": k}, finspace.crown(k)) for k in REDUCTION_SIZES)
+    rows += row(finspace, "core", "crown", finspace.core, rungs)
+    rungs = (({"n": 4 * k, "d": k}, with_pendants(finspace, finspace.crown(k)))
+             for k in REDUCTION_SIZES)
+    rows += row(finspace, "core", "crown+pendants", finspace.core, rungs)
 
     def homology(p):
         return finspace.poset_homology(p, guard=GUARD)
@@ -118,7 +148,7 @@ def main(argv):
         f.write("\n")
     for r in doc["rows"]:
         ms = "guard" if r["ms"] is None else f"{r['ms']:9.2f} ms"
-        print(f"{r['layer']:>17} {r['family']:>8} {r.get('d', ''):>3} {r['n']:>5} {ms:>12}"
+        print(f"{r['layer']:>17} {r['family']:>14} {r.get('d', ''):>4} {r['n']:>5} {ms:>12}"
               f"  x{r['ratio']}")
     return 0
 

@@ -10,15 +10,17 @@ transitive reduction, is stored once, as per-element lower- and
 upper-cover masks; ``covers``, the pair set, is read off the upper-cover
 masks when it is asked for.
 
-Posets built from pairs, restricted, quotiented or dismantled all come
-from ``Poset._from_successors``, given a successor mask per element.  One
+Posets built from pairs, restricted or quotiented all come from
+``Poset._from_successors``, given a successor mask per element.  One
 iterative depth-first search orders the relation, checks it for cycles
 and fills the up-masks and upper covers as each element finishes; one
 pass over the reversed finishing order fills the down-masks and lower
 covers.  When the ids follow a linear extension (as in every generator)
 the cost is O(n + pairs given) bit tests plus O(covers) mask unions of n
 bits each: building ``chain(n)`` is linear in the number of mask words,
-not quadratic in n.
+not quadratic in n.  A core (``reduction.core``) is not rebuilt: a poset
+without beat points is its own core, and a smaller core is closed along
+the Hasse diagram the dismantling already holds.
 
 ``bfs_layers``, ``components`` and ``shortest_path`` are the one BFS
 kernel behind every breadth-first walk in the package; each takes a

@@ -202,11 +202,19 @@ def core(p, basepoint=None):
     and puts x's neighbours back on the candidate mask; no other element
     changes status.  Taking the lowest candidate each time is the
     lowest-id beat point, because every element off the mask is known
-    not to be one.  The cover masks left at the end are the Hasse
-    diagram of the core, which is built from them after relabelling
-    without an induced-order scan.  The cost is O(covers) for the start
-    and the core plus, per removal, (lower covers x upper covers) mask
-    tests.
+    not to be one.
+
+    The core is closed once.  When nothing was removed P has no beat
+    points and is its own core: the result holds P itself, relabelled by
+    the identity.  Otherwise the cover masks left at the end are the
+    Hasse diagram of the core, an induced subposet, so they need no
+    search, cycle check or reduction: relabelled once to the kept ids in
+    ascending order, up-masks are pushed down them and down-masks and
+    lower covers up them, in order of down-set size in P, a linear
+    extension of the core.  The cost is O(covers) for the start plus, per
+    removal, (lower covers x upper covers) mask tests, plus, when points
+    were removed, a sort of the core and O(covers of the core) mask
+    unions.
     """
     check_point(p, basepoint)
     lower, upper = list(p.lower_covers), list(p.upper_covers)
@@ -225,16 +233,26 @@ def core(p, basepoint=None):
         steps.append(RetractionStep(kind, {x: target}))
         mask ^= bit
         candidates |= _unlink(p, lower, upper, mask, x) & ~fixed
+    trace = DismantlingTrace(p, steps)
+    if not steps:
+        return CoreResult(p, {i: i for i in range(p.n)}, trace)
     keep = list(bits(mask))
     relabel = {old: new for new, old in enumerate(keep)}
-    succ = []
-    for old in keep:
-        m = 0
-        for b in bits(upper[old]):
-            m |= 1 << relabel[b]
-        succ.append(m)
-    sub = Poset._from_successors([p.labels[i] for i in keep], succ)
-    return CoreResult(sub, relabel, DismantlingTrace(p, steps))
+    above = [[relabel[b] for b in bits(upper[old])] for old in keep]
+    # a strict order of the core is one of P, so down-set sizes in P rise along it
+    order = sorted(range(len(keep)), key=lambda v: p.down[keep[v]].bit_count())
+    up = [1 << v for v in range(len(keep))]
+    down, below = up[:], [0] * len(keep)
+    for v in reversed(order):
+        for w in above[v]:
+            up[v] |= up[w]
+    for v in order:
+        for w in above[v]:
+            down[w] |= down[v]
+            below[w] |= 1 << v
+    covering = [sum(1 << w for w in ws) for ws in above]
+    sub = Poset([p.labels[i] for i in keep], down, up, below, covering)
+    return CoreResult(sub, relabel, trace)
 
 
 def _bulk_step(covers, ranks, beats, upward):

@@ -109,6 +109,38 @@ def with_beat_points(p, rng, k):
     return Poset.from_covers(labels, covers)
 
 
+def random_core(rng, n):
+    """A random levelled poset with no beat points, ids level by level.
+
+    Only adjacent levels of at least four points are joined, and every
+    point to at least two of the level below and two of the level above
+    (where there is one), so no point has a single lower or upper cover.
+    """
+    width = max(4, round(n ** 0.5))
+    sizes = [width] * (n // width)
+    sizes[-1] += n % width
+    levels, k = [], 0
+    for size in sizes:
+        levels.append([f"c{k + i}" for i in range(size)])
+        k += size
+    pairs = set()
+    for lo, hi in zip(levels, levels[1:]):
+        for b in hi:
+            pairs.update((a, b) for a in rng.sample(lo, 2))
+        for a in lo:
+            pairs.update((a, b) for b in rng.sample(hi, 2))
+        for _ in range(len(lo)):
+            pairs.add((rng.choice(lo), rng.choice(hi)))
+    return Poset.from_covers([x for level in levels for x in level], sorted(pairs))
+
+
+def against_extensions(p):
+    """P under new ids that run against every linear extension: ordered
+    by down-set size, largest first, so a < b gives b the lower id."""
+    labels = [p.labels[x] for x in sorted(range(p.n), key=lambda x: -p.down[x].bit_count())]
+    return Poset.from_covers(labels, [(p.labels[a], p.labels[b]) for a, b in p.covers])
+
+
 def pointwise_strict_up(c):
     """The strict up-mask of every map of the function poset ``c`` in the
     pointwise order, m^2 bits for m maps: one mask of the maps sending x

@@ -22,7 +22,8 @@ from finspace import (
 from finspace.generators import random_poset
 
 from helpers import (
-    brute_force_homotopy_equivalent, crown_union, iso_by_backtrack, layered, random_height1_poset, time_limit, with_beat_points,
+    against_extensions, brute_force_homotopy_equivalent, crown_union, iso_by_backtrack, layered,
+    random_core, random_height1_poset, time_limit, with_beat_points,
 )
 
 
@@ -267,6 +268,19 @@ class TestHomotopyEquivalence:
             sp.poset, chain(1), basepoint_p=sp.basepoint, basepoint_q=0
         )
         assert ev
+
+    def test_random_core_against_inflated_copy(self):
+        # p is its own core; q's core is closed along the covers core leaves
+        for seed in range(12):
+            rng = random.Random(seed)
+            p = random_core(rng, rng.randint(8, 30))
+            q = against_extensions(with_beat_points(p, rng, rng.randint(1, p.n)))
+            x = rng.randrange(p.n)
+            for bp, bq in ((None, None), (x, q.index(p.labels[x]))):
+                ev = are_homotopy_equivalent(p, q, bp, bq)
+                assert ev and ev.core_p.core is p and ev.core_q.core is not q
+                fix = None if bp is None else (ev.core_p.relabel[bp], ev.core_q.relabel[bq])
+                _assert_witness(ev.core_p.core, ev.core_q.core, ev.iso, fix)
 
     def test_mixed_basepoints_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -29,8 +30,9 @@ from finspace.generators import random_poset
 from finspace.reduction import DismantlingTrace, RetractionStep
 
 from helpers import (
-    assert_same_poset, beat_points_by_scan, beat_target_by_scan, core_by_rescan,
-    poset_by_closure, random_pairs, standard_sequence_by_scan, time_limit,
+    against_extensions, assert_same_poset, beat_points_by_scan, beat_target_by_scan,
+    core_by_rescan, layered, poset_by_closure, random_core, random_pairs,
+    standard_sequence_by_scan, time_limit, with_beat_points,
 )
 
 
@@ -228,8 +230,6 @@ class TestCoreMatchesRescan:
             self.assert_same(p, basepoint=(seed * 7) % n)
 
     def test_shuffled_ids(self):
-        import random
-
         for seed in range(300):
             rng = random.Random(seed)
             n = rng.randint(1, 24)
@@ -270,6 +270,49 @@ class TestCoreMatchesRescan:
                 tracemalloc.stop()
 
         assert peak(8000) / peak(4000) < 2.5
+
+
+def _beat_point_free():
+    """Posets without beat points: crowns, the sphere models, layered
+    posets and random levelled cores."""
+    for n in range(2, 7):
+        yield crown(n)
+    for d in range(5):
+        yield layered(2, d + 1)
+    for width, depth in ((3, 3), (4, 2), (3, 4)):
+        yield layered(width, depth)
+    for seed in range(20):
+        rng = random.Random(seed)
+        yield random_core(rng, rng.randint(8, 40))
+
+
+class TestCoreClosedOnce:
+    """``core`` builds no second closure: a poset without beat points is
+    returned as it is, and a smaller core is closed along its covers."""
+
+    def test_beat_point_free_input_is_its_own_core(self):
+        for p in _beat_point_free():
+            assert is_core(p)
+            for basepoint in (None, 0, p.n - 1):
+                res = core(p, basepoint)
+                assert res.core is p
+                assert res.relabel == {i: i for i in range(p.n)}
+                assert not res.trace.steps
+
+    def test_rebuild_against_every_linear_extension(self):
+        # the kept ids run against the order, so a pass in id order, or
+        # either pass in the wrong direction, misses part of the closure
+        check = TestCoreMatchesRescan()
+        for i, p in enumerate(_beat_point_free()):
+            rng = random.Random(i)
+            q = against_extensions(with_beat_points(p, rng, rng.randint(1, p.n)))
+            assert all(not q.lt(a, b) for b in range(q.n) for a in range(b))
+            res = core(q)
+            assert res.trace.steps and res.core is not q
+            assert are_isomorphic(res.core, p) is not None
+            check.assert_same(q)
+            check.assert_same(q, basepoint=q.index(p.labels[0]))
+            check.assert_same(q, basepoint=rng.randrange(q.n))
 
 
 class TestBulkRetractions:
@@ -366,8 +409,6 @@ class TestStandardSequenceMatchesScan:
         assert tr.final == final == {x for x in range(p.n) if image >> x & 1}
 
     def test_random_posets(self):
-        import random
-
         for seed in range(200):
             n = 1 + seed % 25
             p = random_poset(n, (0.1, 0.2, 0.3, 0.5)[seed % 4], seed)
