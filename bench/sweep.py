@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 bench/sweep.py BENCH_29.json
+    python3 bench/sweep.py BENCH_30.json
 
 Times, each the best of three calls:
 

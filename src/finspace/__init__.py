@@ -57,6 +57,7 @@ from .reduction import (
     bulk_down,
     bulk_up,
     core,
+    core_mask,
     down_beat_points,
     is_core,
     remove_beat_point,

@@ -310,7 +310,7 @@ def cmd_homology(args, first):
     counts = simplicial.chain_counts(p, guard=args.max_enum)
     # P is homotopy equivalent to its core, whose chains are some of P's;
     # its groups above the core's dimension are zero
-    prof = simplicial.poset_homology(reduction.core(p).core, guard=args.max_enum)
+    prof = simplicial.poset_homology(p, guard=args.max_enum, within=reduction.core_mask(p))
     degrees = [prof.degree(d) for d in range(len(counts))]
     betti = [b for b, _ in degrees]
     data = {

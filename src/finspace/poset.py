@@ -52,6 +52,17 @@ def check_point(p, x, what="basepoint"):
         raise UnknownLabel(f"{what} {x} out of range")
 
 
+def check_mask(p, mask):
+    """The elements of P that ``mask`` names, as a mask: all of P for None.
+    UnknownLabel if it names an id outside 0..len(p) - 1 (a negative int
+    names infinitely many), the one range check of a mask of points."""
+    if mask is None:
+        return p.full_mask
+    if mask & ~p.full_mask:
+        raise UnknownLabel(f"mask {mask:#x} out of range")
+    return mask
+
+
 def bfs_layers(nbrs, start):
     """Yield the BFS frontiers from ``start`` as masks.
 

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotABeatPoint
-from .poset import Poset, bits, check_point
+from .errors import NotABeatPoint, ValidationError
+from .poset import Poset, bits, check_mask, check_point
 
 REMOVE_DOWN = "remove-down-beat"
 REMOVE_UP = "remove-up-beat"
@@ -188,6 +188,61 @@ def _unlink(p, lower, upper, mask, x):
     return below | above
 
 
+def _dismantle(p, lower, upper, mask, fixed=0, steps=None):
+    """Remove beat points from the subspace ``mask`` of P, lowest id first
+    and preferring the down-beat retraction, until none is left, and
+    return the mask of what remains; each removal is appended to
+    ``steps`` as a RetractionStep unless it is None.
+
+    ``lower`` and ``upper`` map each element of the subspace to its lower
+    and upper cover masks in the subspace and are updated in place; the
+    points of ``fixed`` are never removed.  Every element is a candidate
+    at the start, and a removal puts back only the neighbours whose covers
+    it changed (``_unlink``), so taking the lowest candidate each time
+    takes the lowest-id beat point.
+    """
+    candidates = mask & ~fixed
+    while candidates:
+        bit = candidates & -candidates
+        candidates ^= bit
+        x = bit.bit_length() - 1
+        beat = _one_point(lower, upper, x)
+        if beat is None:
+            continue
+        if steps is not None:
+            kind, target = beat
+            steps.append(RetractionStep(kind, {x: target}))
+        mask ^= bit
+        candidates |= _unlink(p, lower, upper, mask, x) & ~fixed
+    return mask
+
+
+def core_mask(p, within=None):
+    """The elements of a core of the subspace ``within`` of P (all of P by
+    default), as a mask of P, found by ``core``'s policy without building
+    a poset or a trace.
+
+    ``within`` must be convex in P, or ValidationError is raised: a
+    down-set, an up-set, P itself, or any set holding every element
+    between two of its members, such as the two sides Û_x and F̂_x of the
+    link of a point.  Then a ⋖ b in the subspace iff a ⋖ b in P, so its
+    cover masks are P's cut to ``within``; the cost is O(|within|) for
+    them and the check plus ``core``'s per removal.  The mask of
+    ``core(p).core_elements`` is ``core_mask(p)``.
+    """
+    mask = check_mask(p, within)
+    lower, upper = {}, {}
+    above = below = 0
+    for i in bits(mask):
+        lower[i] = p.lower_covers[i] & mask
+        upper[i] = p.upper_covers[i] & mask
+        above |= p.up[i]
+        below |= p.down[i]
+    if above & below & ~mask:
+        raise ValidationError(f"mask {mask:#x} is not convex: it misses a point between two of its own")
+    return _dismantle(p, lower, upper, mask)
+
+
 def core(p, basepoint=None):
     """Dismantle to the core by removing beat points one by one.
 
@@ -202,7 +257,7 @@ def core(p, basepoint=None):
     and puts x's neighbours back on the candidate mask; no other element
     changes status.  Taking the lowest candidate each time is the
     lowest-id beat point, because every element off the mask is known
-    not to be one.
+    not to be one.  That loop is ``_dismantle``, shared with ``core_mask``.
 
     The core is closed once.  When nothing was removed P has no beat
     points and is its own core: the result holds P itself, relabelled by
@@ -219,20 +274,8 @@ def core(p, basepoint=None):
     check_point(p, basepoint)
     lower, upper = list(p.lower_covers), list(p.upper_covers)
     fixed = 0 if basepoint is None else 1 << basepoint
-    mask = p.full_mask
-    candidates = mask & ~fixed
     steps = []
-    while candidates:
-        bit = candidates & -candidates
-        candidates ^= bit
-        x = bit.bit_length() - 1
-        beat = _one_point(lower, upper, x)
-        if beat is None:
-            continue
-        kind, target = beat
-        steps.append(RetractionStep(kind, {x: target}))
-        mask ^= bit
-        candidates |= _unlink(p, lower, upper, mask, x) & ~fixed
+    mask = _dismantle(p, lower, upper, p.full_mask, fixed, steps)
     trace = DismantlingTrace(p, steps)
     if not steps:
         return CoreResult(p, {i: i for i in range(p.n)}, trace)

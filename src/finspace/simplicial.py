@@ -45,7 +45,14 @@ finds the finest decomposition of P in one pass over a linear extension,
 as masks of P, and ``poset_homology`` eliminates the complex of each
 mask's chains alone and folds the results.  The chains of P are counted, by length,
 without listing them: ``chain_counts`` is one dynamic program over the
-same linear extension.
+same linear extension.  Each of these takes a mask ``within`` of P and
+works on the subposet it induces, on P's own ids.
+
+The link of a point x is the non-Hausdorff join of U^_x, below x, and
+F^_x, above it, a down-set and an up-set of P.  ``is_gamma_point``
+dismantles each side on P's own cover masks cut to it
+(``reduction.core_mask``) and decides on the two kept masks, with no
+link built: the link's core is the join of the sides' cores.
 
 Python integers cannot overflow.  The guards bound the number
 of simplices, not the fill-in of the elimination.
@@ -56,15 +63,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import GuardExceeded
-from .poset import bits, check_point
-from .reduction import core
+from .poset import bits, check_mask, check_point
+from .reduction import core_mask
 
 # bounds the chains listed (order_complex) or counted (chain_counts, so
-# poset_homology before it lists any) and the simplices whose homology is
-# computed (homology, is_gamma_point on the link's core)
+# poset_homology and is_gamma_point before they list any) and the
+# simplices whose homology is computed (homology)
 COMPLEX_GUARD = 100_000
 
 CERTIFIED_YES = "certified_yes"
@@ -106,7 +113,7 @@ def order_complex(p, guard=COMPLEX_GUARD, within=None):
     up = p.up
     # each entry is a chain ascending in the order of P and the mask of the
     # allowed elements strictly above every member, so each is produced once
-    stack = [((), p.full_mask if within is None else within)]
+    stack = [((), check_mask(p, within))]
     while stack:
         chain, allowed = stack.pop()
         rest = allowed
@@ -126,46 +133,58 @@ def order_complex(p, guard=COMPLEX_GUARD, within=None):
     return SimplicialComplex(simplices)
 
 
-def _linear_extension(p):
-    """The ids of P by down-set size: x < y makes down[x] a proper subset
-    of down[y], so this is a linear extension."""
+def _linear_extension(p, mask):
+    """The ids of P inside ``mask`` by down-set size in P: x < y makes
+    down[x] a proper subset of down[y], so this is a linear extension of
+    that subposet."""
     down = p.down
-    return sorted(range(p.n), key=lambda i: down[i].bit_count())
+    return sorted(bits(mask), key=lambda i: down[i].bit_count())
 
 
-def chain_counts(p, guard=COMPLEX_GUARD):
-    """counts[d] = the number of chains of d + 1 elements of P, that is the
-    d-simplices of its order complex, without listing them.
+def chain_counts(p, guard=COMPLEX_GUARD, within=None):
+    """counts[d] = the number of chains of d + 1 elements of P inside the
+    mask ``within`` (all of P by default), that is the d-simplices of the
+    order complex of that subposet, without listing them.
 
     One pass over a linear extension: the chains topped by y are y alone
-    and y above a chain topped by some x < y.  The guard bounds the running
-    total, checked after each element, with ``order_complex``'s message.
+    and y above a chain topped by some x < y.  The counts by length of the
+    chains topped by y are packed into one int, slot d (bits d*w up to
+    (d+1)*w) holding those of d + 1 elements, so y above the chains
+    topped by x is that int shifted up one slot, and y's int is 1 plus
+    the shifted sum of the ints of the x below it.  A scalar running
+    total of the chains, per element, is checked against the guard after
+    each element, with ``order_complex``'s message.
+
+    No slot carries into the next when w = guard.bit_length() (at least
+    1), so 2**w > guard: every slot holds at most max(1, guard).  The
+    elements before y passed the check, so their chains number at most
+    the guard; a slot of y's int is 1 (y alone) or counts some of them
+    (y above them), and so is a slot of the sum over the x below y.  A
+    slot of the total is added only after its element passed the check.
     """
-    ending = [None] * p.n  # ending[y][d]: chains of d + 1 elements topped by y
-    counts = []
-    total = 0
+    width = max(1, guard.bit_length())
+    mask = check_mask(p, within)
+    ending = {}  # ending[y]: the packed counts of the chains topped by y
+    tops = {}  # tops[y]: the number of chains topped by y
+    packed = total = 0
     down = p.down
-    for y in _linear_extension(p):
-        mine = [1]
-        for x in bits(down[y] ^ 1 << y):
-            below = ending[x]
-            mine += [0] * (len(below) + 1 - len(mine))
-            for d, c in enumerate(below, 1):
-                mine[d] += c
-        ending[y] = mine
-        counts += [0] * (len(mine) - len(counts))
-        for d, c in enumerate(mine):
-            counts[d] += c
-        total += sum(mine)
+    for y in _linear_extension(p, mask):
+        below = list(bits(down[y] & mask ^ 1 << y))
+        mine = 1 + (sum(map(ending.__getitem__, below)) << width)
+        tops[y] = count = 1 + sum(map(tops.__getitem__, below))
+        total += count
         if total > guard:
             raise GuardExceeded(f"more than {guard} chains")
-    return counts
+        ending[y] = mine
+        packed += mine
+    slot = (1 << width) - 1
+    return [(packed >> d * width) & slot for d in range(-(-packed.bit_length() // width))]
 
 
-def _ordinal_summands(p):
-    """The finest decomposition of P as an ordinal sum P_1 + ... + P_k
-    (every element of P_i below every element of P_j for i < j), as masks
-    of P, bottom first.
+def _ordinal_summands(p, within=None):
+    """The finest decomposition of the subposet on the mask ``within`` (all
+    of P by default) as an ordinal sum P_1 + ... + P_k (every element of
+    P_i below every element of P_j for i < j), as masks of P, bottom first.
 
     P_1 + ... + P_i is a prefix of every linear extension, so one pass over
     one finds the cuts: a cut falls after a prefix when every element
@@ -173,8 +192,8 @@ def _ordinal_summands(p):
     """
     summands = []
     block = 0
-    rest = common = p.full_mask
-    for y in _linear_extension(p):
+    rest = common = check_mask(p, within)
+    for y in _linear_extension(p, rest):
         block |= 1 << y
         rest ^= 1 << y
         common &= p.up[y]
@@ -368,22 +387,31 @@ def _join_homology(a, b):
     return HomologyProfile(tuple(betti), torsion)
 
 
-def poset_homology(p, guard=COMPLEX_GUARD):
-    """Reduced homology of P's order complex; the guard bounds its chains.
+def poset_homology(p, guard=COMPLEX_GUARD, within=None):
+    """Reduced homology of the order complex of the subposet on the mask
+    ``within`` (all of P by default); the guard bounds its chains.
 
-    The chains of P are counted first, so the guard refuses exactly what
-    ``order_complex(p)`` refuses.  Then the reduced homology of each
-    ordinal summand's complex, listed on P's own ids, is folded by
-    ``_join_homology``; the empty P has no summand and the empty profile.
+    The chains are counted first, so the guard refuses exactly what
+    ``order_complex(p, within=within)`` refuses; then the groups of the
+    ordinal summands are folded (``_summed_homology``).
     """
-    chain_counts(p, guard=guard)
+    chain_counts(p, guard, within)
+    return _summed_homology(p, guard, within)
+
+
+def _summed_homology(p, guard, within):
+    """The reduced homology of each ordinal summand's complex, listed on
+    P's own ids, folded by ``_join_homology``; a mask with no elements has
+    no summand and the empty profile.  Its chains are already counted."""
     parts = [homology(order_complex(p, guard, s), reduced=True, guard=guard)
-             for s in _ordinal_summands(p)]
+             for s in _ordinal_summands(p, within)]
     return reduce(_join_homology, parts) if parts else HomologyProfile((), ())
 
 
 def link(p, x):
-    """The subspace of all points comparable to x, minus x itself."""
+    """The subspace of all points comparable to x, minus x itself.  No
+    verb calls it: it is the paper's and Barmak's C^_x, which
+    ``is_gamma_point`` reads as its two sides on P's own masks."""
     check_point(p, x, "point")
     members = sorted(bits(p.comparability_mask(x)))
     sub, _ = p.restrict(members)
@@ -396,14 +424,31 @@ def is_gamma_point(p, x, guard=COMPLEX_GUARD):
     certified_yes: the link dismantles to a point, hence is homotopically
     trivial.  no: the link has nontrivial reduced homology.  homology_yes:
     the link is acyclic but its core is larger than a point, which settles
-    homology preservation only.  The link is homotopy equivalent to its
-    core, so its homology is computed on the order complex of the core,
-    which is built only when the core is larger than a point; the guard
-    bounds the simplices of that complex, not of the link's.  The empty
-    link of an isolated point has reduced H_{-1} = Z, so the answer is no.
-    """
-    c = core(link(p, x))
-    if c.is_point:
-        return CERTIFIED_YES
-    return HOMOLOGY_YES if poset_homology(c.core, guard=guard).is_acyclic() else NO
+    homology preservation only.  The empty link of an isolated point has
+    reduced H_{-1} = Z, so the answer is no.
 
+    The link is the non-Hausdorff join A * B of A = U^_x, below x, and
+    B = F^_x, above it (Barmak, LNM 2032, 2.7): a down-set and an up-set
+    of P, so each is dismantled on P's cover masks cut to it
+    (``core_mask``) and no poset is built.  A beat point of a subspace of
+    A (or B) is one of its join with B (A) as well, so the core of the
+    link is core(A) * core(B).  That is a point iff one side's core is a
+    point, as a core of more than one point has no maximum and no
+    minimum.  Otherwise the link is homotopy equivalent to that core,
+    whose chains number (1 + c_A)(1 + c_B) - 1 for the chain counts c_A
+    and c_B of the sides' cores; the guard bounds that number, and the
+    groups are those of the kept masks' summands, folded by the join
+    formula.  The cost is O(|link|) mask operations plus the dismantling
+    of each side, and, when neither side's core is a point, a count of
+    each side's core chains and the homology of their summands.
+    """
+    check_point(p, x, "point")
+    bit = 1 << x
+    sides = [core_mask(p, p.down[x] ^ bit), core_mask(p, p.up[x] ^ bit)]
+    if any(side.bit_count() == 1 for side in sides):
+        return CERTIFIED_YES
+    chains = prod(1 + sum(chain_counts(p, guard, side)) for side in sides) - 1
+    if chains > guard:
+        raise GuardExceeded(f"more than {guard} chains")
+    acyclic = _summed_homology(p, guard, sides[0] | sides[1]).is_acyclic()
+    return HOMOLOGY_YES if acyclic else NO

@@ -575,6 +575,24 @@ def test_homology_of_lower_dimensional_core(tmp_path, capsys):
     assert data["acyclic"] is False
 
 
+CROWN2_M_CROWN2 = ("poset crown2m\nel a0\nel a1\nel b0\nel b1\nel m\nel c0\nel c1\nel d0\nel d1\n"
+                   "cov a0 b0\ncov a0 b1\ncov a1 b0\ncov a1 b1\ncov b0 m\ncov b1 m\n"
+                   "cov m c0\ncov m c1\ncov c0 d0\ncov c0 d1\ncov c1 d0\ncov c1 d1\n")
+
+
+def test_gamma_guard_bounds_the_join_of_two_crowns(tmp_path, capsys):
+    # the link of m is crown2 * crown2, a core with (1 + 8)(1 + 8) - 1 = 80
+    # chains; every other link has m as its maximum or its minimum
+    path = tmp_path / "crown2m.poset"
+    path.write_text(CROWN2_M_CROWN2)
+    assert run(["--json", "--max-enum", "80", "gamma", str(path)]) == EXIT_OK
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts.pop("m") == "no"
+    assert set(verdicts.values()) == {"certified_yes"}
+    assert run(["--max-enum", "79", "gamma", str(path)]) == EXIT_GUARD
+    assert capsys.readouterr().err == "guard exceeded: more than 79 chains\n"
+
+
 def test_gamma_guard_bounds_the_core_of_the_link(tmp_path, capsys):
     # below a crown with tails, whose link has 44 chains and whose core,
     # the crown, has 8; every other link has the bottom as its minimum

@@ -8,6 +8,7 @@ from finspace import (
     MonotoneMap,
     Poset,
     UnknownLabel,
+    ValidationError,
     antichain,
     are_isomorphic,
     beat_points,
@@ -15,6 +16,7 @@ from finspace import (
     bulk_up,
     chain,
     core,
+    core_mask,
     crown,
     down_beat_points,
     fence,
@@ -27,6 +29,7 @@ from finspace import (
     verify_strong_deformation,
 )
 from finspace.generators import random_poset
+from finspace.poset import bits
 from finspace.reduction import DismantlingTrace, RetractionStep
 
 from helpers import (
@@ -270,6 +273,46 @@ class TestCoreMatchesRescan:
                 tracemalloc.stop()
 
         assert peak(8000) / peak(4000) < 2.5
+
+
+class TestCoreMask:
+    """The kept mask of a convex subspace is what the rescan keeps of the
+    induced subposet: its covers are P's cut to it, and ``restrict``
+    keeps the order of ids, so the lowest-id policy removes the same
+    points."""
+
+    @staticmethod
+    def convex_masks(p):
+        yield p.full_mask
+        for x in range(p.n):
+            bit = 1 << x
+            yield from (p.down[x], p.up[x], p.down[x] ^ bit, p.up[x] ^ bit)
+
+    def test_matches_rescan_of_the_subposet(self):
+        cases = [random_poset(1 + seed % 14, (0.2, 0.35, 0.5)[seed % 3], seed)
+                 for seed in range(120)]
+        cases += [fence(9), crown(3), layered(3, 3), with_beat_points(crown(2), random.Random(3), 4)]
+        for p in cases:
+            for mask in self.convex_masks(p):
+                members = sorted(bits(mask))
+                sub, _ = p.restrict(members)
+                _, final = core_by_rescan(sub)
+                assert core_mask(p, mask) == sum(1 << members[v] for v in final)
+
+    def test_whole_poset_is_the_core(self):
+        for seed in range(40):
+            p = random_poset(3 + seed % 12, 0.3, seed)
+            assert core_mask(p) == sum(1 << i for i in core(p).core_elements)
+        assert core_mask(chain(0)) == 0 and core_mask(crown(2), 0) == 0
+
+    def test_mask_outside_or_not_convex_rejected(self):
+        # {c0, c2} skips c1: cut to it, P's covers would leave two
+        # isolated points where the subposet is a 2-chain
+        with pytest.raises(ValidationError, match="^mask 0x5 is not convex: "):
+            core_mask(chain(3), 0b101)
+        for mask in (-1, 0b1000):
+            with pytest.raises(UnknownLabel, match=f"^mask {mask:#x} out of range$"):
+                core_mask(chain(3), mask)
 
 
 def _beat_point_free():

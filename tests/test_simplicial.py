@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -444,6 +445,134 @@ class TestOrdinalSums:
         for p in summand_corpus()[:30]:
             for x in range(p.n):
                 assert is_gamma_point(p, x) == gamma_by_full_link(p, x)
+
+
+def masked_cases():
+    """(P, mask): the down-sets, up-sets and punctured ones of every point
+    and the ordinal summands of ordinal sums and seeded random posets."""
+    cases = summand_corpus() + [seeded_random_poset(seed) for seed in range(40)]
+    for p in cases:
+        for x in range(p.n):
+            bit = 1 << x
+            yield from ((p, m) for m in (p.down[x], p.up[x], p.down[x] ^ bit, p.up[x] ^ bit))
+        yield from ((p, s) for s in _ordinal_summands(p))
+
+
+def subposet_complex(p, mask):
+    """The order complex of the subposet on ``mask``, on its own ids."""
+    return order_complex(p.restrict(bits(mask))[0])
+
+
+class TestMaskedChainCounts:
+    """``chain_counts``, ``_ordinal_summands`` and ``poset_homology`` on a
+    mask of P against the subposet the mask induces."""
+
+    def test_counts_match_the_subposet(self):
+        for p, mask in masked_cases():
+            k = subposet_complex(p, mask)
+            assert chain_counts(p, within=mask) == [k.count(d) for d in range(k.dimension() + 1)]
+        assert chain_counts(crown(3), within=0) == []
+
+    def test_summands_and_homology_match_the_subposet(self):
+        for p, mask in masked_cases():
+            members = sorted(bits(mask))
+            sub, _ = p.restrict(members)
+            # summands_by_cuts has one empty part for the empty poset, which has none
+            expected = [[members[v] for v in part] for part in summands_by_cuts(sub) if part]
+            assert [sorted(bits(s)) for s in _ordinal_summands(p, mask)] == expected
+            prof = poset_homology(p, within=mask)
+            assert prof == homology(order_complex(sub), reduced=True)
+
+    @staticmethod
+    def slot_cases():
+        """(P, mask, chains by length) with totals at and next to powers of
+        two: an antichain puts its whole total in one slot, a chain of k
+        has 2**k - 1 chains, binomially by length, and each also sits as a
+        down-set under a point."""
+        for k in range(1, 11):
+            for t in (2**k - 1, 2**k, 2**k + 1):
+                yield antichain(t), None, [t]
+        for k in range(1, 13):
+            yield chain(k), None, [comb(k, d + 1) for d in range(k)]
+        for q, expected in ((antichain(64), [64]), (chain(9), [comb(9, d + 1) for d in range(9)])):
+            p = ordinal_sum(q, chain(1), antichain(3))
+            yield p, p.down[q.n] ^ 1 << q.n, expected
+
+    def test_guard_at_the_total_and_one_below(self):
+        for p, mask, expected in self.slot_cases():
+            total = sum(expected)
+            for guard in (total, total + 1, 2 * total):
+                assert chain_counts(p, guard, mask) == expected
+            with pytest.raises(GuardExceeded, match=f"^more than {total - 1} chains$"):
+                chain_counts(p, total - 1, mask)
+
+    def test_mask_out_of_range_rejected(self):
+        for fn in (chain_counts, poset_homology, order_complex):
+            for mask in (-1, 0b1000):
+                with pytest.raises(UnknownLabel, match=f"^mask {mask:#x} out of range$"):
+                    fn(chain(3), within=mask)
+
+    def test_guard_past_any_machine_word(self):
+        # 2**99 - 1 chains fit under a guard of 10**30, 2**100 - 1 do not
+        assert chain_counts(chain(99), 10**30) == [comb(99, d + 1) for d in range(99)]
+        assert chain_counts(chain(99), 2**99 - 1) == [comb(99, d + 1) for d in range(99)]
+        for p, guard in ((chain(99), 2**99 - 2), (chain(100), 10**30)):
+            with pytest.raises(GuardExceeded, match=f"^more than {guard} chains$"):
+                chain_counts(p, guard)
+
+
+class TestTwoSidedLinks:
+    """A point m above every point of one space and below every point of
+    another: its link is their non-Hausdorff join, and every other link
+    reaches through m to a side with a maximum or a minimum."""
+
+    @staticmethod
+    def sides():
+        return {"crown2": crown(2), "crown3": crown(3), "antichain2": antichain(2),
+                "rp2": rp2_face_poset()}
+
+    def test_against_the_full_link(self):
+        for (a, lower), (b, upper) in product(self.sides().items(), repeat=2):
+            p = ordinal_sum(lower, chain(1), upper)
+            m = lower.n
+            for x in range(p.n):
+                if x == m and "rp2" in (a, b) and "antichain2" not in (a, b):
+                    continue  # too many chains for the dense oracle: below
+                assert is_gamma_point(p, x) == gamma_by_full_link(p, x), (a, b, x)
+            assert is_gamma_point(p, m) == NO
+
+    def test_projective_plane_joins(self):
+        # the dense oracle's place, for the links it cannot afford: the
+        # sparse elimination of the link's whole complex, no core, no join
+        sides = self.sides()
+        rp2 = sides["rp2"]
+        for other in ("crown2", "crown3", "rp2"):
+            for lower, upper in ((rp2, sides[other]), (sides[other], rp2)):
+                p = ordinal_sum(lower, chain(1), upper)
+                m = lower.n
+                assert not homology(order_complex(link(p, m)), reduced=True).is_acyclic()
+                assert is_gamma_point(p, m) == NO
+        # RP2 * RP2: Z/2 in degrees 3 and 4
+        p = ordinal_sum(rp2, chain(1), rp2)
+        prof = poset_homology(p, within=p.comparability_mask(rp2.n))
+        assert prof.torsion == ((), (), (), (2,), (2,), ())
+
+    def test_guard_counts_the_join_of_the_cores(self):
+        # crown2 * crown2 has (1 + 8)(1 + 8) - 1 = 80 chains
+        p = ordinal_sum(crown(2), chain(1), crown(2))
+        assert order_complex(link(p, 4)).total() == 80
+        assert is_gamma_point(p, 4, guard=80) == NO
+        with pytest.raises(GuardExceeded, match="^more than 79 chains$"):
+            is_gamma_point(p, 4, guard=79)
+        # a side of 8 chains over an empty one: the link is that side
+        p = ordinal_sum(crown(2), chain(1))
+        assert is_gamma_point(p, 4, guard=8) == NO
+        with pytest.raises(GuardExceeded, match="^more than 7 chains$"):
+            is_gamma_point(p, 4, guard=7)
+        # the cores are counted, not the sides: tails dismantle first
+        p = ordinal_sum(with_tails(crown(2), 2), chain(1), crown(2))
+        m = p.n - 5
+        assert is_gamma_point(p, m, guard=80) == gamma_by_full_link(p, m) == NO
 
 
 class TestLink:
