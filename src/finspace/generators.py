@@ -7,6 +7,14 @@ import random
 from .poset import PointedPoset, Poset
 
 
+def _zigzag(labels, rising=True):
+    """The (lower, upper) cover pairs of the fence on ``labels`` in order:
+    the first step goes up when ``rising``, down otherwise, and the steps
+    alternate."""
+    return [(lo, hi) if (i % 2 == 0) == rising else (hi, lo)
+            for i, (lo, hi) in enumerate(zip(labels, labels[1:]))]
+
+
 def chain(n):
     """The n-element total order c0 < c1 < ... < c{n-1}."""
     if n < 0:
@@ -27,13 +35,7 @@ def fence(n):
     if n < 1:
         raise ValueError("fence needs n >= 1")
     labels = [f"x{i}" for i in range(n)]
-    covers = []
-    for i in range(n - 1):
-        if i % 2 == 0:
-            covers.append((f"x{i}", f"x{i+1}"))
-        else:
-            covers.append((f"x{i+1}", f"x{i}"))
-    return Poset.from_covers(labels, covers)
+    return Poset.from_covers(labels, _zigzag(labels))
 
 
 def khalimsky_interval(a, b):
@@ -41,14 +43,7 @@ def khalimsky_interval(a, b):
     if a > b:
         raise ValueError("empty interval")
     labels = [str(m) for m in range(a, b + 1)]
-    covers = []
-    for m in range(a, b):
-        lo, hi = m, m + 1
-        if hi % 2 == 0:
-            covers.append((str(lo), str(hi)))
-        else:
-            covers.append((str(hi), str(lo)))
-    return Poset.from_covers(labels, covers)
+    return Poset.from_covers(labels, _zigzag(labels, rising=a % 2 == 1))
 
 
 def crown(n):
@@ -78,11 +73,7 @@ def spider(lengths):
         leg = [f"s{k}_{i}" for i in range(length)]
         labels.extend(leg)
         covers.append(("center", leg[0]))
-        for i in range(length - 1):
-            if i % 2 == 0:
-                covers.append((leg[i], leg[i + 1]))
-            else:
-                covers.append((leg[i + 1], leg[i]))
+        covers.extend(_zigzag(leg))
     p = Poset.from_covers(labels, covers)
     return PointedPoset(p, p.index("center"))
 

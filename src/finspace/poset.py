@@ -10,17 +10,20 @@ transitive reduction, is stored once, as per-element lower- and
 upper-cover masks; ``covers``, the pair set, is read off the upper-cover
 masks when it is asked for.
 
-Posets built from pairs, restricted or quotiented all come from
-``Poset._from_successors``, given a successor mask per element.  One
-iterative depth-first search orders the relation, checks it for cycles
-and fills the up-masks and upper covers as each element finishes; one
-pass over the reversed finishing order fills the down-masks and lower
-covers.  When the ids follow a linear extension (as in every generator)
-the cost is O(n + pairs given) bit tests plus O(covers) mask unions of n
-bits each: building ``chain(n)`` is linear in the number of mask words,
-not quadratic in n.  A core (``reduction.core``) is not rebuilt: a poset
-without beat points is its own core, and a smaller core is closed along
-the Hasse diagram the dismantling already holds.
+``Poset._from_successors`` builds each poset from pairs, each subspace
+and each quotient from the relation it is handed, a successor mask per
+element: the label pairs (``from_covers``; their one check,
+``_successors``, also serves ``Preorder.from_pairs``), the induced order
+(``restrict``) or the order between classes (``kolmogorov_quotient``).
+One iterative depth-first search orders the relation, checks it for
+cycles and fills the up-masks and upper covers as each element finishes;
+one pass over the reversed finishing order fills the down-masks and
+lower covers.  When the ids follow a linear extension (as in every
+generator) the cost is O(n + pairs given) bit tests plus O(covers) mask
+unions of n bits each: building ``chain(n)`` is linear in the number of
+mask words, not quadratic in n.  A core (``reduction.core``) is not
+rebuilt: a poset without beat points is its own core, and a smaller core
+is closed along the Hasse diagram the dismantling already holds.
 
 ``bfs_layers``, ``components`` and ``shortest_path`` are the one BFS
 kernel behind every breadth-first walk in the package; each takes a
@@ -115,6 +118,26 @@ def shortest_path(nbrs, start, goals_mask):
     return None
 
 
+def _successors(labels, pairs):
+    """A successor mask per label from (lower, upper) label pairs, with
+    self-pairs dropped: the one check of label pairs, DuplicateLabel for a
+    repeated label and UnknownLabel for a pair naming none."""
+    index = {}
+    for i, lab in enumerate(labels):
+        if index.setdefault(lab, i) != i:
+            raise DuplicateLabel(f"duplicate label {lab!r}")
+    succ = [0] * len(labels)
+    for a, b in pairs:
+        if a not in index:
+            raise UnknownLabel(f"unknown label {a!r}")
+        if b not in index:
+            raise UnknownLabel(f"unknown label {b!r}")
+        i, j = index[a], index[b]
+        if i != j:
+            succ[i] |= 1 << j
+    return succ
+
+
 class Poset:
     """An immutable finite poset.
 
@@ -155,20 +178,7 @@ class Poset:
         O(covers) mask unions when the ids follow a linear extension.
         """
         labels = list(labels)
-        index = {}
-        for i, lab in enumerate(labels):
-            if index.setdefault(lab, i) != i:
-                raise DuplicateLabel(f"duplicate label {lab!r}")
-        succ = [0] * len(labels)
-        for a, b in cover_pairs:
-            if a not in index:
-                raise UnknownLabel(f"unknown label {a!r}")
-            if b not in index:
-                raise UnknownLabel(f"unknown label {b!r}")
-            i, j = index[a], index[b]
-            if i != j:
-                succ[i] |= 1 << j
-        return cls._from_successors(labels, succ)
+        return cls._from_successors(labels, _successors(labels, cover_pairs))
 
     @classmethod
     def _from_successors(cls, labels, succ):
@@ -255,15 +265,23 @@ class Poset:
         return bool(self.up[x] >> y & 1)
 
     def lt(self, x, y):
+        """x < y.  No verb calls it: it is the strict order in which the
+        paper states covers and beat points, kept beside ``leq``."""
         return x != y and self.leq(x, y)
 
     def comparable(self, x, y):
         return self.leq(x, y) or self.leq(y, x)
 
     def down_set(self, x):
+        """U_x, the minimal open set of x, as a frozenset.  No verb calls
+        it: it is ``down[x]`` as the paper's set, for callers that read
+        sets of ids rather than masks."""
         return frozenset(bits(self.down[x]))
 
     def up_set(self, x):
+        """F_x, the closure of x, as a frozenset.  No verb calls it: it
+        is ``up[x]`` as the paper's set, for callers that read sets of ids
+        rather than masks."""
         return frozenset(bits(self.up[x]))
 
     def comparability_mask(self, x):
@@ -271,12 +289,18 @@ class Poset:
         return (self.down[x] | self.up[x]) & ~(1 << x)
 
     def max_elements(self):
+        """The maximal points.  No verb calls it: they are the closed
+        points of the space."""
         return frozenset(i for i in range(self.n) if self.up[i] == 1 << i)
 
     def min_elements(self):
+        """The minimal points.  No verb calls it: they are the open
+        points of the space."""
         return frozenset(i for i in range(self.n) if self.down[i] == 1 << i)
 
     def is_antichain(self, elements):
+        """Whether no two of the given points are comparable.  No verb
+        calls it: it tests whether they span a discrete subspace."""
         elems = list(elements)
         for i, x in enumerate(elems):
             for y in elems[i + 1:]:
@@ -301,14 +325,17 @@ class Poset:
         return [frozenset(bits(c)) for c in components(self.comparability_mask, self.n)]
 
     def spath_distance(self, x, y):
-        """Shortest comparability-path length from x to y (inf if separated)."""
+        """Shortest comparability-path length from x to y (inf if separated).
+        No verb calls it: with ``ball`` it is the path metric behind the
+        paper's finite-paths and bounded-paths spaces."""
         for d, layer in enumerate(bfs_layers(self.comparability_mask, x)):
             if layer >> y & 1:
                 return d
         return math.inf
 
     def ball(self, x, radius):
-        """{y : spath_distance(x, y) <= radius}."""
+        """{y : spath_distance(x, y) <= radius}.  No verb calls it: it is
+        the ball of the path metric of ``spath_distance``."""
         reached = 0
         for d, layer in enumerate(bfs_layers(self.comparability_mask, x)):
             reached |= layer
@@ -319,43 +346,33 @@ class Poset:
     # -- derived posets -------------------------------------------------
 
     def restrict(self, elements):
-        """Induced subposet on the given elements.
+        """Induced subposet on the given element ids.
 
         Returns (subposet, mapping) where mapping sends old ids to new ids.
-        One pass over the covers in reverse topological order gives, for
-        every element between two kept ones, the kept elements it first
-        reaches through removed ones; on the kept elements these are
-        successor masks that generate the induced order, and
-        ``_from_successors`` orders and reduces them.  Cost: sorting the
-        elements between kept ones plus a mask union per cover among
-        them, with no n^2 closure scan.
+        Each kept element's successors are the kept part of its strict
+        up-set, the induced order itself, which ``_from_successors``
+        reduces to covers.  UnknownLabel for an id outside 0..n - 1.
+        No verb calls it: it is the paper's subspace of a finite space,
+        and the tests' oracle for links, cores and masked complexes.
         """
         keep = sorted(set(elements))
-        old_to_new = {old: new for new, old in enumerate(keep)}
-        labels = [self.labels[i] for i in keep]
-        upper, up = self.upper_covers, self.up
-        kept = above = below = 0
+        kept = 0
         for old in keep:
+            check_point(self, old, "point")
             kept |= 1 << old
-            above |= up[old]
-            below |= self.down[old]
-        # filled for the elements between kept ones; any other element looked
-        # up lies above a kept one, so nothing kept lies above it
-        first = {}
-        succ = [0] * len(keep)
-        for v in sorted(bits(above & below), key=lambda i: up[i].bit_count()):
-            m = upper[v] & kept
-            for c in bits(upper[v] ^ m):
-                m |= first.get(c, 0)
-            first[v] = m
-            if kept >> v & 1:
-                new = old_to_new[v]
-                for c in bits(m):
-                    succ[new] |= 1 << old_to_new[c]
-        return Poset._from_successors(labels, succ), old_to_new
+        old_to_new = {old: new for new, old in enumerate(keep)}
+        succ = []
+        for old in keep:
+            m = 0
+            for j in bits(self.up[old] & kept & ~(1 << old)):
+                m |= 1 << old_to_new[j]
+            succ.append(m)
+        return Poset._from_successors([self.labels[i] for i in keep], succ), old_to_new
 
     def dual(self):
-        """The opposite poset (order reversed)."""
+        """The opposite poset (order reversed).  No verb calls it:
+        it is the opposite space, whose open sets are this one's closed
+        sets, and every statement of the paper has its dual on it."""
         return Poset(self.labels, self.up, self.down, self.upper_covers, self.lower_covers)
 
     def same_order(self, other):
@@ -394,17 +411,9 @@ class Preorder:
         is everything ``bfs_layers`` reaches from i along them, since
         cycles are legal here and no topological order exists."""
         labels = list(labels)
-        index = {lab: i for i, lab in enumerate(labels)}
-        if len(index) != len(labels):
-            raise DuplicateLabel("duplicate labels")
-        n = len(labels)
-        adj = [0] * n
-        for a, b in pairs:
-            if a not in index or b not in index:
-                raise UnknownLabel(f"unknown label in pair ({a!r}, {b!r})")
-            adj[index[a]] |= 1 << index[b]
+        adj = _successors(labels, pairs)
         rel = []
-        for i in range(n):
+        for i in range(len(labels)):
             reach = 0
             for layer in bfs_layers(adj.__getitem__, i):
                 reach |= layer
@@ -413,6 +422,8 @@ class Preorder:
 
     @classmethod
     def from_poset(cls, p):
+        """A poset as the preorder it is.  No verb calls it: it is the input
+        on which ``kolmogorov_quotient`` is the identity."""
         return cls(list(p.labels), list(p.up))
 
     def leq(self, x, y):

@@ -413,8 +413,7 @@ def link(p, x):
     verb calls it: it is the paper's and Barmak's C^_x, which
     ``is_gamma_point`` reads as its two sides on P's own masks."""
     check_point(p, x, "point")
-    members = sorted(bits(p.comparability_mask(x)))
-    sub, _ = p.restrict(members)
+    sub, _ = p.restrict(bits(p.comparability_mask(x)))
     return sub
 
 

@@ -106,6 +106,37 @@ class TestSpider:
             spider([2, 0])
 
 
+class TestZigzagParity:
+    """Every fence-shaped family goes up from an even index in the fence and
+    the spider legs, and up to each even integer in a Khalimsky interval."""
+
+    @staticmethod
+    def label_covers(p):
+        return {(p.labels[a], p.labels[b]) for a, b in p.covers}
+
+    def test_fence(self):
+        for n in range(1, 40):
+            want = {(f"x{i}", f"x{i+1}") if i % 2 == 0 else (f"x{i+1}", f"x{i}")
+                    for i in range(n - 1)}
+            assert self.label_covers(fence(n)) == want, n
+
+    def test_khalimsky(self):
+        for a in range(-7, 8):
+            for length in range(12):
+                want = {(str(m), str(m + 1)) if (m + 1) % 2 == 0 else (str(m + 1), str(m))
+                        for m in range(a, a + length)}
+                assert self.label_covers(khalimsky_interval(a, a + length)) == want, (a, length)
+
+    def test_spider(self):
+        for legs in ([1], [1, 1, 1], [1, 4], [5, 1, 2]):
+            want = set()
+            for k, length in enumerate(legs):
+                want.add(("center", f"s{k}_0"))
+                want |= {(f"s{k}_{i}", f"s{k}_{i+1}") if i % 2 == 0
+                         else (f"s{k}_{i+1}", f"s{k}_{i}") for i in range(length - 1)}
+            assert self.label_covers(spider(legs).poset) == want, legs
+
+
 class TestRandomPoset:
     def test_reproducible(self):
         a = random_poset(8, 0.4, 123)

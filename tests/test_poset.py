@@ -180,6 +180,35 @@ class TestKolmogorov:
                     assert p.leq(proj[x], proj[y])
 
 
+class TestPreorderFromPairs:
+    """``Preorder.from_pairs`` checks its label pairs as ``from_covers`` does."""
+
+    @pytest.mark.parametrize("labels, pairs, error, message", [
+        (["a", "b", "a"], [], DuplicateLabel, "duplicate label 'a'"),
+        (["a", "b"], [("a", "z")], UnknownLabel, "unknown label 'z'"),
+        (["a", "b"], [("z", "a")], UnknownLabel, "unknown label 'z'"),
+        (["a", "b"], [("y", "z")], UnknownLabel, "unknown label 'y'"),
+    ])
+    def test_errors_match_from_covers(self, labels, pairs, error, message):
+        for build in (Poset.from_covers, Preorder.from_pairs):
+            with pytest.raises(error) as err:
+                build(labels, pairs)
+            assert str(err.value) == message
+
+    def test_self_pairs_and_two_cycles(self):
+        labels = ["a", "b", "c"]
+        q = Preorder.from_pairs(labels, [("a", "a"), ("a", "b"), ("b", "a"), ("c", "c")])
+        assert q.rel == [0b011, 0b011, 0b100]
+        assert Preorder.from_pairs(labels, [("a", "b"), ("b", "a")]).rel == q.rel
+
+
+class TestRestrict:
+    def test_ids_out_of_range(self):
+        for keep in ([0, 5], [-1, 0], [3], [0, 1, 2, 3]):
+            with pytest.raises(UnknownLabel):
+                chain(3).restrict(keep)
+
+
 class TestClassify:
     def test_examples(self):
         assert classify(chain(3)).bp_step_bound == 2
