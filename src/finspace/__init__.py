@@ -71,7 +71,6 @@ from .simplicial import (
     chain_counts,
     homology,
     is_gamma_point,
-    link,
     order_complex,
     poset_homology,
 )

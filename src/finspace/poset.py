@@ -66,6 +66,14 @@ def check_mask(p, mask):
     return mask
 
 
+def _linear_extension(p, mask):
+    """The ids of P inside ``mask`` by down-set size in P: x < y makes
+    down[x] a proper subset of down[y], so this is a linear extension of
+    the subposet on ``mask``, ties in ascending id order."""
+    down = p.down
+    return sorted(bits(mask), key=lambda i: down[i].bit_count())
+
+
 def bfs_layers(nbrs, start):
     """Yield the BFS frontiers from ``start`` as masks.
 
@@ -314,7 +322,7 @@ class Poset:
         if self.n == 0:
             raise EmptyPoset("height of the empty poset is undefined")
         h = [0] * self.n
-        for i in sorted(range(self.n), key=lambda i: self.down[i].bit_count()):
+        for i in _linear_extension(self, self.full_mask):
             h[i] = max((h[j] + 1 for j in bits(self.lower_covers[i])), default=0)
         return max(h)
 

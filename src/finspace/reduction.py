@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotABeatPoint, ValidationError
-from .poset import Poset, bits, check_mask, check_point
+from .poset import Poset, _linear_extension, bits, check_mask, check_point
 
 REMOVE_DOWN = "remove-down-beat"
 REMOVE_UP = "remove-up-beat"
@@ -282,8 +282,7 @@ def core(p, basepoint=None):
     keep = list(bits(mask))
     relabel = {old: new for new, old in enumerate(keep)}
     above = [[relabel[b] for b in bits(upper[old])] for old in keep]
-    # a strict order of the core is one of P, so down-set sizes in P rise along it
-    order = sorted(range(len(keep)), key=lambda v: p.down[keep[v]].bit_count())
+    order = [relabel[i] for i in _linear_extension(p, mask)]
     up = [1 << v for v in range(len(keep))]
     down, below = up[:], [0] * len(keep)
     for v in reversed(order):

@@ -43,16 +43,16 @@ homology follows from its factors' by the Kunneth formula for joins
 with Z/s (x) Z/t = Tor(Z/s, Z/t) = Z/gcd(s, t).  ``_ordinal_summands``
 finds the finest decomposition of P in one pass over a linear extension,
 as masks of P, and ``poset_homology`` eliminates the complex of each
-mask's chains alone and folds the results.  The chains of P are counted, by length,
-without listing them: ``chain_counts`` is one dynamic program over the
-same linear extension.  Each of these takes a mask ``within`` of P and
-works on the subposet it induces, on P's own ids.
+mask's chains alone and folds the results.  The chains are counted by
+length the same way, without listing them: ``chain_counts`` counts
+inside each summand and folds the counts.  Each of these takes a mask
+``within`` of P and works on the subposet it induces, on P's own ids.
 
 The link of a point x is the non-Hausdorff join of U^_x, below x, and
 F^_x, above it, a down-set and an up-set of P.  ``is_gamma_point``
 dismantles each side on P's own cover masks cut to it
-(``reduction.core_mask``) and decides on the two kept masks, with no
-link built: the link's core is the join of the sides' cores.
+(``reduction.core_mask``) and hands the two kept masks, whose ordinal
+sum is the link's core, to ``poset_homology``, with no link built.
 
 Python integers cannot overflow.  The guards bound the number
 of simplices, not the fill-in of the elimination.
@@ -63,15 +63,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import GuardExceeded
-from .poset import bits, check_mask, check_point
+from .poset import _linear_extension, bits, check_mask, check_point
 from .reduction import core_mask
 
 # bounds the chains listed (order_complex) or counted (chain_counts, so
-# poset_homology and is_gamma_point before they list any) and the
-# simplices whose homology is computed (homology)
+# poset_homology, and is_gamma_point through it, before they list any)
+# and the simplices whose homology is computed (homology)
 COMPLEX_GUARD = 100_000
 
 CERTIFIED_YES = "certified_yes"
@@ -133,73 +133,72 @@ def order_complex(p, guard=COMPLEX_GUARD, within=None):
     return SimplicialComplex(simplices)
 
 
-def _linear_extension(p, mask):
-    """The ids of P inside ``mask`` by down-set size in P: x < y makes
-    down[x] a proper subset of down[y], so this is a linear extension of
-    that subposet."""
-    down = p.down
-    return sorted(bits(mask), key=lambda i: down[i].bit_count())
-
-
 def chain_counts(p, guard=COMPLEX_GUARD, within=None):
     """counts[d] = the number of chains of d + 1 elements of P inside the
     mask ``within`` (all of P by default), that is the d-simplices of the
     order complex of that subposet, without listing them.
 
-    One pass over a linear extension: the chains topped by y are y alone
-    and y above a chain topped by some x < y.  The counts by length of the
-    chains topped by y are packed into one int, slot d (bits d*w up to
-    (d+1)*w) holding those of d + 1 elements, so y above the chains
-    topped by x is that int shifted up one slot, and y's int is 1 plus
-    the shifted sum of the ints of the x below it.  A scalar running
-    total of the chains, per element, is checked against the guard after
-    each element, with ``order_complex``'s message.
+    Within an ordinal summand, one pass over its ids in a linear
+    extension: the chains topped by y are y alone and y above a chain
+    topped by some x < y.  Their counts by length are packed into one int,
+    slot d (bits d*w up to (d+1)*w) holding those of d + 1 elements, so
+    y's int is 1 plus the sum of the ints of the x below it shifted up
+    one slot.  A chain of A + B is a chain of A joined to one of B, either
+    possibly empty, so the summands' sums, shifted up one slot with 1 for
+    the empty chain, fold by one integer product.  The running number of
+    chains is checked against the guard after each element, with
+    ``order_complex``'s message; it only grows, so the guard refuses
+    exactly when the whole count exceeds it.
 
     No slot carries into the next when w = guard.bit_length() (at least
     1), so 2**w > guard: every slot holds at most max(1, guard).  The
     elements before y passed the check, so their chains number at most
     the guard; a slot of y's int is 1 (y alone) or counts some of them
-    (y above them), and so is a slot of the sum over the x below y.  A
-    slot of the total is added only after its element passed the check.
+    (y above them), and so is a slot of the sum over the x below y, and
+    of the product once the summand's last element passed the check.
     """
     width = max(1, guard.bit_length())
-    mask = check_mask(p, within)
-    ending = {}  # ending[y]: the packed counts of the chains topped by y
-    tops = {}  # tops[y]: the number of chains topped by y
-    packed = total = 0
     down = p.down
-    for y in _linear_extension(p, mask):
-        below = list(bits(down[y] & mask ^ 1 << y))
-        mine = 1 + (sum(map(ending.__getitem__, below)) << width)
-        tops[y] = count = 1 + sum(map(tops.__getitem__, below))
-        total += count
-        if total > guard:
-            raise GuardExceeded(f"more than {guard} chains")
-        ending[y] = mine
-        packed += mine
+    packed = chains = 1  # the summands folded so far, with the empty chain
+    for summand, ids in _ordinal_summands(p, within):
+        ending = {}  # ending[y]: the packed counts of the chains topped by y
+        tops = {}  # tops[y]: the number of chains topped by y
+        inside = total = 0
+        for y in ids:
+            below = list(bits(down[y] & summand ^ 1 << y))
+            mine = 1 + (sum(map(ending.__getitem__, below)) << width)
+            tops[y] = count = 1 + sum(map(tops.__getitem__, below))
+            total += count
+            if chains * (1 + total) - 1 > guard:
+                raise GuardExceeded(f"more than {guard} chains")
+            ending[y] = mine
+            inside += mine
+        packed *= 1 + (inside << width)
+        chains *= 1 + total
     slot = (1 << width) - 1
-    return [(packed >> d * width) & slot for d in range(-(-packed.bit_length() // width))]
+    return [(packed >> k * width) & slot for k in range(1, -(-packed.bit_length() // width))]
 
 
 def _ordinal_summands(p, within=None):
     """The finest decomposition of the subposet on the mask ``within`` (all
     of P by default) as an ordinal sum P_1 + ... + P_k (every element of
-    P_i below every element of P_j for i < j), as masks of P, bottom first.
+    P_i below every element of P_j for i < j), bottom first, each as its
+    mask of P and its ids in a linear extension.
 
     P_1 + ... + P_i is a prefix of every linear extension, so one pass over
     one finds the cuts: a cut falls after a prefix when every element
     after it lies in the intersection of the prefix's up-sets.
     """
     summands = []
-    block = 0
-    rest = common = check_mask(p, within)
+    ids = []
+    rest = common = left = check_mask(p, within)  # left: what the last cut left
     for y in _linear_extension(p, rest):
-        block |= 1 << y
+        ids.append(y)
         rest ^= 1 << y
         common &= p.up[y]
         if not rest & ~common:
-            summands.append(block)
-            block = 0
+            summands.append((left ^ rest, ids))
+            left, ids = rest, []
     return summands
 
 
@@ -392,29 +391,14 @@ def poset_homology(p, guard=COMPLEX_GUARD, within=None):
     ``within`` (all of P by default); the guard bounds its chains.
 
     The chains are counted first, so the guard refuses exactly what
-    ``order_complex(p, within=within)`` refuses; then the groups of the
-    ordinal summands are folded (``_summed_homology``).
+    ``order_complex(p, within=within)`` refuses; then each ordinal
+    summand's complex is listed on P's own ids and eliminated alone, and
+    the groups are folded by ``_join_homology`` (none for an empty mask).
     """
     chain_counts(p, guard, within)
-    return _summed_homology(p, guard, within)
-
-
-def _summed_homology(p, guard, within):
-    """The reduced homology of each ordinal summand's complex, listed on
-    P's own ids, folded by ``_join_homology``; a mask with no elements has
-    no summand and the empty profile.  Its chains are already counted."""
     parts = [homology(order_complex(p, guard, s), reduced=True, guard=guard)
-             for s in _ordinal_summands(p, within)]
+             for s, _ in _ordinal_summands(p, within)]
     return reduce(_join_homology, parts) if parts else HomologyProfile((), ())
-
-
-def link(p, x):
-    """The subspace of all points comparable to x, minus x itself.  No
-    verb calls it: it is the paper's and Barmak's C^_x, which
-    ``is_gamma_point`` reads as its two sides on P's own masks."""
-    check_point(p, x, "point")
-    sub, _ = p.restrict(bits(p.comparability_mask(x)))
-    return sub
 
 
 def is_gamma_point(p, x, guard=COMPLEX_GUARD):
@@ -433,21 +417,16 @@ def is_gamma_point(p, x, guard=COMPLEX_GUARD):
     A (or B) is one of its join with B (A) as well, so the core of the
     link is core(A) * core(B).  That is a point iff one side's core is a
     point, as a core of more than one point has no maximum and no
-    minimum.  Otherwise the link is homotopy equivalent to that core,
-    whose chains number (1 + c_A)(1 + c_B) - 1 for the chain counts c_A
-    and c_B of the sides' cores; the guard bounds that number, and the
-    groups are those of the kept masks' summands, folded by the join
-    formula.  The cost is O(|link|) mask operations plus the dismantling
-    of each side, and, when neither side's core is a point, a count of
-    each side's core chains and the homology of their summands.
+    minimum.  Otherwise the link is homotopy equivalent to that core, the
+    ordinal sum of the two kept masks, and ``poset_homology`` decides it:
+    its guard bounds the core's (1 + c_A)(1 + c_B) - 1 chains, for the
+    chain counts c_A and c_B of the sides' cores.  The cost is O(|link|)
+    mask operations plus the dismantling of each side, and, when neither
+    side's core is a point, the count and homology of the core's summands.
     """
     check_point(p, x, "point")
     bit = 1 << x
-    sides = [core_mask(p, p.down[x] ^ bit), core_mask(p, p.up[x] ^ bit)]
-    if any(side.bit_count() == 1 for side in sides):
+    below, above = core_mask(p, p.down[x] ^ bit), core_mask(p, p.up[x] ^ bit)
+    if below.bit_count() == 1 or above.bit_count() == 1:
         return CERTIFIED_YES
-    chains = prod(1 + sum(chain_counts(p, guard, side)) for side in sides) - 1
-    if chains > guard:
-        raise GuardExceeded(f"more than {guard} chains")
-    acyclic = _summed_homology(p, guard, sides[0] | sides[1]).is_acyclic()
-    return HOMOLOGY_YES if acyclic else NO
+    return HOMOLOGY_YES if poset_homology(p, guard, below | above).is_acyclic() else NO

@@ -11,7 +11,7 @@ import pytest
 from finspace.errors import CycleError, DuplicateLabel, GuardExceeded, UnknownLabel
 from finspace.homotopy import IsoWitness, are_isomorphic
 from finspace.maps import MonotoneMap, _iter_assignments, enumerate_monotone
-from finspace.poset import ClassifyRecord, Poset, bits, components
+from finspace.poset import ClassifyRecord, Poset, bits, check_point, components
 from finspace.reduction import BULK_DOWN, BULK_UP, REMOVE_DOWN, REMOVE_UP
 from finspace.simplicial import (
     CERTIFIED_YES, HOMOLOGY_YES, NO, HomologyProfile, _smith_invariant_factors, order_complex,
@@ -535,6 +535,16 @@ def same_homology(a, b):
     the dimensions of their complexes and so may differ."""
     top = max(len(a.betti), len(b.betti))
     return all(a.degree(d) == b.degree(d) for d in range(top))
+
+
+def link(p, x):
+    """The subspace of all points comparable to x, minus x itself: the
+    paper's and Barmak's C^_x, which ``simplicial.is_gamma_point`` reads
+    as its two sides on P's own masks.  UnknownLabel for x outside
+    0..n - 1."""
+    check_point(p, x, "point")
+    sub, _ = p.restrict(bits(p.comparability_mask(x)))
+    return sub
 
 
 def gamma_by_full_link(p, x):

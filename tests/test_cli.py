@@ -10,7 +10,7 @@ import pytest
 
 from finspace import (
     MonotoneMap, ParseError, Poset, antichain, chain, crown, enumerate_monotone, fence, homology,
-    link, order_complex,
+    order_complex,
 )
 from finspace.cli import (
     EXIT_GUARD,
@@ -29,7 +29,7 @@ from finspace.cli import (
 
 from finspace.maps import DEFAULT_MAP_GUARD
 
-from helpers import layered, time_limit, with_tails
+from helpers import layered, link, time_limit, with_tails
 
 DATA = pathlib.Path(__file__).parent / "data"
 

@@ -17,7 +17,6 @@ from finspace import (
     fence,
     homology,
     is_gamma_point,
-    link,
     order_complex,
     poset_homology,
 )
@@ -37,7 +36,7 @@ from finspace.simplicial import (
 )
 
 from helpers import (
-    boundary_rows, gamma_by_full_link, homology_dense, invariant_factors_by_minors, layered,
+    boundary_rows, gamma_by_full_link, homology_dense, invariant_factors_by_minors, layered, link,
     maxima_and_covers, same_homology, with_tails,
 )
 
@@ -383,7 +382,7 @@ class TestOrdinalSums:
         cases += [seeded_random_poset(seed) for seed in range(40)]
         assert len(cases) > 80
         for p in cases:
-            assert [sorted(bits(s)) for s in _ordinal_summands(p)] == summands_by_cuts(p)
+            assert [sorted(bits(s)) for s, _ in _ordinal_summands(p)] == summands_by_cuts(p)
         assert _ordinal_summands(Poset.from_covers([], [])) == []
 
     def test_join_formula_matches_whole_complex(self):
@@ -418,7 +417,7 @@ class TestOrdinalSums:
         # the chains inside a summand's mask are the order complex of the
         # summand as a subposet, mapped back to P's ids
         for p in summand_corpus():
-            for s in _ordinal_summands(p):
+            for s, _ in _ordinal_summands(p):
                 sub, old_to_new = p.restrict(bits(s))
                 old = {new: v for v, new in old_to_new.items()}
                 expected = tuple(tuple(sorted(tuple(old[v] for v in face) for face in faces))
@@ -455,7 +454,7 @@ def masked_cases():
         for x in range(p.n):
             bit = 1 << x
             yield from ((p, m) for m in (p.down[x], p.up[x], p.down[x] ^ bit, p.up[x] ^ bit))
-        yield from ((p, s) for s in _ordinal_summands(p))
+        yield from ((p, s) for s, _ in _ordinal_summands(p))
 
 
 def subposet_complex(p, mask):
@@ -479,7 +478,7 @@ class TestMaskedChainCounts:
             sub, _ = p.restrict(members)
             # summands_by_cuts has one empty part for the empty poset, which has none
             expected = [[members[v] for v in part] for part in summands_by_cuts(sub) if part]
-            assert [sorted(bits(s)) for s in _ordinal_summands(p, mask)] == expected
+            assert [sorted(bits(s)) for s, _ in _ordinal_summands(p, mask)] == expected
             prof = poset_homology(p, within=mask)
             assert prof == homology(order_complex(sub), reduced=True)
 
@@ -488,7 +487,8 @@ class TestMaskedChainCounts:
         """(P, mask, chains by length) with totals at and next to powers of
         two: an antichain puts its whole total in one slot, a chain of k
         has 2**k - 1 chains, binomially by length, and each also sits as a
-        down-set under a point."""
+        down-set under a point; then ordinal sums of several summands that
+        are not antichains."""
         for k in range(1, 11):
             for t in (2**k - 1, 2**k, 2**k + 1):
                 yield antichain(t), None, [t]
@@ -497,6 +497,28 @@ class TestMaskedChainCounts:
         for q, expected in ((antichain(64), [64]), (chain(9), [comb(9, d + 1) for d in range(9)])):
             p = ordinal_sum(q, chain(1), antichain(3))
             yield p, p.down[q.n] ^ 1 << q.n, expected
+        # sums of crowns, chains and RP2, whole and under a point: a chain of
+        # a sum is a chain of each summand, any of them empty, so the counts
+        # by size multiply as polynomials; totals 17, 33 and 65 sit one
+        # above a power of two, and crown2 + m + crown2 has 161
+        rp2 = rp2_face_poset()
+        for parts in ((chain(1), crown(2)), (chain(1), crown(4)), (crown(8), chain(1)),
+                      (crown(2), chain(1), crown(2)), (chain(3), crown(4)),
+                      (crown(2), crown(3), chain(2)), (rp2, chain(1), rp2)):
+            sizes = [1]
+            for q in parts:
+                k = order_complex(q)
+                factor = [1] + [k.count(d) for d in range(k.dimension() + 1)]
+                product = [0] * (len(sizes) + len(factor) - 1)
+                for i, a in enumerate(sizes):
+                    for j, b in enumerate(factor):
+                        product[i + j] += a * b
+                sizes = product
+            p = ordinal_sum(*parts)
+            yield p, None, sizes[1:]
+            p = ordinal_sum(*parts, chain(1))
+            top = p.n - 1
+            yield p, p.down[top] ^ 1 << top, sizes[1:]
 
     def test_guard_at_the_total_and_one_below(self):
         for p, mask, expected in self.slot_cases():
