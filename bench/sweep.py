@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 bench/sweep.py BENCH_30.json
+    python3 bench/sweep.py BENCH_33.json
 
 Times, each the best of three calls:
 
@@ -13,10 +13,11 @@ Times, each the best of three calls:
   and on ``crown(k)`` with a pendant point hung on each element (above a
   minimal one, below a maximal one, so the pendants are the only beat
   points and the core is rebuilt), for k = 400, 800, ..., 6400;
-- ``poset_homology`` and the ``gamma`` verb's loop (``is_gamma_point`` at
-  every point) on the sphere model S^d (two incomparable points at each
-  of d + 1 levels) and on ``layered(4, d)`` (four at each of d levels),
-  for d = 1, 2, 4, 8, ...
+- ``poset_homology`` and the ``gamma`` verb's path (``gamma_points``,
+  every point in one call; the row keeps its name ``gamma_loop``) on the
+  sphere model S^d (two incomparable points at each of d + 1 levels) and
+  on ``layered(4, d)`` (four at each of d levels), for d = 1, 2, 4, 8,
+  ...
 
 and writes one row per rung to the given JSON file: ``n`` the number of
 points, ``d`` the doubled parameter of the crown and homology rows, the time in ms
@@ -25,7 +26,8 @@ the first rung past 1 s, or at the first rung refused by the guard of
 10^6 chains (the CLI's default ``--max-enum``), which is written with
 ``ms`` null and the guard's message.  The script calls only the public
 API of the ``finspace`` under ``src/`` next to it, so a copy of it runs
-unchanged in an older checkout.
+unchanged in an older checkout that has ``gamma_points``, the newest
+name it calls.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def sweep(finspace):
         return finspace.poset_homology(p, guard=GUARD)
 
     def gamma_loop(p):
-        return [finspace.is_gamma_point(p, x, guard=GUARD) for x in range(p.n)]
+        return finspace.gamma_points(p, guard=GUARD)
 
     families = {"sphere": (2, 1), "layered4": (4, 0)}  # width, levels beyond d
     for layer, fn in (("poset_homology", homology), ("gamma_loop", gamma_loop)):

@@ -69,6 +69,7 @@ from .simplicial import (
     HomologyProfile,
     SimplicialComplex,
     chain_counts,
+    gamma_points,
     homology,
     is_gamma_point,
     order_complex,

@@ -336,8 +336,7 @@ def cmd_function_space(args, first, second):
 
 def cmd_gamma(args, first):
     p = first[0]
-    verdicts = {p.labels[x]: simplicial.is_gamma_point(p, x, guard=args.max_enum)
-                for x in range(p.n)}
+    verdicts = dict(zip(p.labels, simplicial.gamma_points(p, guard=args.max_enum)))
     certified = sum(v == simplicial.CERTIFIED_YES for v in verdicts.values())
     return {"verdicts": verdicts}, f"{certified} certified gamma-points of {p.n}", True
 

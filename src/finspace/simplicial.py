@@ -42,17 +42,25 @@ homology follows from its factors' by the Kunneth formula for joins
 
 with Z/s (x) Z/t = Tor(Z/s, Z/t) = Z/gcd(s, t).  ``_ordinal_summands``
 finds the finest decomposition of P in one pass over a linear extension,
-as masks of P, and ``poset_homology`` eliminates the complex of each
-mask's chains alone and folds the results.  The chains are counted by
-length the same way, without listing them: ``chain_counts`` counts
-inside each summand and folds the counts.  Each of these takes a mask
-``within`` of P and works on the subposet it induces, on P's own ids.
+as masks of P, each with its ids in that order.  The chains inside one
+summand are counted on those ids without listing them
+(``_summand_chains``), and a chain of A + B is a chain of A joined to
+one of B, so counts fold by products: ``chain_counts`` folds them by
+length.  ``poset_homology`` walks the summands once: it counts each
+against the guard, then eliminates the complex of each summand's chains
+alone and folds the groups.  Each of these takes a mask ``within`` of P
+and works on the subposet it induces, on P's own ids.
 
 The link of a point x is the non-Hausdorff join of U^_x, below x, and
-F^_x, above it, a down-set and an up-set of P.  ``is_gamma_point``
-dismantles each side on P's own cover masks cut to it
-(``reduction.core_mask``) and hands the two kept masks, whose ordinal
-sum is the link's core, to ``poset_homology``, with no link built.
+F^_x, above it, a down-set and an up-set of P.  ``gamma_points`` decides
+every point in one call, with no link built: it dismantles each side on
+P's own cover masks cut to it (``reduction.core_mask``), and unless one
+side's core is a point, the link's core is the ordinal sum of the two
+kept masks, whose chains are counted and whose groups are the join of
+the two sides'.  Points share sides, and sides share summands, so each
+side is dismantled and counted once, each summand counted and
+eliminated once, and each fold stored under its mask, in dicts that
+live for the call.  ``is_gamma_point`` runs the same loop on one point.
 
 Python integers cannot overflow.  The guards bound the number
 of simplices, not the fill-in of the elimination.
@@ -61,7 +69,6 @@ of simplices, not the fill-in of the elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
@@ -69,9 +76,9 @@ from .errors import GuardExceeded
 from .poset import _linear_extension, bits, check_mask, check_point
 from .reduction import core_mask
 
-# bounds the chains listed (order_complex) or counted (chain_counts, so
-# poset_homology, and is_gamma_point through it, before they list any)
-# and the simplices whose homology is computed (homology)
+# bounds the chains listed (order_complex) or counted (chain_counts,
+# poset_homology and gamma_points, before they list any) and the
+# simplices whose homology is computed (homology)
 COMPLEX_GUARD = 100_000
 
 CERTIFIED_YES = "certified_yes"
@@ -138,17 +145,13 @@ def chain_counts(p, guard=COMPLEX_GUARD, within=None):
     mask ``within`` (all of P by default), that is the d-simplices of the
     order complex of that subposet, without listing them.
 
-    Within an ordinal summand, one pass over its ids in a linear
-    extension: the chains topped by y are y alone and y above a chain
-    topped by some x < y.  Their counts by length are packed into one int,
-    slot d (bits d*w up to (d+1)*w) holding those of d + 1 elements, so
-    y's int is 1 plus the sum of the ints of the x below it shifted up
-    one slot.  A chain of A + B is a chain of A joined to one of B, either
-    possibly empty, so the summands' sums, shifted up one slot with 1 for
-    the empty chain, fold by one integer product.  The running number of
-    chains is checked against the guard after each element, with
-    ``order_complex``'s message; it only grows, so the guard refuses
-    exactly when the whole count exceeds it.
+    Each ordinal summand is counted alone (``_summand_chains``), its
+    counts by length packed into one int, slot d (bits d*w up to
+    (d+1)*w) holding those of d + 1 elements.  A chain of A + B is a chain
+    of A joined to one of B, either possibly empty, so the summands'
+    packed counts, shifted up one slot with 1 for the empty chain, fold by
+    one integer product.  The guard refuses exactly when the whole count
+    exceeds it, with ``order_complex``'s message.
 
     No slot carries into the next when w = guard.bit_length() (at least
     1), so 2**w > guard: every slot holds at most max(1, guard).  The
@@ -158,25 +161,44 @@ def chain_counts(p, guard=COMPLEX_GUARD, within=None):
     of the product once the summand's last element passed the check.
     """
     width = max(1, guard.bit_length())
-    down = p.down
     packed = chains = 1  # the summands folded so far, with the empty chain
     for summand, ids in _ordinal_summands(p, within):
-        ending = {}  # ending[y]: the packed counts of the chains topped by y
-        tops = {}  # tops[y]: the number of chains topped by y
-        inside = total = 0
-        for y in ids:
-            below = list(bits(down[y] & summand ^ 1 << y))
-            mine = 1 + (sum(map(ending.__getitem__, below)) << width)
-            tops[y] = count = 1 + sum(map(tops.__getitem__, below))
-            total += count
-            if chains * (1 + total) - 1 > guard:
-                raise GuardExceeded(f"more than {guard} chains")
-            ending[y] = mine
-            inside += mine
+        inside, total = _summand_chains(p, summand, ids, guard, chains)
         packed *= 1 + (inside << width)
         chains *= 1 + total
     slot = (1 << width) - 1
     return [(packed >> k * width) & slot for k in range(1, -(-packed.bit_length() // width))]
+
+
+def _summand_chains(p, summand, ids, guard, chains=1):
+    """The chains of one ordinal summand, given as its mask of P and its
+    ids in a linear extension, without listing them: their counts by
+    length packed into one int of ``guard.bit_length()``-bit slots (see
+    ``chain_counts``), and their number.
+
+    One pass over the ids: the chains topped by y are y alone and y above
+    a chain topped by some x < y.  ``chains`` is 1 plus the number of
+    chains of the summands below this one; a chain of the sum is one of
+    theirs joined to one of this summand's, so the running number of
+    chains of the sum is checked against the guard after each element,
+    with ``order_complex``'s message.  It only grows, so the guard refuses
+    exactly when the whole count exceeds it.
+    """
+    width = max(1, guard.bit_length())
+    down = p.down
+    ending = {}  # ending[y]: the packed counts of the chains topped by y
+    tops = {}  # tops[y]: the number of chains topped by y
+    inside = total = 0
+    for y in ids:
+        below = list(bits(down[y] & summand ^ 1 << y))
+        mine = 1 + (sum(map(ending.__getitem__, below)) << width)
+        tops[y] = count = 1 + sum(map(tops.__getitem__, below))
+        total += count
+        if chains * (1 + total) - 1 > guard:
+            raise GuardExceeded(f"more than {guard} chains")
+        ending[y] = mine
+        inside += mine
+    return inside, total
 
 
 def _ordinal_summands(p, within=None):
@@ -374,8 +396,13 @@ def _join_homology(a, b):
     top = len(a.betti) + len(b.betti)
     betti = [0] * top
     orders = [[] for _ in range(top + 1)]  # the cyclic torsion summands of each degree
+    # a zero group contributes nothing, so only the nonzero degrees are paired
+    nonzero_b = [(j, free, tors) for j, (free, tors) in enumerate(zip(b.betti, b.torsion))
+                 if free or tors]
     for i, (free_a, tors_a) in enumerate(zip(a.betti, a.torsion)):
-        for j, (free_b, tors_b) in enumerate(zip(b.betti, b.torsion)):
+        if not (free_a or tors_a):
+            continue
+        for j, free_b, tors_b in nonzero_b:
             m = i + j + 1
             betti[m] += free_a * free_b
             orders[m] += list(tors_a) * free_b + list(tors_b) * free_a
@@ -386,19 +413,76 @@ def _join_homology(a, b):
     return HomologyProfile(tuple(betti), torsion)
 
 
+def _count_summands(p, guard, summands, counts):
+    """1 plus the number of chains of the ordinal sum of ``summands``,
+    ``(mask, ids)`` pairs from ``_ordinal_summands``: a chain of the sum is
+    a chain of each summand, any of them empty.  The dict ``counts`` maps
+    summand masks to their numbers of chains and is read and extended, so
+    a summand is counted once per dict.  A summand counted here is checked
+    against the guard with the running product (``_summand_chains``); one
+    read from ``counts`` is not, so a caller that shares ``counts`` checks
+    the total itself."""
+    chains = 1
+    for summand, ids in summands:
+        count = counts.get(summand)
+        if count is None:
+            count = counts[summand] = _summand_chains(p, summand, ids, guard, chains)[1]
+        chains *= 1 + count
+    return chains
+
+
+def _fold_homology(p, guard, summands, known):
+    """Reduced homology of the ordinal sum of ``summands`` (the empty
+    space's for none), folded from the first summand by ``_join_homology``.
+
+    The dict ``known`` maps masks of P to the reduced homology of the
+    subposet on them and is read and extended: each summand's complex is
+    listed on P's own ids and eliminated only when its mask is missing,
+    and the sum of the first j summands is stored under its mask, so sums
+    that begin alike share their folds.  Their chains must have been
+    counted against the guard first.
+    """
+    prof = HomologyProfile((), ())
+    mask = 0
+    for summand, _ in summands:
+        mask |= summand
+        folded = known.get(mask)
+        if folded is None:
+            part = known.get(summand)
+            if part is None:
+                part = known[summand] = homology(order_complex(p, guard, summand),
+                                                 reduced=True, guard=guard)
+            folded = known[mask] = part if mask == summand else _join_homology(prof, part)
+        prof = folded
+    return prof
+
+
 def poset_homology(p, guard=COMPLEX_GUARD, within=None):
     """Reduced homology of the order complex of the subposet on the mask
     ``within`` (all of P by default); the guard bounds its chains.
 
-    The chains are counted first, so the guard refuses exactly what
-    ``order_complex(p, within=within)`` refuses; then each ordinal
-    summand's complex is listed on P's own ids and eliminated alone, and
-    the groups are folded by ``_join_homology`` (none for an empty mask).
+    One walk of the ordinal summands: the chains of each are counted on
+    the ids the walk gives it, so the guard refuses exactly what
+    ``order_complex(p, within=within)`` refuses, before any complex is
+    built; then each summand's complex is listed and eliminated alone and
+    the groups are folded (``_fold_homology``).
     """
-    chain_counts(p, guard, within)
-    parts = [homology(order_complex(p, guard, s), reduced=True, guard=guard)
-             for s, _ in _ordinal_summands(p, within)]
-    return reduce(_join_homology, parts) if parts else HomologyProfile((), ())
+    summands = _ordinal_summands(p, within)
+    _count_summands(p, guard, summands, {})
+    return _fold_homology(p, guard, summands, {})
+
+
+def gamma_points(p, guard=COMPLEX_GUARD):
+    """The ``is_gamma_point`` verdict of every point of P, by id.
+
+    Points that share a side of their link share its work: each side is
+    dismantled and its core's chains counted once, each ordinal summand
+    of a core is counted, listed and eliminated once, whichever points'
+    links hold it, and each fold of a core's groups is kept under its
+    mask, so cores that begin alike share their folds.  Nothing is kept
+    past the call.
+    """
+    return _gamma_verdicts(p, range(p.n), guard)
 
 
 def is_gamma_point(p, x, guard=COMPLEX_GUARD):
@@ -418,15 +502,51 @@ def is_gamma_point(p, x, guard=COMPLEX_GUARD):
     link is core(A) * core(B).  That is a point iff one side's core is a
     point, as a core of more than one point has no maximum and no
     minimum.  Otherwise the link is homotopy equivalent to that core, the
-    ordinal sum of the two kept masks, and ``poset_homology`` decides it:
-    its guard bounds the core's (1 + c_A)(1 + c_B) - 1 chains, for the
-    chain counts c_A and c_B of the sides' cores.  The cost is O(|link|)
-    mask operations plus the dismantling of each side, and, when neither
-    side's core is a point, the count and homology of the core's summands.
+    ordinal sum of the two kept masks: the guard bounds its
+    (1 + c_A)(1 + c_B) - 1 chains, for the chain counts c_A and c_B of the
+    sides' cores, and its reduced homology is the join of theirs.  The
+    cost is O(|link|) mask operations plus the dismantling of each side,
+    and, when neither side's core is a point, the count and homology of
+    the cores' summands.  ``gamma_points`` decides every point at once.
     """
     check_point(p, x, "point")
-    bit = 1 << x
-    below, above = core_mask(p, p.down[x] ^ bit), core_mask(p, p.up[x] ^ bit)
-    if below.bit_count() == 1 or above.bit_count() == 1:
-        return CERTIFIED_YES
-    return HOMOLOGY_YES if poset_homology(p, guard, below | above).is_acyclic() else NO
+    return _gamma_verdicts(p, (x,), guard)[0]
+
+
+def _gamma_verdicts(p, points, guard):
+    """The verdicts of ``points``, in order, with the work on each side,
+    core and summand done once per call (``gamma_points``)."""
+    sides = {}  # side mask -> [kept mask, its summands, 1 + its chain count]
+    counts = {}  # summand mask -> its number of chains
+    known = {}  # mask of a summand or of a kept mask's summands from one end -> its homology
+
+    def side(mask):
+        entry = sides.get(mask)
+        if entry is None:
+            entry = sides[mask] = [core_mask(p, mask), None, None]
+        return entry
+
+    def chains(entry):
+        if entry[2] is None:
+            entry[1] = _ordinal_summands(p, entry[0])
+            entry[2] = _count_summands(p, guard, entry[1], counts)
+        return entry[2]
+
+    verdicts = []
+    for x in points:
+        bit = 1 << x
+        below, above = side(p.down[x] ^ bit), side(p.up[x] ^ bit)
+        if below[0].bit_count() == 1 or above[0].bit_count() == 1:
+            verdicts.append(CERTIFIED_YES)
+            continue
+        # counted only now: a link with a side whose core is a point needs none
+        if chains(below) * chains(above) - 1 > guard:
+            raise GuardExceeded(f"more than {guard} chains")
+        # each side folded from its end away from x, where the sides of
+        # the points below (above) x begin alike; an empty side adds nothing
+        prof = _fold_homology(p, guard, below[1], known)
+        if above[0]:
+            upper = _fold_homology(p, guard, above[1][::-1], known)
+            prof = _join_homology(prof, upper) if below[0] else upper
+        verdicts.append(HOMOLOGY_YES if prof.is_acyclic() else NO)
+    return verdicts

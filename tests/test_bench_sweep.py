@@ -1,5 +1,5 @@
 """The per-layer doubling sweep still runs against the package: every
-(layer, family) row of the checked-in ``BENCH_30.json`` comes back, with a
+(layer, family) row of the checked-in ``BENCH_33.json`` comes back, with a
 time or a guard message, so an API change cannot silently break it."""
 
 import importlib.util
@@ -23,5 +23,5 @@ def test_sweep_covers_checked_in_rows():
     for r in rows:
         assert (r["ms"] is None) == ("guard" in r), r
     want = {(r["layer"], r["family"])
-            for r in json.loads((ROOT / "BENCH_30.json").read_text())["rows"]}
+            for r in json.loads((ROOT / "BENCH_33.json").read_text())["rows"]}
     assert want <= {(r["layer"], r["family"]) for r in rows}

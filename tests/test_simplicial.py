@@ -15,13 +15,16 @@ from finspace import (
     core,
     crown,
     fence,
+    gamma_points,
     homology,
     is_gamma_point,
     order_complex,
     poset_homology,
 )
+from finspace import simplicial
 from finspace.generators import random_poset
 from finspace.poset import bits
+from finspace.reduction import core_mask
 from finspace.simplicial import (
     CERTIFIED_YES,
     HOMOLOGY_YES,
@@ -441,9 +444,10 @@ class TestOrdinalSums:
                 fn(p, guard=total - 1)
 
     def test_gamma_on_sums_matches_full_link(self):
-        for p in summand_corpus()[:30]:
-            for x in range(p.n):
-                assert is_gamma_point(p, x) == gamma_by_full_link(p, x)
+        for p in summand_corpus():
+            verdicts = gamma_points(p)
+            assert verdicts == [gamma_by_full_link(p, x) for x in range(p.n)]
+            assert verdicts == [is_gamma_point(p, x) for x in range(p.n)]
 
 
 def masked_cases():
@@ -655,8 +659,48 @@ class TestGammaPoints:
         cases += [with_tails(layered(2, d + 1), 2) for d in (1, 2, 3)]
         cases += [crown(k) for k in range(2, 6)] + [rp2_face_poset()]
         for p in cases:
+            verdicts = gamma_points(p)
+            assert len(verdicts) == p.n
             for x in range(p.n):
-                assert is_gamma_point(p, x) == gamma_by_full_link(p, x)
+                assert is_gamma_point(p, x) == verdicts[x] == gamma_by_full_link(p, x)
+
+    def test_all_points_match_each_point_on_two_sided_links(self):
+        for (a, lower), (b, upper) in product(TestTwoSidedLinks.sides().items(), repeat=2):
+            p = ordinal_sum(lower, chain(1), upper)
+            verdicts = gamma_points(p)
+            assert verdicts == [is_gamma_point(p, x) for x in range(p.n)], (a, b)
+            # the dense oracle cannot afford m's link when both sides are large
+            dense = "antichain2" in (a, b) or "rp2" not in (a, b)
+            assert all(verdicts[x] == gamma_by_full_link(p, x)
+                       for x in range(p.n) if dense or x != lower.n), (a, b)
+
+    def test_each_side_dismantled_and_each_summand_listed_once(self, monkeypatch):
+        # the points of an antichain share a side whose tails dismantle,
+        # and points share summands that are not whole sides
+        dismantled, listed = [], []
+
+        def counting_core_mask(p, within=None):
+            dismantled.append(within)
+            return core_mask(p, within)
+
+        def counting_order_complex(p, guard=simplicial.COMPLEX_GUARD, within=None):
+            listed.append(within)
+            return order_complex(p, guard, within)
+
+        monkeypatch.setattr(simplicial, "core_mask", counting_core_mask)
+        monkeypatch.setattr(simplicial, "order_complex", counting_order_complex)
+        cases = [with_tails(layered(2, d + 1), 2) for d in (1, 2, 3)]
+        cases += [with_tails(layered(3, 3), 1), ordinal_sum(crown(2), chain(1), crown(3))]
+        cases += [ordinal_sum(with_tails(crown(2), 1), antichain(3)),
+                  ordinal_sum(antichain(2), with_tails(crown(3), 2))]
+        cases += summand_corpus()[:20]
+        for p in cases:
+            dismantled.clear()
+            listed.clear()
+            gamma_points(p)
+            sides = {m ^ 1 << x for x in range(p.n) for m in (p.down[x], p.up[x])}
+            assert sorted(dismantled) == sorted(sides)
+            assert len(listed) == len(set(listed))
 
 
 class TestInvariance:
