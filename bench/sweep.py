@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 bench/sweep.py BENCH_33.json
+    python3 bench/sweep.py BENCH_34.json
 
 Times, each the best of three calls:
 

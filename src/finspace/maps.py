@@ -116,18 +116,11 @@ def _iter_assignments(x, y, domains=None, node_guard=None):
         return
     limit = -1 if node_guard is None else node_guard
     last = n - 1
-    if last == 0:
-        if dom[0].bit_count() > limit >= 0:
-            raise GuardExceeded(f"more than {limit} search nodes")
-        for v in bits(dom[0]):
-            yield (v,)
-        return
     # the later positions comparable to x_i, each with the cone table of Y
     # that an assignment to x_i cuts its domain to
     later = [[(j, y.up) for j in bits(x.up[i] >> (i + 1) << (i + 1))]
              + [(j, y.down) for j in bits(x.down[i] >> (i + 1) << (i + 1))]
              for i in range(last)]
-    penult = last - 1
     nodes = 0
     assign = [0] * n
     untried = [dom[0]] + [0] * last
@@ -139,6 +132,16 @@ def _iter_assignments(x, y, domains=None, node_guard=None):
         while len(trail) > mark:
             j, d = trail.pop()
             dom[j] = d
+        if i == last:
+            # the last position takes every value its domain leaves
+            nodes += dom[last].bit_count()
+            if nodes > limit >= 0:
+                raise GuardExceeded(f"more than {limit} search nodes")
+            for w in bits(dom[last]):
+                assign[last] = w
+                yield tuple(assign)
+            i -= 1
+            continue
         rest = untried[i]
         if not rest:
             i -= 1
@@ -147,18 +150,6 @@ def _iter_assignments(x, y, domains=None, node_guard=None):
         untried[i] = rest ^ low
         v = low.bit_length() - 1
         assign[i] = v
-        if i == penult:
-            # the last position takes every value its domain leaves
-            tail = dom[last]
-            for _, cones in later[penult]:
-                tail &= cones[v]
-            nodes += 1 + tail.bit_count()
-            if nodes > limit >= 0:
-                raise GuardExceeded(f"more than {limit} search nodes")
-            for w in bits(tail):
-                assign[last] = w
-                yield tuple(assign)
-            continue
         nodes += 1
         if nodes > limit >= 0:
             raise GuardExceeded(f"more than {limit} search nodes")

@@ -41,15 +41,13 @@ homology follows from its factors' by the Kunneth formula for joins
                   (+) (+)_{i+j=m-2} Tor(H~_i(A), H~_j(B)),
 
 with Z/s (x) Z/t = Tor(Z/s, Z/t) = Z/gcd(s, t).  ``_ordinal_summands``
-finds the finest decomposition of P in one pass over a linear extension,
-as masks of P, each with its ids in that order.  The chains inside one
-summand are counted on those ids without listing them
-(``_summand_chains``), and a chain of A + B is a chain of A joined to
-one of B, so counts fold by products: ``chain_counts`` folds them by
-length.  ``poset_homology`` walks the summands once: it counts each
-against the guard, then eliminates the complex of each summand's chains
-alone and folds the groups.  Each of these takes a mask ``within`` of P
-and works on the subposet it induces, on P's own ids.
+cuts P into its finest decomposition, as masks of P, in one walk over a
+linear extension that counts the chains inside each summand as it goes,
+none listed, against the guard.  A chain of A + B is a chain of A joined
+to one of B, so counts fold by products: ``chain_counts`` folds them by
+length.  ``poset_homology`` walks once, then eliminates the complex of
+each summand's chains alone and folds the groups.  Each of these takes
+a mask ``within`` of P and works on the subposet it induces, on P's ids.
 
 The link of a point x is the non-Hausdorff join of U^_x, below x, and
 F^_x, above it, a down-set and an up-set of P.  ``gamma_points`` decides
@@ -57,10 +55,10 @@ every point in one call, with no link built: it dismantles each side on
 P's own cover masks cut to it (``reduction.core_mask``), and unless one
 side's core is a point, the link's core is the ordinal sum of the two
 kept masks, whose chains are counted and whose groups are the join of
-the two sides'.  Points share sides, and sides share summands, so each
-side is dismantled and counted once, each summand counted and
-eliminated once, and each fold stored under its mask, in dicts that
-live for the call.  ``is_gamma_point`` runs the same loop on one point.
+the two sides'.  Points share sides, and sides share summands, so two
+dicts live for the call: one holds each side's kept mask and, once
+needed, its walk, the other each summand's and each fold's groups by
+mask.  ``is_gamma_point`` runs the same loop on one point.
 
 Python integers cannot overflow.  The guards bound the number
 of simplices, not the fill-in of the elimination.
@@ -76,9 +74,9 @@ from .errors import GuardExceeded
 from .poset import _linear_extension, bits, check_mask, check_point
 from .reduction import core_mask
 
-# bounds the chains listed (order_complex) or counted (chain_counts,
-# poset_homology and gamma_points, before they list any) and the
-# simplices whose homology is computed (homology)
+# bounds the chains listed (order_complex) or counted (the walk of
+# _ordinal_summands, before any is listed) and the simplices whose
+# homology is computed (homology)
 COMPLEX_GUARD = 100_000
 
 CERTIFIED_YES = "certified_yes"
@@ -145,13 +143,12 @@ def chain_counts(p, guard=COMPLEX_GUARD, within=None):
     mask ``within`` (all of P by default), that is the d-simplices of the
     order complex of that subposet, without listing them.
 
-    Each ordinal summand is counted alone (``_summand_chains``), its
-    counts by length packed into one int, slot d (bits d*w up to
-    (d+1)*w) holding those of d + 1 elements.  A chain of A + B is a chain
-    of A joined to one of B, either possibly empty, so the summands'
-    packed counts, shifted up one slot with 1 for the empty chain, fold by
-    one integer product.  The guard refuses exactly when the whole count
-    exceeds it, with ``order_complex``'s message.
+    ``_ordinal_summands`` counts each summand's chains by length, packed
+    into one int, slot d (bits d*w up to (d+1)*w) holding those of d + 1
+    elements, and the guard refuses as ``order_complex``'s does.  A chain
+    of A + B is a chain of A joined to one of B, either possibly empty, so
+    the summands' packed counts, shifted up one slot with 1 for the empty
+    chain, fold by one integer product.
 
     No slot carries into the next when w = guard.bit_length() (at least
     1), so 2**w > guard: every slot holds at most max(1, guard).  The
@@ -161,67 +158,59 @@ def chain_counts(p, guard=COMPLEX_GUARD, within=None):
     of the product once the summand's last element passed the check.
     """
     width = max(1, guard.bit_length())
-    packed = chains = 1  # the summands folded so far, with the empty chain
-    for summand, ids in _ordinal_summands(p, within):
-        inside, total = _summand_chains(p, summand, ids, guard, chains)
+    packed = 1  # the summands folded so far, with the empty chain
+    for _, inside in _ordinal_summands(p, within, guard)[0]:
         packed *= 1 + (inside << width)
-        chains *= 1 + total
     slot = (1 << width) - 1
     return [(packed >> k * width) & slot for k in range(1, -(-packed.bit_length() // width))]
 
 
-def _summand_chains(p, summand, ids, guard, chains=1):
-    """The chains of one ordinal summand, given as its mask of P and its
-    ids in a linear extension, without listing them: their counts by
-    length packed into one int of ``guard.bit_length()``-bit slots (see
-    ``chain_counts``), and their number.
-
-    One pass over the ids: the chains topped by y are y alone and y above
-    a chain topped by some x < y.  ``chains`` is 1 plus the number of
-    chains of the summands below this one; a chain of the sum is one of
-    theirs joined to one of this summand's, so the running number of
-    chains of the sum is checked against the guard after each element,
-    with ``order_complex``'s message.  It only grows, so the guard refuses
-    exactly when the whole count exceeds it.
-    """
-    width = max(1, guard.bit_length())
-    down = p.down
-    ending = {}  # ending[y]: the packed counts of the chains topped by y
-    tops = {}  # tops[y]: the number of chains topped by y
-    inside = total = 0
-    for y in ids:
-        below = list(bits(down[y] & summand ^ 1 << y))
-        mine = 1 + (sum(map(ending.__getitem__, below)) << width)
-        tops[y] = count = 1 + sum(map(tops.__getitem__, below))
-        total += count
-        if chains * (1 + total) - 1 > guard:
-            raise GuardExceeded(f"more than {guard} chains")
-        ending[y] = mine
-        inside += mine
-    return inside, total
-
-
-def _ordinal_summands(p, within=None):
+def _ordinal_summands(p, within=None, guard=COMPLEX_GUARD):
     """The finest decomposition of the subposet on the mask ``within`` (all
     of P by default) as an ordinal sum P_1 + ... + P_k (every element of
-    P_i below every element of P_j for i < j), bottom first, each as its
-    mask of P and its ids in a linear extension.
+    P_i below every element of P_j for i < j), bottom first, as
+    ``(summands, chains)``: each summand its mask of P and its chains'
+    counts by length packed into one int (``chain_counts``), and
+    ``chains`` 1 plus the number of chains of the sum.
 
     P_1 + ... + P_i is a prefix of every linear extension, so one pass over
     one finds the cuts: a cut falls after a prefix when every element
-    after it lies in the intersection of the prefix's up-sets.
+    after it lies in the intersection of the prefix's up-sets.  The same
+    pass counts, listing no chain: those topped by y are y alone and y
+    above one topped by some x < y in y's summand, the bottom of what the
+    last cut left.  A chain of the sum is a chain of each summand, any of
+    them empty; the running number of chains of the sum, checked against
+    the guard after each element, only grows, so the guard refuses
+    exactly when the whole count exceeds it.
     """
+    width = max(1, guard.bit_length())
+    down, up = p.down, p.up
+    ending = {}  # ending[y]: the packed counts of the chains topped by y
+    tops = {}  # tops[y]: the number of chains topped by y
     summands = []
-    ids = []
+    inside = total = 0  # this summand's packed counts and number of chains so far
+    chains = 1  # 1 plus the number of chains of the summands below it
     rest = common = left = check_mask(p, within)  # left: what the last cut left
     for y in _linear_extension(p, rest):
-        ids.append(y)
+        below = down[y] & left ^ 1 << y
+        if below:
+            below = list(bits(below))
+            ending[y] = mine = 1 + (sum(map(ending.__getitem__, below)) << width)
+            tops[y] = count = 1 + sum(map(tops.__getitem__, below))
+        else:
+            ending[y] = tops[y] = mine = count = 1
+        inside += mine
+        total += count
+        if chains * (1 + total) - 1 > guard:
+            raise GuardExceeded(f"more than {guard} chains")
         rest ^= 1 << y
-        common &= p.up[y]
+        common &= up[y]
         if not rest & ~common:
-            summands.append((left ^ rest, ids))
-            left, ids = rest, []
-    return summands
+            summands.append((left ^ rest, inside))
+            chains *= 1 + total
+            left = rest
+            inside = total = 0
+    return summands, chains
 
 
 def _smith_invariant_factors(rows):
@@ -413,24 +402,6 @@ def _join_homology(a, b):
     return HomologyProfile(tuple(betti), torsion)
 
 
-def _count_summands(p, guard, summands, counts):
-    """1 plus the number of chains of the ordinal sum of ``summands``,
-    ``(mask, ids)`` pairs from ``_ordinal_summands``: a chain of the sum is
-    a chain of each summand, any of them empty.  The dict ``counts`` maps
-    summand masks to their numbers of chains and is read and extended, so
-    a summand is counted once per dict.  A summand counted here is checked
-    against the guard with the running product (``_summand_chains``); one
-    read from ``counts`` is not, so a caller that shares ``counts`` checks
-    the total itself."""
-    chains = 1
-    for summand, ids in summands:
-        count = counts.get(summand)
-        if count is None:
-            count = counts[summand] = _summand_chains(p, summand, ids, guard, chains)[1]
-        chains *= 1 + count
-    return chains
-
-
 def _fold_homology(p, guard, summands, known):
     """Reduced homology of the ordinal sum of ``summands`` (the empty
     space's for none), folded from the first summand by ``_join_homology``.
@@ -461,26 +432,23 @@ def poset_homology(p, guard=COMPLEX_GUARD, within=None):
     """Reduced homology of the order complex of the subposet on the mask
     ``within`` (all of P by default); the guard bounds its chains.
 
-    One walk of the ordinal summands: the chains of each are counted on
-    the ids the walk gives it, so the guard refuses exactly what
-    ``order_complex(p, within=within)`` refuses, before any complex is
-    built; then each summand's complex is listed and eliminated alone and
-    the groups are folded (``_fold_homology``).
+    One walk of the ordinal summands (``_ordinal_summands``) cuts and
+    counts, so the guard refuses exactly what ``order_complex(p,
+    within=within)`` refuses, before any complex is built; then each
+    summand's complex is listed and eliminated alone and the groups are
+    folded (``_fold_homology``).
     """
-    summands = _ordinal_summands(p, within)
-    _count_summands(p, guard, summands, {})
-    return _fold_homology(p, guard, summands, {})
+    return _fold_homology(p, guard, _ordinal_summands(p, within, guard)[0], {})
 
 
 def gamma_points(p, guard=COMPLEX_GUARD):
     """The ``is_gamma_point`` verdict of every point of P, by id.
 
     Points that share a side of their link share its work: each side is
-    dismantled and its core's chains counted once, each ordinal summand
-    of a core is counted, listed and eliminated once, whichever points'
-    links hold it, and each fold of a core's groups is kept under its
-    mask, so cores that begin alike share their folds.  Nothing is kept
-    past the call.
+    dismantled, and its core cut and counted, once; each ordinal summand
+    of a core is listed and eliminated once, whichever points' links hold
+    it, and each fold of a core's groups is kept under its mask, so cores
+    that begin alike share their folds.  Nothing is kept past the call.
     """
     return _gamma_verdicts(p, range(p.n), guard)
 
@@ -514,23 +482,16 @@ def is_gamma_point(p, x, guard=COMPLEX_GUARD):
 
 
 def _gamma_verdicts(p, points, guard):
-    """The verdicts of ``points``, in order, with the work on each side,
-    core and summand done once per call (``gamma_points``)."""
-    sides = {}  # side mask -> [kept mask, its summands, 1 + its chain count]
-    counts = {}  # summand mask -> its number of chains
+    """The verdicts of ``points``, in order, with each side dismantled and
+    walked, and each summand eliminated, once per call (``gamma_points``)."""
+    sides = {}  # side mask -> [kept mask, its (summands, 1 + chain count) once walked]
     known = {}  # mask of a summand or of a kept mask's summands from one end -> its homology
 
     def side(mask):
         entry = sides.get(mask)
         if entry is None:
-            entry = sides[mask] = [core_mask(p, mask), None, None]
+            entry = sides[mask] = [core_mask(p, mask), None]
         return entry
-
-    def chains(entry):
-        if entry[2] is None:
-            entry[1] = _ordinal_summands(p, entry[0])
-            entry[2] = _count_summands(p, guard, entry[1], counts)
-        return entry[2]
 
     verdicts = []
     for x in points:
@@ -539,14 +500,18 @@ def _gamma_verdicts(p, points, guard):
         if below[0].bit_count() == 1 or above[0].bit_count() == 1:
             verdicts.append(CERTIFIED_YES)
             continue
-        # counted only now: a link with a side whose core is a point needs none
-        if chains(below) * chains(above) - 1 > guard:
+        # walked only now: a link with a side whose core is a point needs no count
+        for entry in (below, above):
+            if entry[1] is None:
+                entry[1] = _ordinal_summands(p, entry[0], guard)
+        (low, low_chains), (high, high_chains) = below[1], above[1]
+        if low_chains * high_chains - 1 > guard:
             raise GuardExceeded(f"more than {guard} chains")
         # each side folded from its end away from x, where the sides of
         # the points below (above) x begin alike; an empty side adds nothing
-        prof = _fold_homology(p, guard, below[1], known)
+        prof = _fold_homology(p, guard, low, known)
         if above[0]:
-            upper = _fold_homology(p, guard, above[1][::-1], known)
+            upper = _fold_homology(p, guard, high[::-1], known)
             prof = _join_homology(prof, upper) if below[0] else upper
         verdicts.append(HOMOLOGY_YES if prof.is_acyclic() else NO)
     return verdicts

@@ -27,6 +27,7 @@ from finspace.poset import bits
 from finspace.reduction import core_mask
 from finspace.simplicial import (
     CERTIFIED_YES,
+    COMPLEX_GUARD,
     HOMOLOGY_YES,
     NO,
     _boundary_columns,
@@ -385,12 +386,12 @@ class TestOrdinalSums:
         cases += [seeded_random_poset(seed) for seed in range(40)]
         assert len(cases) > 80
         for p in cases:
-            assert [sorted(bits(s)) for s, _ in _ordinal_summands(p)] == summands_by_cuts(p)
-        assert _ordinal_summands(Poset.from_covers([], [])) == []
+            assert [sorted(bits(s)) for s, _ in _ordinal_summands(p)[0]] == summands_by_cuts(p)
+        assert _ordinal_summands(Poset.from_covers([], [])) == ([], 1)
 
     def test_join_formula_matches_whole_complex(self):
         cases = summand_corpus()
-        assert sum(len(_ordinal_summands(p)) >= 2 for p in cases) == len(cases)
+        assert sum(len(_ordinal_summands(p)[0]) >= 2 for p in cases) == len(cases)
         for p in cases:
             assert poset_homology(p) == homology(order_complex(p), reduced=True)
 
@@ -420,7 +421,7 @@ class TestOrdinalSums:
         # the chains inside a summand's mask are the order complex of the
         # summand as a subposet, mapped back to P's ids
         for p in summand_corpus():
-            for s, _ in _ordinal_summands(p):
+            for s, _ in _ordinal_summands(p)[0]:
                 sub, old_to_new = p.restrict(bits(s))
                 old = {new: v for v, new in old_to_new.items()}
                 expected = tuple(tuple(sorted(tuple(old[v] for v in face) for face in faces))
@@ -458,7 +459,7 @@ def masked_cases():
         for x in range(p.n):
             bit = 1 << x
             yield from ((p, m) for m in (p.down[x], p.up[x], p.down[x] ^ bit, p.up[x] ^ bit))
-        yield from ((p, s) for s, _ in _ordinal_summands(p))
+        yield from ((p, s) for s, _ in _ordinal_summands(p)[0])
 
 
 def subposet_complex(p, mask):
@@ -482,9 +483,22 @@ class TestMaskedChainCounts:
             sub, _ = p.restrict(members)
             # summands_by_cuts has one empty part for the empty poset, which has none
             expected = [[members[v] for v in part] for part in summands_by_cuts(sub) if part]
-            assert [sorted(bits(s)) for s, _ in _ordinal_summands(p, mask)] == expected
+            assert [sorted(bits(s)) for s, _ in _ordinal_summands(p, mask)[0]] == expected
             prof = poset_homology(p, within=mask)
             assert prof == homology(order_complex(sub), reduced=True)
+
+    def test_walk_counts_each_summand_and_the_sum(self):
+        # the walk that cuts P counts each summand's chains by length, in
+        # slots of the guard's bit length, and the sum's chains
+        width = COMPLEX_GUARD.bit_length()
+        cases = [(p, None) for p in summand_corpus()] + list(masked_cases())
+        for p, within in cases:
+            summands, chains = _ordinal_summands(p, within)
+            for mask, packed in summands:
+                slots = -(-packed.bit_length() // width)
+                unpacked = [packed >> d * width & (1 << width) - 1 for d in range(slots)]
+                assert unpacked == chain_counts(p, within=mask)
+            assert chains == 1 + sum(chain_counts(p, within=within))
 
     @staticmethod
     def slot_cases():
