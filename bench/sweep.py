@@ -2,9 +2,11 @@
 
 Usage (from the repository root)::
 
-    python3 bench/sweep.py BENCH_34.json
+    python3 bench/sweep.py BENCH_35.json
 
-Times, each the best of three calls:
+Times, each the least time per call over ``ROUNDS`` rounds, a round being
+as many calls as the first call says fill ``ROUND_MS`` (at least one), so
+a sub-millisecond rung is timed over many calls:
 
 - ``Poset.from_covers`` on the labels and covers of ``chain(n)`` and
   ``fence(n)`` (the build layer), and ``core`` and ``standard_sequence``
@@ -17,6 +19,7 @@ Times, each the best of three calls:
   every point in one call; the row keeps its name ``gamma_loop``) on the
   sphere model S^d (two incomparable points at each of d + 1 levels) and
   on ``layered(4, d)`` (four at each of d levels), for d = 1, 2, 4, 8,
+  ..., and on ``crown(k)``, one summand of height 1, for k = 4, 8, 16,
   ...
 
 and writes one row per rung to the given JSON file: ``n`` the number of
@@ -43,18 +46,25 @@ import time
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 REDUCTION_SIZES = (400, 800, 1600, 3200, 6400)
 HOMOLOGY_DEPTHS = (1, 2, 4, 8, 16, 32, 64)
-REPEATS = 3
+CROWN_SIZES = tuple(4 << i for i in range(11))
+ROUNDS = 5
+ROUND_MS = 10
 GUARD = 10**6
 STOP_MS = 1000
 
 
 def best_ms(fn, arg):
-    best = float("inf")
-    for _ in range(REPEATS):
+    gc.collect()
+    start = time.perf_counter()
+    fn(arg)
+    best = time.perf_counter() - start
+    calls = max(1, int(ROUND_MS / 1000 / best))
+    for _ in range(ROUNDS):
         gc.collect()
         start = time.perf_counter()
-        fn(arg)
-        best = min(best, time.perf_counter() - start)
+        for _ in range(calls):
+            fn(arg)
+        best = min(best, (time.perf_counter() - start) / calls)
     return best * 1000
 
 
@@ -129,6 +139,8 @@ def sweep(finspace):
             rungs = (({"n": width * (d + extra), "d": d}, layered(finspace, width, d + extra))
                      for d in HOMOLOGY_DEPTHS)
             rows += row(finspace, layer, family, fn, rungs)
+        rungs = (({"n": 2 * k, "d": k}, finspace.crown(k)) for k in CROWN_SIZES)
+        rows += row(finspace, layer, "crown", fn, rungs)
     return rows
 
 
@@ -139,7 +151,8 @@ def main(argv):
     sys.path.insert(0, SRC)
     finspace = importlib.import_module("finspace")
     doc = {
-        "sweep": "best-of-%d wall time of finspace.<layer>(<family>(n)), size doubling" % REPEATS,
+        "sweep": "least wall time per call over %d rounds of at least %d ms of "
+                 "finspace.<layer>(<family>(n)), size doubling" % (ROUNDS, ROUND_MS),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),

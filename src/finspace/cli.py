@@ -307,10 +307,8 @@ def cmd_contractible(args, first):
 
 def cmd_homology(args, first):
     p = first[0]
-    counts = simplicial.chain_counts(p, guard=args.max_enum)
-    # P is homotopy equivalent to its core, whose chains are some of P's;
-    # its groups above the core's dimension are zero
-    prof = simplicial.poset_homology(p, guard=args.max_enum, within=reduction.core_mask(p))
+    counts, prof = simplicial.chains_and_homology(p, guard=args.max_enum)
+    # the core's groups above its dimension, at most P's, are zero
     degrees = [prof.degree(d) for d in range(len(counts))]
     betti = [b for b, _ in degrees]
     data = {

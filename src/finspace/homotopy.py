@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HeightExceeded
-from .poset import bits, shortest_path
+from .poset import bits, components, shortest_path
 from .reduction import core
 
 
@@ -94,7 +94,13 @@ class _Colouring:
             for v in count:
                 touched.setdefault(color[v], []).append(v)
             for c in sorted(touched):
-                if not self.split(c, touched[c], count):
+                vs = touched[c]
+                if len(cells[c]) == 2:
+                    # one p and one q element: split would keep the class
+                    # only if both are touched with equal counts
+                    if len(vs) != 2 or count[vs[0]] != count[vs[1]]:
+                        return False
+                elif not self.split(c, vs, count):
                     return False
             s += 1
         return True
@@ -177,7 +183,8 @@ def are_isomorphic(p, q, fix=None):
         return None
     if n == 0:
         return IsoWitness(())
-    if sorted(map(len, p.components())) != sorted(map(len, q.components())):
+    sizes = [sorted(c.bit_count() for c in components(x.comparability_mask, n)) for x in (p, q)]
+    if sizes[0] != sizes[1]:
         return None
     col = _Colouring(p, q)
     # the down-set sizes also give every cover between two colours one direction

@@ -45,9 +45,16 @@ cuts P into its finest decomposition, as masks of P, in one walk over a
 linear extension that counts the chains inside each summand as it goes,
 none listed, against the guard.  A chain of A + B is a chain of A joined
 to one of B, so counts fold by products: ``chain_counts`` folds them by
-length.  ``poset_homology`` walks once, then eliminates the complex of
-each summand's chains alone and folds the groups.  Each of these takes
-a mask ``within`` of P and works on the subposet it induces, on P's ids.
+length.  ``poset_homology`` walks once, then folds the summands' groups.
+A summand of height at most 1, one with no chain of three, has a graph
+for its order complex, so its groups follow from the walk's counts of
+its points V and comparable pairs E and from its components C, found by
+``poset.bfs_layers``: H~_0 = Z^(C - 1) and H~_1 = Z^(E - V + C), free,
+with C = V for an antichain.  Only a taller summand's complex is listed
+and eliminated.  Each of these takes a mask ``within`` of P and works on
+the subposet it induces, on P's ids.  ``chains_and_homology``, the
+``homology`` verb's path, counts P's chains and folds P's summands from
+one walk when P is its own core.
 
 The link of a point x is the non-Hausdorff join of U^_x, below x, and
 F^_x, above it, a down-set and an up-set of P.  ``gamma_points`` decides
@@ -71,7 +78,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import GuardExceeded
-from .poset import _linear_extension, bits, check_mask, check_point
+from .poset import _linear_extension, bfs_layers, bits, check_mask, check_point
 from .reduction import core_mask
 
 # bounds the chains listed (order_complex) or counted (the walk of
@@ -157,9 +164,15 @@ def chain_counts(p, guard=COMPLEX_GUARD, within=None):
     (y above them), and so is a slot of the sum over the x below y, and
     of the product once the summand's last element passed the check.
     """
+    return _fold_counts(_ordinal_summands(p, within, guard)[0], guard)
+
+
+def _fold_counts(summands, guard):
+    """The chain counts by length of the ordinal sum of ``summands``, each
+    ``(mask, packed counts)`` from a walk under ``guard`` (``chain_counts``)."""
     width = max(1, guard.bit_length())
     packed = 1  # the summands folded so far, with the empty chain
-    for _, inside in _ordinal_summands(p, within, guard)[0]:
+    for _, inside in summands:
         packed *= 1 + (inside << width)
     slot = (1 << width) - 1
     return [(packed >> k * width) & slot for k in range(1, -(-packed.bit_length() // width))]
@@ -407,25 +420,53 @@ def _fold_homology(p, guard, summands, known):
     space's for none), folded from the first summand by ``_join_homology``.
 
     The dict ``known`` maps masks of P to the reduced homology of the
-    subposet on them and is read and extended: each summand's complex is
-    listed on P's own ids and eliminated only when its mask is missing,
-    and the sum of the first j summands is stored under its mask, so sums
-    that begin alike share their folds.  Their chains must have been
-    counted against the guard first.
+    subposet on them and is read and extended: a summand missing from it
+    gets its groups from ``_summand_homology``, and the sum of the first j
+    summands is stored under its mask, so sums that begin alike share
+    their folds.  Their chains must have been counted against the guard
+    first.
     """
     prof = HomologyProfile((), ())
     mask = 0
-    for summand, _ in summands:
+    for summand, inside in summands:
         mask |= summand
         folded = known.get(mask)
         if folded is None:
             part = known.get(summand)
             if part is None:
-                part = known[summand] = homology(order_complex(p, guard, summand),
-                                                 reduced=True, guard=guard)
+                part = known[summand] = _summand_homology(p, guard, summand, inside)
             folded = known[mask] = part if mask == summand else _join_homology(prof, part)
         prof = folded
     return prof
+
+
+def _summand_homology(p, guard, mask, inside):
+    """Reduced homology of the subposet on ``mask``, whose chains the walk
+    under ``guard`` counted by length into ``inside`` (``chain_counts``).
+
+    With no chain of three counted (slot 2 empty) the subposet has height
+    at most 1 and its order complex is a graph: V points, E edges and C components give
+    H~_0 = Z^(C - 1) and H~_1 = Z^(E - V + C), free, and an antichain
+    (E = 0) has C = V.  Only a taller subposet's complex is listed and
+    eliminated.
+    """
+    width = max(1, guard.bit_length())
+    if inside >> 2 * width:
+        return homology(order_complex(p, guard, mask), reduced=True, guard=guard)
+    points, edges = inside & (1 << width) - 1, inside >> width
+    if not edges:
+        return HomologyProfile((points - 1,), ((),))
+    up, down = p.up, p.down
+
+    def nbrs(v):
+        return (up[v] | down[v]) & mask
+
+    parts, rest = 0, mask
+    while rest:
+        parts += 1
+        for layer in bfs_layers(nbrs, (rest & -rest).bit_length() - 1):
+            rest ^= layer
+    return HomologyProfile((parts - 1, edges - points + parts), ((), ()))
 
 
 def poset_homology(p, guard=COMPLEX_GUARD, within=None):
@@ -435,10 +476,27 @@ def poset_homology(p, guard=COMPLEX_GUARD, within=None):
     One walk of the ordinal summands (``_ordinal_summands``) cuts and
     counts, so the guard refuses exactly what ``order_complex(p,
     within=within)`` refuses, before any complex is built; then each
-    summand's complex is listed and eliminated alone and the groups are
+    summand's groups are taken alone, in closed form up to height 1, and
     folded (``_fold_homology``).
     """
     return _fold_homology(p, guard, _ordinal_summands(p, within, guard)[0], {})
+
+
+def chains_and_homology(p, guard=COMPLEX_GUARD):
+    """``chain_counts(p, guard)`` and the reduced homology of P, taken on
+    its core (``core_mask``), which is homotopy equivalent to P and whose
+    chains are some of P's: the ``homology`` verb's path.
+
+    P is walked first, so the guard refuses as ``chain_counts`` does; when
+    P is its own core, as a beat-point-free P is, that one walk's
+    summands are folded too, and otherwise the core is walked.
+    """
+    summands = _ordinal_summands(p, None, guard)[0]
+    counts = _fold_counts(summands, guard)
+    kept = core_mask(p)
+    if kept != p.full_mask:
+        summands = _ordinal_summands(p, kept, guard)[0]
+    return counts, _fold_homology(p, guard, summands, {})
 
 
 def gamma_points(p, guard=COMPLEX_GUARD):
@@ -446,9 +504,9 @@ def gamma_points(p, guard=COMPLEX_GUARD):
 
     Points that share a side of their link share its work: each side is
     dismantled, and its core cut and counted, once; each ordinal summand
-    of a core is listed and eliminated once, whichever points' links hold
-    it, and each fold of a core's groups is kept under its mask, so cores
-    that begin alike share their folds.  Nothing is kept past the call.
+    of a core gets its groups once, whichever points' links hold it, and
+    each fold of a core's groups is kept under its mask, so cores that
+    begin alike share their folds.  Nothing is kept past the call.
     """
     return _gamma_verdicts(p, range(p.n), guard)
 
@@ -483,7 +541,7 @@ def is_gamma_point(p, x, guard=COMPLEX_GUARD):
 
 def _gamma_verdicts(p, points, guard):
     """The verdicts of ``points``, in order, with each side dismantled and
-    walked, and each summand eliminated, once per call (``gamma_points``)."""
+    walked, and each summand's groups taken, once per call (``gamma_points``)."""
     sides = {}  # side mask -> [kept mask, its (summands, 1 + chain count) once walked]
     known = {}  # mask of a summand or of a kept mask's summands from one end -> its homology
 

@@ -1,5 +1,5 @@
 """The per-layer doubling sweep still runs against the package: every
-(layer, family) row of the checked-in ``BENCH_34.json`` comes back, with a
+(layer, family) row of the checked-in ``BENCH_35.json`` comes back, with a
 time or a guard message, so an API change cannot silently break it."""
 
 import importlib.util
@@ -18,10 +18,12 @@ def test_sweep_covers_checked_in_rows():
     spec.loader.exec_module(sweep)
     sweep.REDUCTION_SIZES = (4, 8)
     sweep.HOMOLOGY_DEPTHS = (1, 2)
-    sweep.REPEATS = 1
+    sweep.CROWN_SIZES = (4, 8)
+    sweep.ROUNDS = 1
+    sweep.ROUND_MS = 0
     rows = sweep.sweep(finspace)
     for r in rows:
         assert (r["ms"] is None) == ("guard" in r), r
     want = {(r["layer"], r["family"])
-            for r in json.loads((ROOT / "BENCH_34.json").read_text())["rows"]}
+            for r in json.loads((ROOT / "BENCH_35.json").read_text())["rows"]}
     assert want <= {(r["layer"], r["family"]) for r in rows}

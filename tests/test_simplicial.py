@@ -36,7 +36,9 @@ from finspace.simplicial import (
     _join_homology,
     _ordinal_summands,
     _smith_invariant_factors,
+    _summand_homology,
     chain_counts,
+    chains_and_homology,
 )
 
 from helpers import (
@@ -444,6 +446,24 @@ class TestOrdinalSums:
             with pytest.raises(GuardExceeded, match=f"^more than {total - 1} chains$"):
                 fn(p, guard=total - 1)
 
+    def test_homology_verb_walks_p_once_when_it_is_its_own_core(self, monkeypatch):
+        walks = []
+
+        def counting_walk(p, within=None, guard=COMPLEX_GUARD):
+            walks.append(within)
+            return _ordinal_summands(p, within, guard)
+
+        cases = [ordinal_sum(crown(2), chain(1), crown(2)), crown(3), layered(3, 3),
+                 rp2_face_poset(), antichain(3), Poset.from_covers([], [])]
+        cases += [with_tails(layered(2, 3), 2), ordinal_sum(crown(2), chain(1)), fence(4)]
+        expected = [(chain_counts(p), poset_homology(p, within=core_mask(p))) for p in cases]
+        monkeypatch.setattr(simplicial, "_ordinal_summands", counting_walk)
+        for p, want in zip(cases, expected):
+            walks.clear()
+            assert chains_and_homology(p) == want
+            kept = core_mask(p)
+            assert walks == ([None] if kept == p.full_mask else [None, kept])
+
     def test_gamma_on_sums_matches_full_link(self):
         for p in summand_corpus():
             verdicts = gamma_points(p)
@@ -559,6 +579,72 @@ class TestMaskedChainCounts:
         for p, guard in ((chain(99), 2**99 - 2), (chain(100), 10**30)):
             with pytest.raises(GuardExceeded, match=f"^more than {guard} chains$"):
                 chain_counts(p, guard)
+
+
+def height_one_summands(p, within=None):
+    """The summands of the walk with no chain of three, each with its
+    packed chain counts."""
+    width = COMPLEX_GUARD.bit_length()
+    return [(s, packed) for s, packed in _ordinal_summands(p, within)[0]
+            if not packed >> 2 * width]
+
+
+def random_bipartite(rng, lower, upper, kind):
+    """A poset of height at most 1 on ``lower`` minimal points and ``upper``
+    others: a forest (each point after the first joins one earlier point
+    of the other side, or starts a new tree), or each of the lower x upper
+    pairs a cover with probability 1/2."""
+    lows = [f"a{i}" for i in range(lower)]
+    highs = [f"b{j}" for j in range(upper)]
+    covers = []
+    if kind == "forest":
+        order = lows + highs
+        rng.shuffle(order)
+        for k, v in enumerate(order):
+            other = [u for u in order[:k] if u[0] != v[0]]
+            if other and rng.random() < 0.8:
+                u = rng.choice(other)
+                covers.append((u, v) if u[0] == "a" else (v, u))
+    else:
+        covers = [(a, b) for a in lows for b in highs if rng.random() < 0.5]
+    return Poset.from_covers(lows + highs, covers)
+
+
+class TestHeightOneSummands:
+    """A summand with no chain of three has a graph for its order complex,
+    so its reduced groups are H~_0 = Z^(C - 1) and H~_1 = Z^(E - V + C)."""
+
+    def test_closed_form_matches_the_complex(self):
+        cases = [(p, None) for p in summand_corpus()] + list(masked_cases())
+        antichains = graphs = 0
+        for p, within in cases:
+            for s, packed in height_one_summands(p, within):
+                expected = homology(order_complex(p, within=s), reduced=True)
+                assert _summand_homology(p, COMPLEX_GUARD, s, packed) == expected
+                antichains += len(expected.betti) == 1
+                graphs += len(expected.betti) == 2
+        assert antichains > 100 and graphs > 100
+
+    def test_random_bipartite_posets(self):
+        rng = random.Random(35)
+        cases = [antichain(1), antichain(2), antichain(5), crown(4)]
+        for kind in ("forest", "graph"):
+            for _ in range(60):
+                cases.append(random_bipartite(rng, rng.randint(1, 6), rng.randint(0, 6), kind))
+        seen = set()
+        for p in cases:
+            whole = homology(order_complex(p), reduced=True)
+            assert poset_homology(p) == whole
+            summands = height_one_summands(p)
+            assert len(summands) == len(_ordinal_summands(p)[0])
+            if len(summands) == 1:
+                (s, packed), = summands
+                assert _summand_homology(p, COMPLEX_GUARD, s, packed) == whole
+            edges = sum(map(int.bit_count, p.upper_covers))
+            seen.add((edges > 0, whole.betti[0] > 0, len(whole.betti) > 1 and whole.betti[1] > 0))
+        # antichains, forests, graphs with cycles, each connected and not
+        assert {(False, True, False), (True, False, False), (True, True, False),
+                (True, False, True), (True, True, True)} <= seen
 
 
 class TestTwoSidedLinks:
@@ -715,6 +801,27 @@ class TestGammaPoints:
             sides = {m ^ 1 << x for x in range(p.n) for m in (p.down[x], p.up[x])}
             assert sorted(dismantled) == sorted(sides)
             assert len(listed) == len(set(listed))
+
+    def test_no_complex_listed_below_height_two(self, monkeypatch):
+        # a summand with no chain of three gets its groups in closed form,
+        # so only taller summands reach order_complex
+        listed = []
+
+        def counting_order_complex(p, guard=simplicial.COMPLEX_GUARD, within=None):
+            listed.append(within)
+            return order_complex(p, guard, within)
+
+        monkeypatch.setattr(simplicial, "order_complex", counting_order_complex)
+        cases = summand_corpus() + elimination_families()
+        cases += [ordinal_sum(with_tails(crown(2), 1), antichain(3))]
+        tall = 0
+        for p in cases:
+            for fn in (poset_homology, gamma_points):
+                listed.clear()
+                fn(p)
+                assert all(len(chain_counts(p, within=m)) >= 3 for m in listed), fn
+                tall += len(listed)
+        assert tall
 
 
 class TestInvariance:
