@@ -94,13 +94,7 @@ class _Colouring:
             for v in count:
                 touched.setdefault(color[v], []).append(v)
             for c in sorted(touched):
-                vs = touched[c]
-                if len(cells[c]) == 2:
-                    # one p and one q element: split would keep the class
-                    # only if both are touched with equal counts
-                    if len(vs) != 2 or count[vs[0]] != count[vs[1]]:
-                        return False
-                elif not self.split(c, vs, count):
+                if not self.split(c, touched[c], count):
                     return False
             s += 1
         return True
@@ -183,7 +177,8 @@ def are_isomorphic(p, q, fix=None):
         return None
     if n == 0:
         return IsoWitness(())
-    sizes = [sorted(c.bit_count() for c in components(x.comparability_mask, n)) for x in (p, q)]
+    sizes = [sorted(c.bit_count() for c in components(x.comparability_mask, x.full_mask))
+             for x in (p, q)]
     if sizes[0] != sizes[1]:
         return None
     col = _Colouring(p, q)

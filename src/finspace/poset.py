@@ -91,11 +91,11 @@ def bfs_layers(nbrs, start):
         seen |= frontier
 
 
-def components(nbrs, n):
-    """Connected components of the graph on 0..n-1 as masks, ordered by
-    lowest vertex."""
+def components(nbrs, mask):
+    """Connected components of the graph on the vertices of ``mask`` as
+    masks, ordered by lowest vertex; ``nbrs(v)`` must lie inside ``mask``."""
     parts = []
-    rest = (1 << n) - 1
+    rest = mask
     while rest:
         comp = 0
         for layer in bfs_layers(nbrs, (rest & -rest).bit_length() - 1):
@@ -330,7 +330,7 @@ class Poset:
 
     def components(self):
         """Partition into connected (= path) components, as frozensets."""
-        return [frozenset(bits(c)) for c in components(self.comparability_mask, self.n)]
+        return [frozenset(bits(c)) for c in components(self.comparability_mask, self.full_mask)]
 
     def spath_distance(self, x, y):
         """Shortest comparability-path length from x to y (inf if separated).

@@ -49,7 +49,7 @@ length.  ``poset_homology`` walks once, then folds the summands' groups.
 A summand of height at most 1, one with no chain of three, has a graph
 for its order complex, so its groups follow from the walk's counts of
 its points V and comparable pairs E and from its components C, found by
-``poset.bfs_layers``: H~_0 = Z^(C - 1) and H~_1 = Z^(E - V + C), free,
+``poset.components``: H~_0 = Z^(C - 1) and H~_1 = Z^(E - V + C), free,
 with C = V for an antichain.  Only a taller summand's complex is listed
 and eliminated.  Each of these takes a mask ``within`` of P and works on
 the subposet it induces, on P's ids.  ``chains_and_homology``, the
@@ -78,7 +78,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import GuardExceeded
-from .poset import _linear_extension, bfs_layers, bits, check_mask, check_point
+from .poset import _linear_extension, bits, check_mask, check_point, components
 from .reduction import core_mask
 
 # bounds the chains listed (order_complex) or counted (the walk of
@@ -445,9 +445,9 @@ def _summand_homology(p, guard, mask, inside):
     under ``guard`` counted by length into ``inside`` (``chain_counts``).
 
     With no chain of three counted (slot 2 empty) the subposet has height
-    at most 1 and its order complex is a graph: V points, E edges and C components give
-    H~_0 = Z^(C - 1) and H~_1 = Z^(E - V + C), free, and an antichain
-    (E = 0) has C = V.  Only a taller subposet's complex is listed and
+    at most 1 and its order complex is a graph: V points, E edges and C
+    components (``poset.components`` on ``mask``) give H~_0 = Z^(C - 1)
+    and H~_1 = Z^(E - V + C), free, and an antichain (E = 0) has C = V.  Only a taller subposet's complex is listed and
     eliminated.
     """
     width = max(1, guard.bit_length())
@@ -457,15 +457,7 @@ def _summand_homology(p, guard, mask, inside):
     if not edges:
         return HomologyProfile((points - 1,), ((),))
     up, down = p.up, p.down
-
-    def nbrs(v):
-        return (up[v] | down[v]) & mask
-
-    parts, rest = 0, mask
-    while rest:
-        parts += 1
-        for layer in bfs_layers(nbrs, (rest & -rest).bit_length() - 1):
-            rest ^= layer
+    parts = len(components(lambda v: (up[v] | down[v]) & mask, mask))
     return HomologyProfile((parts - 1, edges - points + parts), ((), ()))
 
 

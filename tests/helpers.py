@@ -191,7 +191,7 @@ def components_by_comparability(c):
     the comparability graph of its own pointwise order: the straightforward
     form of ``FunctionPoset.class_roots``, without the move kernel."""
     return [frozenset(bits(part))
-            for part in components(pointwise_comparability(c).__getitem__, len(c))]
+            for part in components(pointwise_comparability(c).__getitem__, (1 << len(c)) - 1)]
 
 
 def brute_force_down_sets(p):

@@ -51,8 +51,17 @@ def test_components_match_networkx(random_posets, height1_posets):
     for p in random_posets + height1_posets:
         expected = _nx_components(_graph(p.n, p.comparability_mask))
         assert p.components() == expected
-        masks = components(p.comparability_mask, p.n)
+        masks = components(p.comparability_mask, p.full_mask)
         assert [frozenset(bits(m)) for m in masks] == expected
+
+
+def test_components_of_a_mask_match_networkx(random_posets, height1_posets):
+    rng = random.Random(7)
+    for p in random_posets + height1_posets:
+        mask = rng.getrandbits(p.n)
+        g = _graph(p.n, lambda v: p.comparability_mask(v) & mask).subgraph(bits(mask))
+        masks = components(lambda v: p.comparability_mask(v) & mask, mask)
+        assert [frozenset(bits(m)) for m in masks] == _nx_components(g)
 
 
 def test_function_poset_components_match_networkx(random_posets):
