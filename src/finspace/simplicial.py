@@ -447,8 +447,8 @@ def _summand_homology(p, guard, mask, inside):
     With no chain of three counted (slot 2 empty) the subposet has height
     at most 1 and its order complex is a graph: V points, E edges and C
     components (``poset.components`` on ``mask``) give H~_0 = Z^(C - 1)
-    and H~_1 = Z^(E - V + C), free, and an antichain (E = 0) has C = V.  Only a taller subposet's complex is listed and
-    eliminated.
+    and H~_1 = Z^(E - V + C), free, and an antichain (E = 0) has C = V.
+    Only a taller subposet's complex is listed and eliminated.
     """
     width = max(1, guard.bit_length())
     if inside >> 2 * width:
