@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from . import generators, homotopy, maps, reduction, simplicial, topology
 from .errors import FinspaceError, GuardExceeded, ParseError, ValidationError
-from .poset import Poset
+from .poset import Poset, bits
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -55,35 +55,40 @@ class PosetDocument:
         return p
 
 
+USAGE = {"poset": "poset <name>", "el": "el <label>", "cov": "cov <a> <b>",
+         "base": "base <label>"}  # directive -> its one accepted form
+
+
 def parse_poset(text):
-    """Parse the line-oriented poset format."""
+    """Parse the line-oriented poset format.
+
+    Each line is split once; ``cov`` and ``el`` lines, nearly all of a
+    file, are matched on their arity before any other test."""
     doc = PosetDocument("", [], [], None)
+    add_element, add_cover = doc.elements.append, doc.covers.append
     have_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
-        kw = parts[0]
-        if kw == "poset":
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected: poset <name>")
-            doc.name = parts[1]
-            have_header = True
-        elif kw == "el":
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected: el <label>")
-            doc.elements.append(parts[1])
-        elif kw == "cov":
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected: cov <a> <b>")
-            doc.covers.append((parts[1], parts[2]))
-        elif kw == "base":
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected: base <label>")
-            doc.basepoint = parts[1]
-        else:
-            raise ParseError(f"line {lineno}: unknown directive {kw!r}")
+        arity = len(parts)
+        if arity == 3 and parts[0] == "cov":
+            add_cover((parts[1], parts[2]))
+        elif arity == 2 and parts[0] == "el":
+            add_element(parts[1])
+        elif parts:
+            kw = parts[0]
+            usage = USAGE.get(kw)
+            if usage is None:
+                raise ParseError(f"line {lineno}: unknown directive {kw!r}")
+            if arity != usage.count(" ") + 1:
+                raise ParseError(f"line {lineno}: expected: {usage}")
+            # cov and el of the right arity matched above
+            if kw == "poset":
+                doc.name = parts[1]
+                have_header = True
+            else:
+                doc.basepoint = parts[1]
     if not have_header:
         raise ParseError("missing 'poset <name>' header")
     return doc
@@ -187,8 +192,8 @@ def emit_dot(p, trace=None):
             attrs.append('style=filled, fillcolor=gray80')
             attrs.append(f'xlabel="-> {_dot_escape(p.labels[removed[i]])}"')
         lines.append(f'  n{i} [{", ".join(attrs)}];')
-    for a, b in sorted(p.covers):
-        lines.append(f"  n{a} -> n{b};")
+    # ids ascending, then each element's upper covers ascending: sorted(p.covers)
+    lines += [f"  n{a} -> n{b};" for a, up in enumerate(p.upper_covers) for b in bits(up)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -198,7 +203,8 @@ def emit_dot(p, trace=None):
 
 def _report(args, data, summary):
     if args.json:
-        print(json.dumps(data, indent=2, default=str))
+        # one line: without an indent json encodes in C
+        print(json.dumps(data, default=str))
     else:
         for k, v in data.items():
             print(f"{k}: {v}")

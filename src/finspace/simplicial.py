@@ -73,6 +73,7 @@ of simplices, not the fill-in of the elimination.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -390,6 +391,15 @@ def homology(k, reduced=False, guard=COMPLEX_GUARD):
     return HomologyProfile(tuple(betti), tuple(torsion))
 
 
+def _repeated(orders, times):
+    """The list of ``orders`` repeated ``times`` times; GuardExceeded
+    where it would hold more than ``sys.maxsize`` items, past any list."""
+    if len(orders) * times > sys.maxsize:
+        raise GuardExceeded(f"{len(orders) * times} torsion summands in one degree, "
+                            f"more than {sys.maxsize}")
+    return list(orders) * times
+
+
 def _join_homology(a, b):
     """Reduced homology of the join of two nonempty complexes from the
     reduced homology of each, by the Kunneth formula for joins (module
@@ -407,7 +417,10 @@ def _join_homology(a, b):
         for j, free_b, tors_b in nonzero_b:
             m = i + j + 1
             betti[m] += free_a * free_b
-            orders[m] += list(tors_a) * free_b + list(tors_b) * free_a
+            if tors_a:
+                orders[m] += _repeated(tors_a, free_b)  # Z/s (x) Z^free_b
+            if tors_b:
+                orders[m] += _repeated(tors_b, free_a)
             both = [gcd(s, t) for s in tors_a for t in tors_b]
             orders[m] += both  # Z/s (x) Z/t
             orders[m + 1] += both  # Tor(Z/s, Z/t)

@@ -30,6 +30,7 @@ from finspace.cli import (
 from finspace.maps import DEFAULT_MAP_GUARD
 
 from helpers import layered, link, time_limit, with_tails
+from test_simplicial import ordinal_sum, rp2_face_poset
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -56,13 +57,42 @@ class TestParsing:
         doc = parse_poset("# hi\n\nposet t\nel a  # trailing\nel b\ncov a b\n")
         assert doc.elements == ["a", "b"]
 
-    def test_missing_header(self):
-        with pytest.raises(ParseError):
-            parse_poset("el a\n")
+    @pytest.mark.parametrize("text, message", [
+        ("poset\n", "line 1: expected: poset <name>"),
+        ("poset a b\n", "line 1: expected: poset <name>"),
+        ("poset t\nel\n", "line 2: expected: el <label>"),
+        ("poset t\nel a b\n", "line 2: expected: el <label>"),
+        ("poset t\nel a\ncov a\n", "line 3: expected: cov <a> <b>"),
+        ("poset t\nel a\ncov a b c\n", "line 3: expected: cov <a> <b>"),
+        ("poset t\nel a\nbase\n", "line 3: expected: base <label>"),
+        ("poset t\nel a\nbase a b\n", "line 3: expected: base <label>"),
+        ("poset t\nels a\n", "line 2: unknown directive 'els'"),
+        ("poset t\n\n# note\nels a\n", "line 4: unknown directive 'els'"),
+        ("poset t\nedge a b\n", "line 2: unknown directive 'edge'"),
+        ("el a # no header yet\nel b c\n", "line 2: expected: el <label>"),
+        ("el a\n", "missing 'poset <name>' header"),
+        ("", "missing 'poset <name>' header"),
+    ], ids=["poset-bare", "poset-two", "el-bare", "el-two", "cov-one", "cov-three", "base-bare",
+            "base-two", "unknown", "unknown-after-blanks", "unknown-at-cov-arity",
+            "line-before-header", "missing-header", "empty"])
+    def test_each_directive_names_its_form_and_line(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_poset(text)
+        assert str(err.value) == message
 
-    def test_bad_directive_reports_line(self):
-        with pytest.raises(ParseError, match="^line 2: unknown directive 'els'$"):
-            parse_poset("poset t\nels a\n")
+    PLAIN = "poset t\nel a\nel b\nel c\ncov a b\ncov a c\nbase a\n"
+
+    @pytest.mark.parametrize("text", [
+        "poset\tt\nel\ta\n\tel b \nel c\ncov\ta\tb\ncov a  c\nbase a\t\n",
+        PLAIN.replace("\n", "\r\n"),
+        "\f" + PLAIN.replace("\ncov a b", "\n\f\ncov a b"),
+        "\n\n" + PLAIN.replace("\nel b", "\n   \n\nel b") + "\n\n",
+        "# header next\n" + PLAIN.replace("\ncov a c", "\n  # comment only\n#\ncov a c"),
+        "".join(line + " # why\n" for line in PLAIN.splitlines()),
+    ], ids=["tabs", "crlf", "form-feeds", "blank-lines", "comment-lines", "trailing-comments"])
+    def test_layout_does_not_change_the_document(self, text):
+        assert parse_poset(text) == parse_poset(self.PLAIN) == PosetDocument(
+            "t", ["a", "b", "c"], [("a", "b"), ("a", "c")], "a")
 
     def test_document_from_poset_round_trip(self):
         p = fence(5)
@@ -607,3 +637,23 @@ def test_gamma_guard_bounds_the_core_of_the_link(tmp_path, capsys):
     assert verdicts.pop("bottom") == "no"
     assert set(verdicts.values()) == {"certified_yes"}
     assert run(["--max-enum", "7", "gamma", path]) == EXIT_GUARD
+
+
+@pytest.mark.parametrize("verb, p, code", [
+    ("homology", layered(4, 41), EXIT_OK),
+    ("gamma", layered(4, 42), EXIT_OK),
+    # the layers fold first, to a free group of rank 3^41; joined with RP2's
+    # Z/2 that is (Z/2)^(3^41), more summands than a list can hold
+    ("homology", ordinal_sum(layered(4, 41), rp2_face_poset()), EXIT_GUARD),
+], ids=["homology-layered-41", "gamma-layered-42", "homology-layered-41-rp2"])
+def test_betti_numbers_past_sys_maxsize(verb, p, code, tmp_path, capsys):
+    # layered(4, d) is a wedge of 3^d spheres of dimension d - 1, and
+    # 3^41 > sys.maxsize; the guard admits 5^42 chains
+    path = write_poset(tmp_path, p, "deep")
+    assert run(["--json", "--max-enum", str(10**40), verb, path]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_GUARD:
+        assert err == (f"guard exceeded: {3**41} torsion summands in one degree, "
+                       f"more than {sys.maxsize}\n")
+    elif verb == "homology":
+        assert json.loads(out)["reduced_betti"] == [0] * 40 + [3**41]

@@ -14,7 +14,8 @@ import json
 import os
 import pathlib
 
-from finspace.cli import run
+from finspace import cli
+from finspace.cli import EXIT_NEGATIVE, EXIT_OK, run
 
 DATA = pathlib.Path(__file__).parent / "data"
 TRANSCRIPTS = DATA / "cli_transcripts.json"
@@ -67,6 +68,35 @@ def test_cli_transcript_is_byte_identical(monkeypatch):
     monkeypatch.chdir(DATA)
     for want in recorded:
         assert transcript(want[0]) == want
+
+
+def test_json_reports_are_one_line_in_the_verbs_key_order(monkeypatch):
+    """Every --json report is one line that json.dumps writes back
+    unchanged, and decodes with its keys in the order the verb built them;
+    ``dot`` writes DOT in either mode."""
+    built = []
+    report = cli._report
+
+    def keep(args, data, summary):
+        built.append(data)
+        report(args, data, summary)
+
+    monkeypatch.setattr(cli, "_report", keep)
+    monkeypatch.chdir(DATA)
+    checked = 0
+    for argv in ARGVS:
+        if "--json" not in argv or "dot" in argv:
+            continue
+        built.clear()
+        _, code, out, _ = transcript(argv)
+        if code not in (EXIT_OK, EXIT_NEGATIVE):
+            continue
+        assert out.count("\n") == 1 and out.endswith("\n"), argv
+        decoded = json.loads(out)
+        assert out == json.dumps(decoded, default=str) + "\n", argv
+        assert list(decoded) == list(built[0]), argv
+        checked += 1
+    assert checked == 76  # the other --json lines are dot or exit 2 or 3
 
 
 if __name__ == "__main__":
