@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 bench/sweep.py BENCH_35.json
+    python3 bench/sweep.py BENCH_37.json
 
 Times, each the least time per call over ``ROUNDS`` rounds, a round being
 as many calls as the first call says fill ``ROUND_MS`` (at least one), so
@@ -15,6 +15,10 @@ a sub-millisecond rung is timed over many calls:
   and on ``crown(k)`` with a pendant point hung on each element (above a
   minimal one, below a maximal one, so the pendants are the only beat
   points and the core is rebuilt), for k = 400, 800, ..., 6400;
+- ``are_homotopy_equivalent`` of ``crown(k)`` against that pendant copy
+  (family ``crown+pendants``) and against itself (``crown``), for the
+  same k: the dismantling and the match of the cover masks, with ``n``
+  the points of both inputs together;
 - ``poset_homology`` and the ``gamma`` verb's path (``gamma_points``,
   every point in one call; the row keeps its name ``gamma_loop``) on the
   sphere model S^d (two incomparable points at each of d + 1 levels) and
@@ -127,6 +131,15 @@ def sweep(finspace):
              for k in REDUCTION_SIZES)
     rows += row(finspace, "core", "crown+pendants", finspace.core, rungs)
 
+    def equivalent(pair):
+        return finspace.are_homotopy_equivalent(*pair)
+
+    for family, other in (("crown+pendants", lambda c: with_pendants(finspace, c)),
+                          ("crown", lambda c: c)):
+        pairs = ((finspace.crown(k), other(finspace.crown(k))) for k in REDUCTION_SIZES)
+        rungs = (({"n": p.n + q.n, "d": p.n // 2}, (p, q)) for p, q in pairs)
+        rows += row(finspace, "are_homotopy_equivalent", family, equivalent, rungs)
+
     def homology(p):
         return finspace.poset_homology(p, guard=GUARD)
 
@@ -163,7 +176,7 @@ def main(argv):
         f.write("\n")
     for r in doc["rows"]:
         ms = "guard" if r["ms"] is None else f"{r['ms']:9.2f} ms"
-        print(f"{r['layer']:>17} {r['family']:>14} {r.get('d', ''):>4} {r['n']:>5} {ms:>12}"
+        print(f"{r['layer']:>23} {r['family']:>14} {r.get('d', ''):>4} {r['n']:>5} {ms:>12}"
               f"  x{r['ratio']}")
     return 0
 

@@ -260,13 +260,14 @@ def cmd_core(args, first):
         }
         for s in res.trace.steps
     ]
+    size = res.mask.bit_count()
     data = {
         "input_size": p.n,
-        "core_size": res.core.n,
-        "core_elements": sorted(p.labels[x] for x in res.core_elements),
+        "core_size": size,
+        "core_elements": sorted(p.labels[x] for x in bits(res.mask)),
         "steps": steps if args.json else len(steps),
     }
-    return data, f"core has {res.core.n} of {p.n} elements after {len(steps)} removals", True
+    return data, f"core has {size} of {p.n} elements after {len(steps)} removals", True
 
 
 def cmd_dismantle(args, first):
@@ -291,18 +292,18 @@ def cmd_homotopy_eq(args, first, second):
         raise ValidationError(f"--pointed needs a basepoint in both files or in neither, "
                               f"but only {args.file if base_q is None else args.file2} has one")
     ev = homotopy.are_homotopy_equivalent(p, q, base_p, base_q)
+    # each core's labels, its kept ids in ascending order
+    kept_p = [p.labels[x] for x in bits(ev.core_p.mask)]
+    kept_q = [q.labels[x] for x in bits(ev.core_q.mask)]
     data = {
         "equivalent": ev.equivalent,
-        "core_size_1": ev.core_p.core.n,
-        "core_size_2": ev.core_q.core.n,
+        "core_size_1": len(kept_p),
+        "core_size_2": len(kept_q),
     }
     if ev.iso is not None:
-        data["iso"] = {
-            ev.core_p.core.labels[i]: ev.core_q.core.labels[v]
-            for i, v in enumerate(ev.iso.mapping)
-        }
+        data["iso"] = {kept_p[i]: kept_q[v] for i, v in enumerate(ev.iso.mapping)}
     summary = ("homotopy equivalent" if ev.equivalent
-               else f"not equivalent (core sizes {ev.core_p.core.n}, {ev.core_q.core.n})")
+               else f"not equivalent (core sizes {len(kept_p)}, {len(kept_q)})")
     return data, summary, ev.equivalent
 
 

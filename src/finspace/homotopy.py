@@ -2,7 +2,8 @@
 
 Two finite spaces are homotopy equivalent exactly when their cores are
 order-isomorphic (Stong), so the decision procedure is: dismantle both,
-then search for an isomorphism of the cores.
+then match the cores, as ``CoreResult`` masks of the inputs with the
+cover masks the dismantling leaves (``are_isomorphic``).
 
 The isomorphism search is individualisation-refinement (McKay and
 Piperno, Practical graph isomorphism II, 2014) on the cover graphs of
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import HeightExceeded
 from .poset import bits, components, shortest_path
-from .reduction import core
+from .reduction import CoreResult, core
 
 
 @dataclass(frozen=True)
@@ -54,20 +55,19 @@ class _Colouring:
     """A colouring of the disjoint union of two equal-sized posets, refined
     on their cover graphs, with an undo log.
 
-    Elements of p keep their ids 0..n-1 and those of q become n..2n-1.
-    ``color[v]`` is v's colour, ``cells[c]`` the set of elements of colour
-    c, ``log[c]`` the colour that c was split from and ``open`` the
-    colours with more than two elements.  Refinement never reads element
+    ``adj[v]`` lists v's cover neighbours, p's elements being 0..n-1 and
+    q's n..2n-1.  ``color[v]`` is v's colour, ``cells[c]`` the set of
+    elements of colour c, ``log[c]`` the colour that c was split from and
+    ``open`` the colours with more than two elements.  Refinement never reads element
     ids, only colours and cover counts, so an isomorphism p -> q that
     respects the colours keeps respecting them: a class with unequal
     numbers of p and q elements rules out every isomorphism that extends
     the individualised pairs.
     """
 
-    def __init__(self, p, q):
-        n = self.n = p.n
-        self.adj = [[b + shift for b in bits(lo | up)] for shift, x in ((0, p), (n, q))
-                    for lo, up in zip(x.lower_covers, x.upper_covers)]
+    def __init__(self, adj):
+        n = self.n = len(adj) // 2
+        self.adj = adj
         self.color = [0] * (2 * n)
         self.cells = [set(range(2 * n))]
         self.log = [0]
@@ -101,11 +101,17 @@ class _Colouring:
 
     def split(self, c, vs, count):
         """Split class c into the elements of ``vs`` grouped by count and
-        the untouched rest; False if a group is unbalanced.
+        the untouched rest; False if a group is unbalanced.  The largest
+        part keeps colour c and every other part moves to a fresh one, so
+        the split costs O(len(vs)) unless a group of ``vs`` outnumbers the
+        rest.
 
-        The largest part keeps colour c and every other part moves to a
-        fresh one, so the split costs O(len(vs)) unless a group of ``vs``
-        outnumbers the rest.
+        A pair {u, u'} touched by both with unequal counts is unbalanced
+        too, and that test only prunes earlier: without it the same
+        ``refine`` fails.  Each class is a signed sum of processed
+        splitters, so the pair leaves two splitters with unequal edge
+        counts between them; the later one is a pair that, when it is
+        processed, touches a class inside the earlier one unbalanced.
         """
         cells, n = self.cells, self.n
         groups = {}
@@ -157,34 +163,43 @@ class _Colouring:
 def are_isomorphic(p, q, fix=None):
     """Order isomorphism witness between p and q, or None.
 
-    fix, when given, is a pair (x, y) the isomorphism must respect
-    (used for basepoints).
+    Either side is a Poset or a CoreResult, read as its kept ids in
+    ascending order (the ids of its ``core``, which is not built), so both
+    forms give the same witness.  fix, when given, is a pair (x, y) of such
+    ids the isomorphism must respect (used for basepoints).
 
     After cheap invariants (sizes, cover counts, the multiset of component
-    sizes), the elements of both posets are coloured together by
-    down-set and up-set size and refined on the cover graphs until
-    every class has the same number of covers in every other class; ``fix`` is individualised first.  The search then walks
-    depth first on an explicit stack: at each node the lowest p element
-    of the smallest class with more than two elements is individualised
-    against each q element of that class in ascending order, the
-    colouring is re-refined from the new pair alone, and the branch is
-    pruned as soon as a class holds unequal numbers of p and q elements.
-    The first discrete colouring reached is returned as the witness;
-    where the cores have automorphisms, it is one of several.
+    sizes, all on the cover masks), the elements of both sides are
+    coloured together by down-set and up-set size in the kept mask and
+    refined on the cover graphs until every class has the same number of
+    covers in every other class; ``fix`` is individualised first.  The
+    search then walks depth first on an explicit stack: at each node the
+    lowest p element of the smallest class with more than two elements is
+    individualised against each q element of that class in ascending
+    order, the colouring is re-refined from the new pair alone, and the
+    branch is pruned as soon as a class holds unequal numbers of p and q
+    elements.  The first discrete colouring reached is returned as the
+    witness; where the cores have automorphisms, it is one of several.
     """
-    n = p.n
-    if n != q.n or _cover_count(p) != _cover_count(q):
+    sides = [(x.trace.start, x.mask, x.lower, x.upper) if isinstance(x, CoreResult)
+             else (x, x.full_mask, x.lower_covers, x.upper_covers) for x in (p, q)]
+    n = sides[0][1].bit_count()
+    if len({(mask.bit_count(), sum(map(int.bit_count, upper))) for _, mask, _, upper in sides}) > 1:
         return None
     if n == 0:
         return IsoWitness(())
-    sizes = [sorted(c.bit_count() for c in components(x.comparability_mask, x.full_mask))
-             for x in (p, q)]
+    sizes = [sorted(c.bit_count() for c in components(lambda v: lower[v] | upper[v], mask))
+             for _, mask, lower, upper in sides]
     if sizes[0] != sizes[1]:
         return None
-    col = _Colouring(p, q)
+    adj, size = [], []
+    for shift, (start, mask, lower, upper) in zip((0, n), sides):
+        new = {old: v for v, old in enumerate(bits(mask), shift)}
+        for old in new:
+            adj.append([new[b] for b in bits(lower[old] | upper[old])])
+            size.append(((start.down[old] & mask).bit_count(), (start.up[old] & mask).bit_count()))
+    col = _Colouring(adj)
     # the down-set sizes also give every cover between two colours one direction
-    size = {i + shift: (x.down[i].bit_count(), x.up[i].bit_count())
-            for shift, x in ((0, p), (n, q)) for i in range(n)}
     if not (col.split(0, list(range(2 * n)), size) and col.refine(0)):
         return None
     if fix is not None and not col.individualise(fix[0], fix[1] + n):
@@ -234,7 +249,7 @@ def are_homotopy_equivalent(p, q, basepoint_p=None, basepoint_q=None):
     fix = None
     if basepoint_p is not None:
         fix = (rp.relabel[basepoint_p], rq.relabel[basepoint_q])
-    iso = are_isomorphic(rp.core, rq.core, fix=fix)
+    iso = are_isomorphic(rp, rq, fix=fix)
     return EquivalenceEvidence(iso is not None, rp, rq, iso)
 
 

@@ -21,9 +21,9 @@ one pass over the reversed finishing order fills the down-masks and
 lower covers.  When the ids follow a linear extension (as in every
 generator) the cost is O(n + pairs given) bit tests plus O(covers) mask
 unions of n bits each: building ``chain(n)`` is linear in the number of
-mask words, not quadratic in n.  A core (``reduction.core``) is not
-rebuilt: a poset without beat points is its own core, and a smaller core
-is closed along the Hasse diagram the dismantling already holds.
+mask words, not quadratic in n.  A core (``reduction.core``) is a mask
+of its input with the cover masks the dismantling leaves; its Poset is
+built on first read, closed along those covers with no search.
 
 ``bfs_layers``, ``components`` and ``shortest_path`` are the one BFS
 kernel behind every breadth-first walk in the package; each takes a

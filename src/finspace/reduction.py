@@ -16,12 +16,13 @@ copies that follow the current subspace in ``core`` and
 neighbours (``_unlink``), so only they are tested again, as ``core``'s
 candidates or against ``standard_sequence``'s down and up beat sets:
 either costs O(covers + removals * deg^2) mask operations instead of a
-rescan of the subspace after every removal or round, and the core is
-built from the cover masks left at the end.  A step stores only its
-kind and the points it moves, in its mapping: ``{x: target}`` for a
-single-point step.  Each step acts on the image of the one before it,
-so a trace stores only its start and steps, and its domains and final
-subspace are read off the walk.
+rescan of the subspace after every removal or round.  A core is the
+mask and the cover masks left at the end, closed into a Poset only when
+read (``CoreResult.core``).  A step stores only its kind and the points
+it moves, in its mapping: ``{x: target}`` for a single-point step.  Each
+step acts on the image of the one before it, so a trace stores only its
+start and steps, and its domains and final subspace are read off the
+walk.
 
 ``verify_strong_deformation`` certifies a trace by the same walk: it
 checks each step on the cover masks of its domain, then drops the moved
@@ -31,6 +32,7 @@ but ``errors`` and ``poset``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import NotABeatPoint, ValidationError
@@ -151,24 +153,56 @@ def remove_beat_point(p, x, basepoint=None, prefer_down=True):
 
 @dataclass
 class CoreResult:
-    """Core subspace, its Poset form, and the dismantling that produced it."""
+    """A core as the kept ``mask`` of ``trace.start`` and the cover masks
+    ``lower`` and ``upper`` that ``_dismantle`` leaves, by start id (0 off
+    the mask).  ``core``, its Poset on the kept ids in ascending order,
+    and ``relabel``, start id -> id there, are built on first read."""
 
-    core: Poset
-    relabel: dict  # original id -> id in core
     trace: DismantlingTrace
+    mask: int
+    lower: list
+    upper: list
 
     @property
-    def core_elements(self):  # as start ids: what the trace leaves
-        return self.trace.final
+    def core_elements(self):  # as start ids
+        return frozenset(bits(self.mask))
 
     @property
     def is_point(self):
-        return self.core.n == 1
+        return self.mask.bit_count() == 1
+
+    @functools.cached_property
+    def relabel(self):  # start id -> id in core
+        return {old: new for new, old in enumerate(bits(self.mask))}
+
+    @functools.cached_property
+    def core(self):
+        """Closed along the cover masks, the core's Hasse diagram as an
+        induced subposet, with no search, cycle check or reduction: up-masks
+        are pushed down, and down-masks and lower covers up, a linear
+        extension (down-set size in P).  P without beat points is its own."""
+        p = self.trace.start
+        if not self.trace.steps:
+            return p
+        relabel = self.relabel
+        above = [[relabel[b] for b in bits(self.upper[old])] for old in relabel]
+        order = [relabel[i] for i in _linear_extension(p, self.mask)]
+        up = [1 << v for v in range(len(relabel))]
+        down, below = up[:], [0] * len(relabel)
+        for v in reversed(order):
+            for w in above[v]:
+                up[v] |= up[w]
+        for v in order:
+            for w in above[v]:
+                down[w] |= down[v]
+                below[w] |= 1 << v
+        covering = [sum(1 << w for w in ws) for ws in above]
+        return Poset([p.labels[i] for i in relabel], down, up, below, covering)
 
 
 def _unlink(p, lower, upper, mask, x):
-    """Update the cover masks of a subspace when x leaves it, and return
-    the mask of x's old covers, the only elements whose covers change.
+    """Update the cover masks of a subspace when x leaves it, x's own to
+    0, and return the mask of x's old covers, the only others that change.
 
     ``mask`` is the subspace without x.  Every old cover stays a cover;
     the new ones join a lower cover a of x to an upper cover b of x when
@@ -176,6 +210,7 @@ def _unlink(p, lower, upper, mask, x):
     """
     bit = 1 << x
     below, above = lower[x], upper[x]
+    lower[x] = upper[x] = 0
     for a in bits(below):
         upper[a] ^= bit
     for b in bits(above):
@@ -227,8 +262,8 @@ def core_mask(p, within=None):
     between two of its members, such as the two sides Û_x and F̂_x of the
     link of a point.  Then a ⋖ b in the subspace iff a ⋖ b in P, so its
     cover masks are P's cut to ``within``; the cost is O(|within|) for
-    them and the check plus ``core``'s per removal.  The mask of
-    ``core(p).core_elements`` is ``core_mask(p)``.
+    them and the check plus ``core``'s per removal.  ``core(p).mask`` is
+    ``core_mask(p)``.
     """
     mask = check_mask(p, within)
     lower, upper = {}, {}
@@ -259,42 +294,16 @@ def core(p, basepoint=None):
     lowest-id beat point, because every element off the mask is known
     not to be one.  That loop is ``_dismantle``, shared with ``core_mask``.
 
-    The core is closed once.  When nothing was removed P has no beat
-    points and is its own core: the result holds P itself, relabelled by
-    the identity.  Otherwise the cover masks left at the end are the
-    Hasse diagram of the core, an induced subposet, so they need no
-    search, cycle check or reduction: relabelled once to the kept ids in
-    ascending order, up-masks are pushed down them and down-masks and
-    lower covers up them, in order of down-set size in P, a linear
-    extension of the core.  The cost is O(covers) for the start plus, per
-    removal, (lower covers x upper covers) mask tests, plus, when points
-    were removed, a sort of the core and O(covers of the core) mask
-    unions.
+    The result holds the kept mask and the cover masks left at the end;
+    its ``core`` Poset is closed from them only when read.  The cost is
+    O(covers) plus, per removal, (lower covers x upper covers) mask tests.
     """
     check_point(p, basepoint)
     lower, upper = list(p.lower_covers), list(p.upper_covers)
     fixed = 0 if basepoint is None else 1 << basepoint
     steps = []
     mask = _dismantle(p, lower, upper, p.full_mask, fixed, steps)
-    trace = DismantlingTrace(p, steps)
-    if not steps:
-        return CoreResult(p, {i: i for i in range(p.n)}, trace)
-    keep = list(bits(mask))
-    relabel = {old: new for new, old in enumerate(keep)}
-    above = [[relabel[b] for b in bits(upper[old])] for old in keep]
-    order = [relabel[i] for i in _linear_extension(p, mask)]
-    up = [1 << v for v in range(len(keep))]
-    down, below = up[:], [0] * len(keep)
-    for v in reversed(order):
-        for w in above[v]:
-            up[v] |= up[w]
-    for v in order:
-        for w in above[v]:
-            down[w] |= down[v]
-            below[w] |= 1 << v
-    covering = [sum(1 << w for w in ws) for ws in above]
-    sub = Poset([p.labels[i] for i in keep], down, up, below, covering)
-    return CoreResult(sub, relabel, trace)
+    return CoreResult(DismantlingTrace(p, steps), mask, lower, upper)
 
 
 def _bulk_step(covers, ranks, beats, upward):
