@@ -58,11 +58,11 @@ class _Colouring:
     ``adj[v]`` lists v's cover neighbours, p's elements being 0..n-1 and
     q's n..2n-1.  ``color[v]`` is v's colour, ``cells[c]`` the set of
     elements of colour c, ``log[c]`` the colour that c was split from and
-    ``open`` the colours with more than two elements.  Refinement never reads element
-    ids, only colours and cover counts, so an isomorphism p -> q that
-    respects the colours keeps respecting them: a class with unequal
-    numbers of p and q elements rules out every isomorphism that extends
-    the individualised pairs.
+    ``open`` the colours with more than two elements.  Refinement never
+    reads element ids, only colours and cover counts, so an isomorphism
+    p -> q that respects the colours keeps respecting them: a class with
+    unequal numbers of p and q elements rules out every isomorphism that
+    extends the individualised pairs.
     """
 
     def __init__(self, adj):
@@ -108,10 +108,10 @@ class _Colouring:
 
         A pair {u, u'} touched by both with unequal counts is unbalanced
         too, and that test only prunes earlier: without it the same
-        ``refine`` fails.  Each class is a signed sum of processed
-        splitters, so the pair leaves two splitters with unequal edge
-        counts between them; the later one is a pair that, when it is
-        processed, touches a class inside the earlier one unbalanced.
+        ``refine`` fails.  Every class is a signed sum of processed
+        splitters, so two of them have unequal p and q edge counts between
+        them, and the later one is such a pair; processing it touches a
+        class inside the earlier one unbalanced.
         """
         cells, n = self.cells, self.n
         groups = {}
