@@ -2,15 +2,20 @@
 
 Usage (from the repository root)::
 
-    python3 bench/sweep.py BENCH_37.json
+    python3 bench/sweep.py BENCH_38.json
 
 Times, each the least time per call over ``ROUNDS`` rounds, a round being
 as many calls as the first call says fill ``ROUND_MS`` (at least one), so
 a sub-millisecond rung is timed over many calls:
 
 - ``Poset.from_covers`` on the labels and covers of ``chain(n)`` and
-  ``fence(n)`` (the build layer), and ``core`` and ``standard_sequence``
-  on ``chain(n)`` and ``fence(n)``, for n = 400, 800, ..., 6400;
+  ``fence(n)`` (the build layer), as the generators list them and, in the
+  ``chain-shuffled`` and ``fence-shuffled`` rows, with both lists in a
+  seeded random order, as every benchmark file lists them; and on
+  ``random_poset(n, 3 / n, seed)`` with both lists shuffled
+  (``random-shuffled``, ids no longer a linear extension);
+- ``core`` and ``standard_sequence`` on ``chain(n)`` and ``fence(n)``,
+  for n = 400, 800, ..., 6400;
 - ``core`` on ``crown(k)``, which has no beat points and is its own core,
   and on ``crown(k)`` with a pendant point hung on each element (above a
   minimal one, below a maximal one, so the pendants are the only beat
@@ -44,6 +49,7 @@ import importlib
 import json
 import os
 import platform
+import random
 import sys
 import time
 
@@ -55,6 +61,7 @@ ROUNDS = 5
 ROUND_MS = 10
 GUARD = 10**6
 STOP_MS = 1000
+SEED = 1
 
 
 def best_ms(fn, arg):
@@ -83,6 +90,16 @@ def layered(finspace, width, depth):
 def build_args(p):
     """The labels and covers of P, the arguments that build it."""
     return list(p.labels), [(p.labels[a], p.labels[b]) for a, b in sorted(p.covers)]
+
+
+def shuffled_args(p):
+    """The labels and covers of P, each list in a seeded random order: the
+    ids of the poset they build are a random relabelling of P's."""
+    labels, covers = build_args(p)
+    rng = random.Random(SEED)
+    rng.shuffle(labels)
+    rng.shuffle(covers)
+    return labels, covers
 
 
 def with_pendants(finspace, p):
@@ -119,6 +136,12 @@ def sweep(finspace):
     for family in ("chain", "fence"):
         rungs = (({"n": n}, build_args(getattr(finspace, family)(n)))
                  for n in REDUCTION_SIZES)
+        rows += row(finspace, "from_covers", family,
+                    lambda a: finspace.Poset.from_covers(*a), rungs)
+    shuffled = {"chain-shuffled": finspace.chain, "fence-shuffled": finspace.fence,
+                "random-shuffled": lambda n: finspace.random_poset(n, 3 / n, SEED)}
+    for family, make in shuffled.items():
+        rungs = (({"n": n}, shuffled_args(make(n))) for n in REDUCTION_SIZES)
         rows += row(finspace, "from_covers", family,
                     lambda a: finspace.Poset.from_covers(*a), rungs)
     for layer in ("core", "standard_sequence"):

@@ -11,17 +11,17 @@ upper-cover masks; ``covers``, the pair set, is read off the upper-cover
 masks when it is asked for.
 
 ``Poset._from_successors`` builds each poset from pairs, each subspace
-and each quotient from the relation it is handed, a successor mask per
-element: the label pairs (``from_covers``; their one check,
+and each quotient from the relation it is handed, a successor id list
+per element: the label pairs (``from_covers``; their one check,
 ``_successors``, also serves ``Preorder.from_pairs``), the induced order
 (``restrict``) or the order between classes (``kolmogorov_quotient``).
-One iterative depth-first search orders the relation, checks it for
-cycles and fills the up-masks and upper covers as each element finishes;
-one pass over the reversed finishing order fills the down-masks and
-lower covers.  When the ids follow a linear extension (as in every
-generator) the cost is O(n + pairs given) bit tests plus O(covers) mask
-unions of n bits each: building ``chain(n)`` is linear in the number of
-mask words, not quadratic in n.  A core (``reduction.core``) is a mask
+Kahn's order over the lists sorts the relation and checks it for
+cycles; a pass back along it fills the up-masks and upper covers,
+skipping each successor already reached, and a pass forward fills the
+down-masks and lower covers.  When each list runs upward (as in every
+generator) the cost is O(n + pairs given) list steps and bit tests plus
+O(covers) mask unions of n bits each: building ``chain(n)`` is linear
+in the number of mask words, not quadratic in n.  A core (``reduction.core``) is a mask
 of its input with the cover masks the dismantling leaves; its Poset is
 built on first read, closed along those covers with no search.
 
@@ -127,23 +127,37 @@ def shortest_path(nbrs, start, goals_mask):
 
 
 def _successors(labels, pairs):
-    """A successor mask per label from (lower, upper) label pairs, with
+    """A successor id list per label from (lower, upper) label pairs, with
     self-pairs dropped: the one check of label pairs, DuplicateLabel for a
     repeated label and UnknownLabel for a pair naming none."""
     index = {}
     for i, lab in enumerate(labels):
         if index.setdefault(lab, i) != i:
             raise DuplicateLabel(f"duplicate label {lab!r}")
-    succ = [0] * len(labels)
-    for a, b in pairs:
-        if a not in index:
-            raise UnknownLabel(f"unknown label {a!r}")
-        if b not in index:
-            raise UnknownLabel(f"unknown label {b!r}")
-        i, j = index[a], index[b]
-        if i != j:
-            succ[i] |= 1 << j
+    succ = [[] for _ in labels]
+    try:
+        for a, b in pairs:
+            i, j = index[a], index[b]
+            if i != j:
+                succ[i].append(j)
+    except KeyError as e:
+        raise UnknownLabel(f"unknown label {e.args[0]!r}") from None
     return succ
+
+
+def _on_cycle(succ, indeg):
+    """An id on a directed cycle of ``succ``, from the in-degrees Kahn's
+    order leaves: every id it left out has a predecessor left out, and
+    every successor of one is left out, so a walk back along predecessors
+    from the lowest one repeats, and the first id it repeats lies on a
+    cycle."""
+    pred = {w: v for v, d in enumerate(indeg) if d for w in succ[v]}
+    v = min(pred)
+    seen = set()
+    while v not in seen:
+        seen.add(v)
+        v = pred[v]
+    return v
 
 
 class Poset:
@@ -182,70 +196,61 @@ class Poset:
         reflexive-transitive closure of the pairs and the cover set is
         its transitive reduction.  Duplicate and reflexive pairs are
         ignored; a directed cycle raises CycleError naming an element on
-        it.  The cost is that of ``_from_successors``: O(n + pairs) plus
-        O(covers) mask unions when the ids follow a linear extension.
+        it.  The cost is that of ``_from_successors``, Kahn's order over
+        successor id lists: O(n + pairs) plus O(covers) mask unions when
+        each element's pairs list its lower successors first.
         """
         labels = list(labels)
         return cls._from_successors(labels, _successors(labels, cover_pairs))
 
     @classmethod
     def _from_successors(cls, labels, succ):
-        """The poset generated by ``succ[v]``, a mask of elements above v.
+        """The poset generated by ``succ[v]``, a list of ids above v.
 
         ``succ`` may hold any relation whose transitive closure is
-        antisymmetric: covers, comparable pairs or anything between.  One
-        depth-first search orders, checks and closes it: roots and
-        successors lowest id first, on an explicit stack of (v, successors
-        not yet looked at).  A successor still open reaches v, so it lies
-        on a cycle, and CycleError names it.  When v finishes, so have its
-        successors: its strict up-set is the union of ``reach[w] | w`` over
-        them, skipping any already reached (so when the ids follow a linear
-        extension only the covers are expanded), and its upper covers are
-        the successors that no successor's reach holds.  A pass over the
-        reversed finishing order pushes each down-mask to the upper covers.
+        antisymmetric: covers, comparable pairs or anything between, with
+        repeats.  Kahn's order (one in-degree count per pair) sorts it; an
+        order that leaves ids out means a cycle, and CycleError names an
+        id on one (``_on_cycle``).  Backwards along the order, v's strict
+        up-set is the union of ``reach[w] | w`` over its list, skipping any
+        w already reached (so only the covers are expanded when the list
+        runs upward); its upper covers are the reached ids that no
+        expanded successor's reach holds, ``strict ^ beyond``.  Forwards
+        along the order, each down-mask is pushed along the list entries
+        that are upper covers.
         """
         n = len(labels)
+        indeg = [0] * n
+        for ws in succ:
+            for w in ws:
+                indeg[w] += 1
+        order = [v for v in range(n) if not indeg[v]]
+        for v in order:
+            for w in succ[v]:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    order.append(w)
+        if len(order) < n:
+            raise CycleError(f"cycle through element {labels[_on_cycle(succ, indeg)]!r}")
         reach = [0] * n
         upper = [0] * n
-        state = [0] * n  # 0 unseen, 1 open, 2 finished
-        finished = []
-        for root in range(n):
-            if state[root]:
-                continue
-            state[root] = 1
-            stack = [(root, succ[root])]
-            while stack:
-                v, rest = stack.pop()
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    w = bit.bit_length() - 1
-                    if not state[w]:
-                        state[w] = 1
-                        stack.append((v, rest))
-                        stack.append((w, succ[w]))
-                        break
-                    if state[w] == 1:
-                        raise CycleError(f"cycle through element {labels[w]!r}")
-                else:
-                    rest = succ[v]
-                    strict = beyond = 0
-                    while rest:
-                        bit = rest & -rest
-                        r = reach[bit.bit_length() - 1]
-                        beyond |= r
-                        strict |= r | bit
-                        rest &= ~strict
-                    reach[v] = strict
-                    upper[v] = succ[v] & ~beyond
-                    state[v] = 2
-                    finished.append(v)
+        for v in reversed(order):
+            strict = beyond = 0
+            for w in succ[v]:
+                if not strict >> w & 1:
+                    r = reach[w]
+                    beyond |= r
+                    strict |= r | 1 << w
+            reach[v] = strict
+            upper[v] = strict ^ beyond
         down = [1 << v for v in range(n)]
         lower = [0] * n
-        for v in reversed(finished):
-            for w in bits(upper[v]):
-                down[w] |= down[v]
-                lower[w] |= 1 << v
+        for v in order:
+            u, d, b = upper[v], down[v], 1 << v
+            for w in succ[v]:
+                if u >> w & 1:
+                    down[w] |= d
+                    lower[w] |= b
         up = [reach[v] | (1 << v) for v in range(n)]
         return cls(labels, down, up, lower, upper)
 
@@ -357,9 +362,10 @@ class Poset:
         """Induced subposet on the given element ids.
 
         Returns (subposet, mapping) where mapping sends old ids to new ids.
-        Each kept element's successors are the kept part of its strict
-        up-set, the induced order itself, which ``_from_successors``
-        reduces to covers.  UnknownLabel for an id outside 0..n - 1.
+        Each kept element's successor list is the kept part of its strict
+        up-set, ascending, the induced order itself, which Kahn's order in
+        ``_from_successors`` sorts and which it reduces to covers, skipping
+        every successor already reached.  UnknownLabel for an id outside 0..n - 1.
         No verb calls it: it is the paper's subspace of a finite space,
         and the tests' oracle for links, cores and masked complexes.
         """
@@ -369,12 +375,8 @@ class Poset:
             check_point(self, old, "point")
             kept |= 1 << old
         old_to_new = {old: new for new, old in enumerate(keep)}
-        succ = []
-        for old in keep:
-            m = 0
-            for j in bits(self.up[old] & kept & ~(1 << old)):
-                m |= 1 << old_to_new[j]
-            succ.append(m)
+        succ = [[old_to_new[j] for j in bits(self.up[old] & kept & ~(1 << old))]
+                for old in keep]
         return Poset._from_successors([self.labels[i] for i in keep], succ), old_to_new
 
     def dual(self):
@@ -419,7 +421,7 @@ class Preorder:
         is everything ``bfs_layers`` reaches from i along them, since
         cycles are legal here and no topological order exists."""
         labels = list(labels)
-        adj = _successors(labels, pairs)
+        adj = [sum(1 << w for w in set(ws)) for ws in _successors(labels, pairs)]
         rel = []
         for i in range(len(labels)):
             reach = 0
@@ -458,12 +460,8 @@ def kolmogorov_quotient(q):
         for j in range(i, n):
             if q.rel[i] >> j & 1 and q.rel[j] >> i & 1:
                 proj[j] = cls_id
-    succ = []
-    for a, rep in enumerate(reps):
-        m = 0
-        for j in bits(q.rel[rep]):
-            m |= 1 << proj[j]
-        succ.append(m & ~(1 << a))
+    succ = [[proj[j] for j in bits(q.rel[rep]) if proj[j] != a]
+            for a, rep in enumerate(reps)]
     labels = [q.labels[rep] for rep in reps]
     return Poset._from_successors(labels, succ), proj
 

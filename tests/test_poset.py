@@ -243,7 +243,7 @@ def test_invariants_random(n, seed):
 
 
 class TestBuilderAgainstClosure:
-    """The depth-first builder and everything built on it against the
+    """The Kahn's-order builder and everything built on it against the
     Warshall closure and full cover scan."""
 
     CASES = 300
@@ -329,6 +329,61 @@ class TestBuilderAgainstClosure:
         with pytest.raises(CycleError) as err:
             Poset.from_covers(labels, pairs)
         assert str(err.value) in ("cycle through element 'b'", "cycle through element 'c'")
+
+    def test_cycle_error_walks_past_tails_and_a_second_cycle(self):
+        # left unordered: cycles a0 -> a1 -> a2 -> a0 and b0 <-> b1, the tail
+        # a2 -> j0 -> j1 -> b0 joining them and the tail b1 -> h0 -> h1 above
+        # b1, with h1 the lowest id; s0 -> s1 -> a0 below a cycle is ordered
+        labels = ["h1", "s0", "h0", "b1", "a2", "j0", "b0", "j1", "a0", "s1", "a1"]
+        pairs = [("a0", "a1"), ("a1", "a2"), ("a2", "a0"), ("b0", "b1"), ("b1", "b0"),
+                 ("a2", "j0"), ("j0", "j1"), ("j1", "b0"), ("b1", "h0"), ("h0", "h1"),
+                 ("s0", "s1"), ("s1", "a0")]
+        with pytest.raises(CycleError) as err:
+            Poset.from_covers(labels, pairs)
+        x = labels.index(str(err.value).split("'")[1])
+        assert str(err.value) == f"cycle through element {labels[x]!r}"
+        adj = [1 << i for i in range(len(labels))]
+        for a, b in pairs:
+            adj[labels.index(a)] |= 1 << labels.index(b)
+        reach = closure_by_warshall(adj)
+        assert any(y != x and reach[x] >> y & 1 and reach[y] >> x & 1
+                   for y in range(len(labels))), labels[x]
+
+    def test_duplicate_successors(self):
+        # every pair given twice or three times, so the successor lists hold
+        # repeats of covers and of non-covers alike
+        for rng, labels, pairs in self.cases():
+            repeated = pairs + pairs + [ab for ab in pairs if rng.random() < 0.5]
+            rng.shuffle(repeated)
+            assert_same_poset(Poset.from_covers(labels, repeated), poset_by_closure(labels, pairs))
+
+    def test_reverse_topological_pairs(self):
+        # shuffled ids, pairs listed from the top of a hidden linear extension
+        # down, so every successor list runs highest first and no reached
+        # successor is skipped before it is expanded
+        for rng, labels, _ in self.cases():
+            n = len(labels)
+            rank = list(range(n))
+            rng.shuffle(rank)
+            pairs = [(a, b) for a in range(n) for b in range(n)
+                     if rank[a] < rank[b] and rng.random() < 0.3]
+            pairs.sort(key=lambda ab: (-rank[ab[0]], -rank[ab[1]]))
+            pairs = [(labels[a], labels[b]) for a, b in pairs]
+            assert_same_poset(Poset.from_covers(labels, pairs), poset_by_closure(labels, pairs))
+
+    def test_chain_from_all_comparable_pairs_shuffled(self):
+        import random
+
+        rng = random.Random(38)
+        n = 80
+        place = list(range(n))
+        rng.shuffle(place)  # place[k] is the id of the k-th point up the chain
+        labels = [f"c{i}" for i in range(n)]
+        pairs = [(labels[place[i]], labels[place[j]]) for i in range(n) for j in range(i + 1, n)]
+        rng.shuffle(pairs)
+        p = Poset.from_covers(labels, pairs)
+        assert_same_poset(p, poset_by_closure(labels, pairs))
+        assert p.covers == {(place[k], place[k + 1]) for k in range(n - 1)}
 
 
 # (n, seed) -> (comparability degree, longest simple path in steps) of
