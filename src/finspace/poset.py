@@ -21,9 +21,10 @@ skipping each successor already reached, and a pass forward fills the
 down-masks and lower covers.  When each list runs upward (as in every
 generator) the cost is O(n + pairs given) list steps and bit tests plus
 O(covers) mask unions of n bits each: building ``chain(n)`` is linear
-in the number of mask words, not quadratic in n.  A core (``reduction.core``) is a mask
-of its input with the cover masks the dismantling leaves; its Poset is
-built on first read, closed along those covers with no search.
+in the number of mask words, not quadratic in n.  A core
+(``reduction.core``) is a mask of its input with the cover masks the
+dismantling leaves; its Poset is built on first read, closed along
+those covers with no search.
 
 ``bfs_layers``, ``components`` and ``shortest_path`` are the one BFS
 kernel behind every breadth-first walk in the package; each takes a
@@ -232,8 +233,7 @@ class Poset:
                     order.append(w)
         if len(order) < n:
             raise CycleError(f"cycle through element {labels[_on_cycle(succ, indeg)]!r}")
-        reach = [0] * n
-        upper = [0] * n
+        reach, upper = [0] * n, [0] * n
         for v in reversed(order):
             strict = beyond = 0
             for w in succ[v]:
@@ -363,9 +363,9 @@ class Poset:
 
         Returns (subposet, mapping) where mapping sends old ids to new ids.
         Each kept element's successor list is the kept part of its strict
-        up-set, ascending, the induced order itself, which Kahn's order in
-        ``_from_successors`` sorts and which it reduces to covers, skipping
-        every successor already reached.  UnknownLabel for an id outside 0..n - 1.
+        up-set, the induced order itself, which ``_from_successors`` sorts
+        by Kahn's order and closes, skipping reached successors.
+        UnknownLabel for an id outside 0..n - 1.
         No verb calls it: it is the paper's subspace of a finite space,
         and the tests' oracle for links, cores and masked complexes.
         """

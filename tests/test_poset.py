@@ -242,6 +242,19 @@ def test_invariants_random(n, seed):
     assert pq.up == p.up
 
 
+def assert_names_a_cycle_element(err, labels, pairs):
+    """The element x a CycleError names has some other y with x <= y <= x
+    in the Warshall closure of the pairs."""
+    x = labels.index(str(err).split("'")[1])
+    assert str(err) == f"cycle through element {labels[x]!r}"
+    adj = [1 << i for i in range(len(labels))]
+    for a, b in pairs:
+        adj[labels.index(a)] |= 1 << labels.index(b)
+    reach = closure_by_warshall(adj)
+    assert any(y != x and reach[x] >> y & 1 and reach[y] >> x & 1
+               for y in range(len(labels))), labels[x]
+
+
 class TestBuilderAgainstClosure:
     """The Kahn's-order builder and everything built on it against the
     Warshall closure and full cover scan."""
@@ -311,14 +324,7 @@ class TestBuilderAgainstClosure:
             except CycleError:
                 with pytest.raises(CycleError) as err:
                     Poset.from_covers(labels, pairs)
-                # the named element x has some other y with x <= y <= x
-                x = labels.index(str(err.value).split("'")[1])
-                adj = [1 << i for i in range(n)]
-                for a, b in pairs:
-                    adj[labels.index(a)] |= 1 << labels.index(b)
-                reach = closure_by_warshall(adj)
-                assert any(y != x and reach[x] >> y & 1 and reach[y] >> x & 1
-                           for y in range(n)), (seed, labels[x])
+                assert_names_a_cycle_element(err.value, labels, pairs)
             else:
                 assert_same_poset(Poset.from_covers(labels, pairs), expected)
 
@@ -340,14 +346,7 @@ class TestBuilderAgainstClosure:
                  ("s0", "s1"), ("s1", "a0")]
         with pytest.raises(CycleError) as err:
             Poset.from_covers(labels, pairs)
-        x = labels.index(str(err.value).split("'")[1])
-        assert str(err.value) == f"cycle through element {labels[x]!r}"
-        adj = [1 << i for i in range(len(labels))]
-        for a, b in pairs:
-            adj[labels.index(a)] |= 1 << labels.index(b)
-        reach = closure_by_warshall(adj)
-        assert any(y != x and reach[x] >> y & 1 and reach[y] >> x & 1
-                   for y in range(len(labels))), labels[x]
+        assert_names_a_cycle_element(err.value, labels, pairs)
 
     def test_duplicate_successors(self):
         # every pair given twice or three times, so the successor lists hold
